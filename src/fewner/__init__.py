@@ -9,7 +9,6 @@ from .backend import (
     GenerationRecord,
     GenerationRequest,
     HttpCompletionBackend,
-    MemoryCache,
     OracleBackend,
     make_noisy_oracle,
     request_digest,
@@ -23,7 +22,6 @@ from .corpus import (
     load_entity_types,
     sample_fewshot,
     save_corpus,
-    split_validation,
 )
 from .decode import (
     DecodeDiagnostics,
@@ -91,7 +89,6 @@ __all__ = [
     "GridProfile",
     "HardwareProfile",
     "HttpCompletionBackend",
-    "MemoryCache",
     "OracleBackend",
     "PipelineSettings",
     "PredictionSet",
@@ -119,6 +116,5 @@ __all__ = [
     "score",
     "select_entity_rich",
     "select_nearest",
-    "split_validation",
     "synthetic_corpus",
 ]

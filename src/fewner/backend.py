@@ -20,6 +20,7 @@ import json
 import logging
 import os
 import re
+import secrets
 import threading
 import time
 from dataclasses import dataclass
@@ -110,10 +111,10 @@ class HttpCompletionBackend:
     """Client for an OpenAI-compatible /v1/completions endpoint.
 
     Retries transport failures and 429/5xx responses with exponential
-    backoff; other non-200 responses fail immediately.  A semaphore caps
-    in-flight requests (default 1: strictly sequential).  Stop sequences are
-    sent to the server and re-applied client-side, since some servers ignore
-    them.
+    backoff; other non-200 responses fail immediately.  The client keeps no
+    state between requests, so callers may send from several threads.  Stop
+    sequences are sent to the server and re-applied client-side, since some
+    servers ignore them.
     """
 
     def __init__(
@@ -125,7 +126,6 @@ class HttpCompletionBackend:
         max_retries: int = 3,
         backoff_s: float = 1.0,
         timeout_s: float = 120.0,
-        max_in_flight: int = 1,
     ):
         if not base_url:
             raise ConfigError("the HTTP backend needs a non-empty base URL")
@@ -137,7 +137,6 @@ class HttpCompletionBackend:
         self._max_retries = max_retries
         self._backoff_s = backoff_s
         self._timeout_s = timeout_s
-        self._gate = threading.Semaphore(max_in_flight)
 
     @classmethod
     def from_env(cls, model_name: str = "", **kwargs) -> "HttpCompletionBackend":
@@ -163,28 +162,27 @@ class HttpCompletionBackend:
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
         payload = self._payload(request)
-        with self._gate:
-            last_error: Exception | None = None
-            for attempt in range(self._max_retries + 1):
-                if attempt:
-                    delay = self._backoff_s * 2 ** (attempt - 1)
-                    logger.warning("retrying completion request in %.1fs", delay)
-                    time.sleep(delay)
-                try:
-                    status, body = self._transport(url, headers, payload, self._timeout_s)
-                except TransportError as exc:
-                    last_error = exc
-                    continue
-                if status == 429 or status >= 500:
-                    last_error = ProtocolError(
-                        "server busy or failing", status=status, body_excerpt=body[:200]
-                    )
-                    continue
-                if status != 200:
-                    raise ProtocolError(
-                        "completion request rejected", status=status, body_excerpt=body[:200]
-                    )
-                return self._parse_body(body, request)
+        last_error: Exception | None = None
+        for attempt in range(self._max_retries + 1):
+            if attempt:
+                delay = self._backoff_s * 2 ** (attempt - 1)
+                logger.warning("retrying completion request in %.1fs", delay)
+                time.sleep(delay)
+            try:
+                status, body = self._transport(url, headers, payload, self._timeout_s)
+            except TransportError as exc:
+                last_error = exc
+                continue
+            if status == 429 or status >= 500:
+                last_error = ProtocolError(
+                    "server busy or failing", status=status, body_excerpt=body[:200]
+                )
+                continue
+            if status != 200:
+                raise ProtocolError(
+                    "completion request rejected", status=status, body_excerpt=body[:200]
+                )
+            return self._parse_body(body, request)
         assert last_error is not None
         raise last_error
 
@@ -487,34 +485,14 @@ class CountingBackend:
         return self.inner.generate(request)
 
 
-class MemoryCache:
-    """In-process record store, mainly for tests."""
-
-    def __init__(self):
-        self._store: dict[str, GenerationRecord] = {}
-        self.hits = 0
-        self.misses = 0
-
-    def get(self, key: str) -> GenerationRecord | None:
-        record = self._store.get(key)
-        if record is None:
-            self.misses += 1
-        else:
-            self.hits += 1
-        return record
-
-    def put(self, key: str, record: GenerationRecord) -> None:
-        self._store[key] = record
-
-    def __len__(self) -> int:
-        return len(self._store)
-
-
 class DiskCache:
     """One JSON file per request digest.
 
-    Corrupt entries are logged and treated as misses, then overwritten by
-    the fresh result; they never poison a run.
+    Corrupt entries, including a record filed under another request's
+    digest, are logged and treated as misses, then overwritten by the fresh
+    result; they never poison a run.  Each put writes a temp file of its
+    own and renames it into place, so threads and processes sharing the
+    directory never see or clobber a half-written entry.
     """
 
     def __init__(self, directory: str | Path):
@@ -530,7 +508,7 @@ class DiskCache:
             return None
         try:
             payload = json.loads(path.read_text(encoding="utf-8"))
-            return GenerationRecord(
+            record = GenerationRecord(
                 request_hash=payload["request_hash"],
                 completion=payload["completion"],
                 latency_s=payload["latency_s"],
@@ -540,6 +518,14 @@ class DiskCache:
         except (json.JSONDecodeError, KeyError, TypeError, UnicodeDecodeError) as exc:
             logger.warning("ignoring corrupt cache entry %s: %s", path, exc)
             return None
+        if record.request_hash != key:
+            logger.warning(
+                "ignoring corrupt cache entry %s: it holds request %s",
+                path,
+                record.request_hash,
+            )
+            return None
+        return record
 
     def put(self, key: str, record: GenerationRecord) -> None:
         path = self._path(key)
@@ -550,12 +536,10 @@ class DiskCache:
             "backend_id": record.backend_id,
             "timestamp": record.timestamp,
         }
-        tmp = path.with_suffix(".tmp")
-        tmp.write_text(
-            json.dumps(payload, sort_keys=True, ensure_ascii=False, indent=2),
-            encoding="utf-8",
-        )
-        tmp.replace(path)
+        tmp = path.with_name(f"{key}.{secrets.token_hex(8)}.tmp")
+        with open(tmp, "x", encoding="utf-8") as out:
+            out.write(json.dumps(payload, sort_keys=True, ensure_ascii=False, indent=2))
+        os.replace(tmp, path)
 
     def __len__(self) -> int:
         return sum(1 for _ in self.directory.glob("*.json"))

@@ -111,18 +111,6 @@ class FewShotSample:
     source_corpus: str = ""
 
 
-@dataclass(frozen=True)
-class Fold:
-    held_out_id: str
-    pool_ids: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class ValidationSplit:
-    demonstration_pool: tuple[str, ...]
-    folds: tuple[Fold, ...]
-
-
 def validate_sentence(sentence: AnnotatedSentence) -> None:
     """Check span offsets against the sentence; raise SpanValidationError."""
     n = len(sentence.text)
@@ -513,17 +501,3 @@ def sample_fewshot(
     picked = rng.pick_first_k(ids, k, seed=p)
     return FewShotSample(k=k, p=p, sentence_ids=tuple(picked), source_corpus=source_corpus)
 
-
-def split_validation(sample: FewShotSample) -> ValidationSplit:
-    """Leave-one-out folds: fold i holds out sentence i, pools the rest."""
-    ids = sample.sentence_ids
-    if len(ids) < 2:
-        raise ConfigError("leave-one-out validation needs a sample of at least 2 sentences")
-    folds = tuple(
-        Fold(
-            held_out_id=held_out,
-            pool_ids=tuple(other for other in ids if other != held_out),
-        )
-        for held_out in ids
-    )
-    return ValidationSplit(demonstration_pool=ids, folds=folds)

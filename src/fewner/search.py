@@ -18,7 +18,9 @@ from __future__ import annotations
 import json
 import re
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import rng, selection
 from .backend import CompletionBackend, CountingBackend, GenerationRequest
@@ -46,6 +48,13 @@ from .templates import (
 
 _WORD_LIMIT_PAD = 32
 _WORD = re.compile(r"[^\W_]+", re.UNICODE)
+
+# Most requests one pipeline has in flight once its backend is seen waiting.
+MAX_IN_FLIGHT = 8
+# (sentence, type) items that predict plans and sends together.
+PREDICT_WAVE = 64
+# Off-CPU seconds inline calls must have spent before the pool may start.
+_MIN_WAIT_S = 0.02
 
 
 @dataclass(frozen=True)
@@ -100,6 +109,15 @@ class SearchTrace:
         return json.dumps(payload, sort_keys=True, ensure_ascii=False, indent=2)
 
 
+class _Item(NamedTuple):
+    """One sentence and entity type to annotate: the unit a wave plans."""
+
+    entity_type: EntityType
+    text: str
+    test_id: str
+    held_out_id: str | None  # removed from the demonstration pool
+
+
 class PromptingPipeline:
     """Select demos, render prompts, call the backend, decode spans.
 
@@ -107,6 +125,12 @@ class PromptingPipeline:
     or unseen sentence draws its demonstrations from it.  The backend is
     wrapped in a counter so searches can report how many requests they
     issued (a cache below the counter still sees all of them).
+
+    Requests go out in waves: every prompt of a wave is planned first, on
+    the calling thread, then the wave is sent and decoded in item order.
+    Calls run inline until the backend is seen waiting rather than
+    computing; from then on requests go through a thread pool of
+    MAX_IN_FLIGHT workers.  Outputs do not depend on which path ran.
 
     observer, when set, is called as observer(rendered_prompt, held_out_id)
     for every prompt before it is sent; tests use it to check that held-out
@@ -134,6 +158,10 @@ class PromptingPipeline:
         # One TF-IDF index per held-out id (None: the full corpus), built on
         # first use; fold pools never change within a pipeline's lifetime.
         self._indexes: dict[str | None, TfidfIndex] = {}
+        # Wall and CPU seconds of the backend calls made inline so far.
+        self._inline_wall_s = 0.0
+        self._inline_cpu_s = 0.0
+        self._threads: ThreadPoolExecutor | None = None
 
     @property
     def backend_calls(self) -> int:
@@ -152,23 +180,59 @@ class PromptingPipeline:
             self._indexes[held_out_id] = index
         return index
 
-    def _generate(self, prompt: RenderedPrompt, test_text: str, held_out_id: str | None) -> str:
+    def _request(self, prompt: RenderedPrompt, item: _Item) -> GenerationRequest:
         if self.observer is not None:
-            self.observer(prompt, held_out_id)
-        request = GenerationRequest(
+            self.observer(prompt, item.held_out_id)
+        return GenerationRequest(
             prompt=prompt.text,
-            max_new_tokens=self._max_new_tokens(test_text),
+            max_new_tokens=self._max_new_tokens(item.text),
             temperature=0.0,
             stop_sequences=prompt.stop_sequences,
             model_name=self.settings.model_name,
         )
-        return self.backend.generate(request)
 
     def _max_new_tokens(self, test_text: str) -> int:
         if self.settings.max_new_tokens is not None:
             return self.settings.max_new_tokens
         # Room for the answer: a tagged copy of the test sentence plus slack.
         return 2 * estimate_tokens(test_text) + _WORD_LIMIT_PAD
+
+    def _backend_waits(self) -> bool:
+        """Whether inline calls spent more than half their wall time off
+        the CPU, and over _MIN_WAIT_S in total, so that one preemption of
+        an in-process backend cannot decide."""
+        off_cpu = self._inline_wall_s - self._inline_cpu_s
+        return off_cpu > _MIN_WAIT_S and 2 * off_cpu > self._inline_wall_s
+
+    def _send(self, requests: list[GenerationRequest]) -> list[str]:
+        """Completions in request order.
+
+        Calls run inline, timed, until the backend is seen waiting; the
+        remaining requests then go to the pool, created on first use.
+        """
+        completions: list[str] = []
+        for i, request in enumerate(requests):
+            if self._backend_waits():
+                if self._threads is None:
+                    self._threads = ThreadPoolExecutor(
+                        MAX_IN_FLIGHT, thread_name_prefix="fewner-request"
+                    )
+                completions.extend(self._threads.map(self.backend.generate, requests[i:]))
+                break
+            wall, cpu = time.perf_counter(), time.thread_time()
+            completions.append(self.backend.generate(request))
+            self._inline_wall_s += time.perf_counter() - wall
+            self._inline_cpu_s += time.thread_time() - cpu
+        return completions
+
+    def _demos(self, config: PromptConfig, item: _Item) -> list[AnnotatedSentence]:
+        pool = self._pool(item.held_out_id)
+        n = min(config.effective_demo_count, len(pool))
+        if config.self_verification:
+            demo_ids = selection.select_entity_rich(pool, item.entity_type.id, n)
+        else:
+            demo_ids = selection.select_nearest(self._index(item.held_out_id), item.text, n)
+        return [self.corpus_by_id[sid] for sid in demo_ids]
 
     def _verification_demos(
         self, demos: list[AnnotatedSentence], entity_type: EntityType
@@ -213,33 +277,73 @@ class PromptingPipeline:
     def _verify(
         self,
         config: PromptConfig,
-        entity_type: EntityType,
-        result: DecodeResult,
-        test_text: str,
-        demos: list[AnnotatedSentence],
-        held_out_id: str | None,
-    ) -> DecodeResult:
-        if not result.spans:
-            return result
-        vdemos = self._verification_demos(demos, entity_type)
-        if vdemos is None:
-            result.diagnostics.unverified_kept += len(result.spans)
-            return result
-        verdicts = []
-        for span in result.spans:
-            prompt = render_verification_prompt(
+        items: list[_Item],
+        demos: list[list[AnnotatedSentence]],
+        results: list[DecodeResult],
+    ) -> list[DecodeResult]:
+        """The dependent wave: one yes/no request per decoded span."""
+        language = self._language(config)
+        requests: list[GenerationRequest] = []
+        asked: list[int] = []  # requests per item
+        for item, item_demos, result in zip(items, demos, results):
+            if not result.spans:
+                asked.append(0)
+                continue
+            vdemos = self._verification_demos(item_demos, item.entity_type)
+            if vdemos is None:
+                result.diagnostics.unverified_kept += len(result.spans)
+                asked.append(0)
+                continue
+            for span in result.spans:
+                prompt = render_verification_prompt(
+                    config, item.entity_type, span.mention, item.text, vdemos, language
+                )
+                requests.append(self._request(prompt, item))
+            asked.append(len(result.spans))
+        verdicts = iter(
+            parse_verification(completion, config.long_verification_answer)
+            for completion in self._send(requests)
+        )
+        return [
+            apply_verification(result, [next(verdicts) for _ in range(n)]) if n else result
+            for result, n in zip(results, asked)
+        ]
+
+    def _annotate_wave(self, config: PromptConfig, items: list[_Item]) -> list[DecodeResult]:
+        """Spans for each item: plan every main prompt in item order, send
+        them, decode in item order, then verify as a second wave."""
+        language = self._language(config)
+        demos: list[list[AnnotatedSentence]] = []
+        requests: list[GenerationRequest] = []
+        for item in items:
+            item_demos = self._demos(config, item)
+            prompt = fit_to_budget(
                 config,
-                entity_type,
-                span.mention,
-                test_text,
-                vdemos,
-                self._language(config),
+                item.entity_type,
+                item_demos,
+                item.text,
+                language,
+                self.settings.token_budget,
+                shuffle_seed=rng.stable_seed(
+                    self.settings.seed, item.test_id, item.entity_type.id
+                ),
             )
-            completion = self._generate(prompt, test_text, held_out_id)
-            verdicts.append(
-                parse_verification(completion, config.long_verification_answer)
-            )
-        return apply_verification(result, verdicts)
+            demos.append(item_demos)
+            requests.append(self._request(prompt, item))
+        results = []
+        for item, completion in zip(items, self._send(requests)):
+            if config.mode == "tagging":
+                result = decode_tagged(
+                    completion, item.text, config.tag_pair, item.entity_type.id
+                )
+            else:
+                result = decode_listing(
+                    completion, item.text, config.listing_separator, item.entity_type.id
+                )
+            results.append(result)
+        if config.self_verification:
+            results = self._verify(config, items, demos, results)
+        return results
 
     def annotate(
         self,
@@ -254,75 +358,65 @@ class PromptingPipeline:
         held_out_id removes that sentence from the demonstration pool (the
         LOOCV case); the returned spans refer to offsets in test_text.
         """
-        pool = self._pool(held_out_id)
-        n = min(config.effective_demo_count, len(pool))
-        if config.self_verification:
-            demo_ids = selection.select_entity_rich(pool, entity_type.id, n)
-        else:
-            demo_ids = selection.select_nearest(self._index(held_out_id), test_text, n)
-        by_id = self.corpus_by_id
-        demos = [by_id[sid] for sid in demo_ids]
-        prompt = fit_to_budget(
-            config,
-            entity_type,
-            demos,
-            test_text,
-            self._language(config),
-            self.settings.token_budget,
-            shuffle_seed=rng.stable_seed(self.settings.seed, test_id, entity_type.id),
-        )
-        completion = self._generate(prompt, test_text, held_out_id)
-        if config.mode == "tagging":
-            result = decode_tagged(completion, test_text, config.tag_pair, entity_type.id)
-        else:
-            result = decode_listing(
-                completion, test_text, config.listing_separator, entity_type.id
-            )
-        if config.self_verification:
-            result = self._verify(
-                config, entity_type, result, test_text, demos, held_out_id
-            )
-        return result
+        item = _Item(entity_type, test_text, test_id, held_out_id)
+        return self._annotate_wave(config, [item])[0]
 
     def evaluate_loocv(self, config: PromptConfig) -> float:
         """Micro-F1 of config under leave-one-out over the annotated sample."""
         if len(self.corpus) < 2:
             raise ConfigError("leave-one-out needs at least two annotated sentences")
+        pairs = [(s, t) for s in self.corpus for t in self.entity_types]
+        items = [_Item(t, s.text, s.id, s.id) for s, t in pairs]
         tp = fp = fn = 0
-        for sentence in self.corpus:
-            for entity_type in self.entity_types:
-                result = self.annotate(
-                    config,
-                    entity_type,
-                    sentence.text,
-                    sentence.id,
-                    held_out_id=sentence.id,
-                )
-                dtp, dfp, dfn = span_match_counts(
-                    result.spans, sentence.spans_of(entity_type.id)
-                )
-                tp, fp, fn = tp + dtp, fp + dfp, fn + dfn
+        for (sentence, entity_type), result in zip(pairs, self._annotate_wave(config, items)):
+            dtp, dfp, dfn = span_match_counts(result.spans, sentence.spans_of(entity_type.id))
+            tp, fp, fn = tp + dtp, fp + dfp, fn + dfn
         return f1_from_counts(tp, fp, fn)[2]
 
     def predict(
         self, config: PromptConfig, test_sentences: list[AnnotatedSentence]
     ) -> PredictionSet:
         """Annotate unseen sentences with every entity type, pooling demos
-        from the whole annotated sample."""
+        from the annotated sample; a test sentence that is also in the
+        sample is held out of its own demonstrations."""
         predictions = PredictionSet()
-        for sentence in test_sentences:
-            for entity_type in self.entity_types:
-                result = self.annotate(config, entity_type, sentence.text, sentence.id)
+        pairs = [(s, t) for s in test_sentences for t in self.entity_types]
+        for start in range(0, len(pairs), PREDICT_WAVE):
+            wave = pairs[start : start + PREDICT_WAVE]
+            items = [
+                _Item(t, s.text, s.id, s.id if s.id in self.corpus_by_id else None)
+                for s, t in wave
+            ]
+            for (sentence, entity_type), result in zip(wave, self._annotate_wave(config, items)):
                 predictions.add(sentence.id, entity_type.id, result)
         return predictions
 
 
-def _run_and_trace(score_fn, config: PromptConfig, trace: SearchTrace) -> float:
-    micro = score_fn(config)
-    trace.evaluations.append(
-        TraceEntry(config.bitmask, config.enabled_features(), micro)
-    )
-    return micro
+def _run_search(kind: str, pipeline, score_fn, search) -> tuple[PromptConfig, SearchTrace]:
+    """The driver both searches share.
+
+    search(evaluate) walks its candidates, scoring each with evaluate(config),
+    which also records it in the trace, and returns the winning config and
+    its accepted features.  The trace gets the wall time and, with a
+    pipeline, the backend requests the search issued.
+    """
+    if pipeline is None and score_fn is None:
+        raise ConfigError(f"{kind} search needs a pipeline or an explicit scorer")
+    score_fn = score_fn or pipeline.evaluate_loocv
+    calls_before = pipeline.backend_calls if pipeline is not None else 0
+    started = time.monotonic()
+    trace = SearchTrace()
+
+    def evaluate(config: PromptConfig) -> float:
+        micro = score_fn(config)
+        trace.evaluations.append(TraceEntry(config.bitmask, config.enabled_features(), micro))
+        return micro
+
+    best, trace.accepted_features = search(evaluate)
+    trace.wall_clock_seconds = time.monotonic() - started
+    if pipeline is not None:
+        trace.total_backend_calls = pipeline.backend_calls - calls_before
+    return best, trace
 
 
 def greedy_search(
@@ -338,35 +432,25 @@ def greedy_search(
     roll back.  At most 1 + 9 evaluations (plus up to 9 more with
     second_pass, which retries the features rejected in the first sweep).
     """
-    if pipeline is None and score_fn is None:
-        raise ConfigError("greedy search needs a pipeline or an explicit scorer")
-    score_fn = score_fn or pipeline.evaluate_loocv
     base = base or PromptConfig()
-    calls_before = pipeline.backend_calls if pipeline is not None else 0
-    started = time.monotonic()
-    trace = SearchTrace()
-    current = base
-    best = _run_and_trace(score_fn, base, trace)
-    for name in FEATURE_NAMES:
-        candidate = current.with_features(**{name: not current.feature(name)})
-        micro = _run_and_trace(score_fn, candidate, trace)
-        if micro > best:
-            current, best = candidate, micro
-    if second_pass:
-        for name in FEATURE_NAMES:
-            if current.feature(name) != base.feature(name):
-                continue
-            candidate = current.with_features(**{name: not current.feature(name)})
-            micro = _run_and_trace(score_fn, candidate, trace)
-            if micro > best:
-                current, best = candidate, micro
-    trace.accepted_features = tuple(
-        name for name in FEATURE_NAMES if current.feature(name) != base.feature(name)
-    )
-    trace.wall_clock_seconds = time.monotonic() - started
-    if pipeline is not None:
-        trace.total_backend_calls = pipeline.backend_calls - calls_before
-    return current, trace
+
+    def climb(evaluate):
+        current, best = base, evaluate(base)
+        for sweep in range(2 if second_pass else 1):
+            for name in FEATURE_NAMES:
+                # The second sweep retries only the features still at base.
+                if sweep and current.feature(name) != base.feature(name):
+                    continue
+                candidate = current.with_features(**{name: not current.feature(name)})
+                micro = evaluate(candidate)
+                if micro > best:
+                    current, best = candidate, micro
+        accepted = tuple(
+            name for name in FEATURE_NAMES if current.feature(name) != base.feature(name)
+        )
+        return current, accepted
+
+    return _run_search("greedy", pipeline, score_fn, climb)
 
 
 def grid_search(
@@ -387,28 +471,22 @@ def grid_search(
             "grid search evaluates all 512 feature combinations; "
             "pass acknowledge_cost=True (or --acknowledge-cost) to proceed"
         )
-    if pipeline is None and score_fn is None:
-        raise ConfigError("grid search needs a pipeline or an explicit scorer")
-    score_fn = score_fn or pipeline.evaluate_loocv
     base = base or PromptConfig()
     rest = {
         "mode": base.mode,
         "listing_separator": base.listing_separator,
         "base_demo_count": base.base_demo_count,
     }
-    calls_before = pipeline.backend_calls if pipeline is not None else 0
-    started = time.monotonic()
-    trace = SearchTrace()
-    best_config: PromptConfig | None = None
-    best = -1.0
-    for mask in range(1 << len(FEATURE_NAMES)):
-        candidate = PromptConfig.from_bitmask(mask, **rest)
-        micro = _run_and_trace(score_fn, candidate, trace)
-        if micro > best:
-            best_config, best = candidate, micro
-    assert best_config is not None
-    trace.accepted_features = best_config.enabled_features()
-    trace.wall_clock_seconds = time.monotonic() - started
-    if pipeline is not None:
-        trace.total_backend_calls = pipeline.backend_calls - calls_before
-    return best_config, trace
+
+    def scan(evaluate):
+        best_config: PromptConfig | None = None
+        best = -1.0
+        for mask in range(1 << len(FEATURE_NAMES)):
+            candidate = PromptConfig.from_bitmask(mask, **rest)
+            micro = evaluate(candidate)
+            if micro > best:
+                best_config, best = candidate, micro
+        assert best_config is not None
+        return best_config, best_config.enabled_features()
+
+    return _run_search("grid", pipeline, score_fn, scan)

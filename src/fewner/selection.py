@@ -14,7 +14,6 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 
-from . import rng
 from .corpus import AnnotatedSentence
 from .errors import ConfigError
 
@@ -105,8 +104,3 @@ def select_entity_rich(
         )
     ranked = sorted(candidates, key=lambda s: (-len(s.spans_of(entity_type)), s.id))
     return [s.id for s in ranked[:n]]
-
-
-def order_for_prompt(ids: list[str], seed: int) -> list[str]:
-    """Deterministic shuffle of the selected ids into prompt order."""
-    return rng.shuffled(ids, seed)

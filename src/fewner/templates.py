@@ -64,10 +64,6 @@ def fragments() -> dict[str, dict[str, str]]:
     return json.loads(raw)
 
 
-def supported_languages() -> tuple[str, ...]:
-    return tuple(sorted(fragments()))
-
-
 def fragments_for(language: str) -> dict[str, str]:
     table = fragments()
     if language not in table:

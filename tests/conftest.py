@@ -4,6 +4,29 @@ from fewner.corpus import AnnotatedSentence, EntitySpan, load_entity_types
 from fewner.templates import FEATURE_NAMES
 
 
+class MemoryCache:
+    """In-process record store for CachedBackend, counting hits and misses."""
+
+    def __init__(self):
+        self._store = {}
+        self.hits = 0
+        self.misses = 0
+
+    def get(self, key):
+        record = self._store.get(key)
+        if record is None:
+            self.misses += 1
+        else:
+            self.hits += 1
+        return record
+
+    def put(self, key, record):
+        self._store[key] = record
+
+    def __len__(self):
+        return len(self._store)
+
+
 def sent(id, text, spans=(), language="en"):
     """Shorthand sentence factory for tests."""
     return AnnotatedSentence(id=id, text=text, spans=tuple(spans), language=language)

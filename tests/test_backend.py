@@ -1,10 +1,11 @@
 import dataclasses
 import json
 import logging
+import os
 
 import pytest
 
-from conftest import sent, span
+from conftest import MemoryCache, sent, span
 from fewner.backend import (
     CachedBackend,
     CountingBackend,
@@ -13,7 +14,6 @@ from fewner.backend import (
     GenerationRecord,
     GenerationRequest,
     HttpCompletionBackend,
-    MemoryCache,
     NoisyOracleBackend,
     OracleBackend,
     make_noisy_oracle,
@@ -563,6 +563,48 @@ def test_disk_cache_ignores_corrupt_entries(tmp_path, caplog):
     )
     cache.put(key, record)
     assert cache.get(key) == record
+
+
+def test_disk_cache_rejects_a_record_filed_under_another_key(tmp_path, caplog):
+    request = req("Input: filed.\nOutput:")
+    key = request_digest(request)
+    foreign = GenerationRecord(
+        request_hash="1" * 64, completion="wrong", latency_s=0.1, backend_id="echo", timestamp=1.0
+    )
+    cache = DiskCache(tmp_path)
+    cache.put(key, foreign)
+    with caplog.at_level(logging.WARNING):
+        assert cache.get(key) is None
+    assert "corrupt cache entry" in caplog.text
+    # The miss reaches the model, and its answer overwrites the slot.
+    assert CachedBackend(EchoBackend(), cache).generate(request) == "filed."
+    assert cache.get(key).request_hash == key
+
+
+def test_disk_cache_writers_do_not_share_a_temp_file(tmp_path, monkeypatch):
+    key = "a" * 64
+    mine, theirs = (
+        GenerationRecord(
+            request_hash=key, completion=text, latency_s=0.1, backend_id="echo", timestamp=1.0
+        )
+        for text in ("mine", "theirs")
+    )
+    other = DiskCache(tmp_path)  # another process sharing the directory
+    real_replace = os.replace
+    calls = []
+
+    def replace(src, dst):
+        # The other writer stores the same key between our write and rename.
+        calls.append(src)
+        if len(calls) == 1:
+            other.put(key, theirs)
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+    DiskCache(tmp_path).put(key, mine)
+    assert len(calls) == 2 and calls[0] != calls[1]
+    assert DiskCache(tmp_path).get(key) == mine  # the last rename wins
+    assert [p.name for p in tmp_path.iterdir()] == [f"{key}.json"]
 
 
 def test_disk_cache_missing_key(tmp_path):

@@ -11,7 +11,6 @@ from fewner.corpus import (
     load_entity_types,
     sample_fewshot,
     save_corpus,
-    split_validation,
     validate_corpus,
     validate_sentence,
 )
@@ -320,24 +319,6 @@ def test_sample_fewshot_bounds():
         sample_fewshot(corpus, 9, 0)
     with pytest.raises(ConfigError, match="at least 1"):
         sample_fewshot(corpus, 0, 0)
-
-
-def test_split_validation_folds():
-    corpus = make_numbered(5)
-    sample = sample_fewshot(corpus, 5, 3)
-    split = split_validation(sample)
-    assert len(split.folds) == 5
-    for fold in split.folds:
-        assert fold.held_out_id not in fold.pool_ids
-        assert len(fold.pool_ids) == 4
-        assert set(fold.pool_ids) | {fold.held_out_id} == set(sample.sentence_ids)
-
-
-def test_split_validation_needs_two():
-    corpus = make_numbered(3)
-    sample = sample_fewshot(corpus, 1, 0)
-    with pytest.raises(ConfigError):
-        split_validation(sample)
 
 
 # ---------------------------------------------------------------------------

@@ -327,3 +327,19 @@ def test_greedy_counts_backend_calls_per_search():
     # 10 LOOCV evaluations, each 5 folds x 2 types, echo never verifies.
     assert trace.total_backend_calls == 10 * 5 * 2
     assert trace.wall_clock_seconds > 0.0
+
+
+def test_predict_holds_a_sample_sentence_out_of_its_own_demos():
+    sample, types = synthetic_corpus(6, seed=11)
+    target = sample[0]
+    leaks = []
+
+    def observer(prompt, held_out_id):
+        # The sentence may appear once, as the text to annotate, never as a demo.
+        if prompt.text.count(target.text) != 1 or target.id in prompt.demonstrations:
+            leaks.append((held_out_id, prompt.kind))
+
+    pipeline = PromptingPipeline(sample, types, EchoBackend(), observer=observer)
+    for config in (PromptConfig(additional_sentences=True), PromptConfig(self_verification=True)):
+        pipeline.predict(config, [target])
+    assert leaks == []

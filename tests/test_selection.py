@@ -10,7 +10,6 @@ from fewner.errors import ConfigError
 from fewner.selection import (
     build_index,
     cosine,
-    order_for_prompt,
     select_entity_rich,
     select_nearest,
     tokenize,
@@ -196,19 +195,3 @@ def test_select_entity_rich_exclude_and_overdraw():
     assert select_entity_rich(pool, "DISO", 1, exclude={"b"}) == ["a"]
     with pytest.raises(ConfigError):
         select_entity_rich(pool, "DISO", 2, exclude={"b"})
-
-
-def test_order_for_prompt_pinned():
-    assert order_for_prompt(["s1", "s2", "s3", "s4", "s5"], 99) == [
-        "s4", "s2", "s1", "s5", "s3",
-    ]
-    assert order_for_prompt(["s1", "s2", "s3", "s4", "s5"], 100) == [
-        "s5", "s2", "s4", "s3", "s1",
-    ]
-
-
-@given(st.lists(st.text(min_size=1), max_size=12, unique=True), st.integers(0, 2**64 - 1))
-def test_order_for_prompt_is_a_permutation(ids, seed):
-    got = order_for_prompt(ids, seed)
-    assert sorted(got) == sorted(ids)
-    assert order_for_prompt(ids, seed) == got
