@@ -3,7 +3,6 @@ by leave-one-out micro-F1, annotate and score."""
 
 from .backend import (
     CachedBackend,
-    CountingBackend,
     DiskCache,
     EchoBackend,
     GenerationRecord,
@@ -72,7 +71,6 @@ __all__ = [
     "CachedBackend",
     "CarbonEstimate",
     "ConfigError",
-    "CountingBackend",
     "DataError",
     "DecodeDiagnostics",
     "DecodeResult",

@@ -1,5 +1,5 @@
 """Completion backends: an OpenAI-compatible HTTP client, deterministic
-offline mocks, and caching/counting wrappers.
+offline mocks, and a caching wrapper.
 
 All backends answer GenerationRequests with plain completion strings.  The
 mocks never look at anything but the prompt text, so they exercise exactly
@@ -112,16 +112,16 @@ class HttpCompletionBackend:
 
     Retries transport failures and 429/5xx responses with exponential
     backoff; other non-200 responses fail immediately.  The client keeps no
-    state between requests, so callers may send from several threads.  Stop
-    sequences are sent to the server and re-applied client-side, since some
-    servers ignore them.
+    state between requests, so callers may send from several threads.  Each
+    request names its model (request.model_name), so the model is part of
+    every cache key.  Stop sequences are sent to the server and re-applied
+    client-side, since some servers ignore them.
     """
 
     def __init__(
         self,
         base_url: str,
         api_key: str | None = None,
-        model_name: str = "",
         transport: Transport | None = None,
         max_retries: int = 3,
         backoff_s: float = 1.0,
@@ -131,23 +131,22 @@ class HttpCompletionBackend:
             raise ConfigError("the HTTP backend needs a non-empty base URL")
         self.base_url = base_url.rstrip("/")
         self.api_key = api_key
-        self.model_name = model_name
-        self.backend_id = f"http:{model_name or self.base_url}"
+        self.backend_id = f"http:{self.base_url}"
         self._transport = transport or _requests_transport
         self._max_retries = max_retries
         self._backoff_s = backoff_s
         self._timeout_s = timeout_s
 
     @classmethod
-    def from_env(cls, model_name: str = "", **kwargs) -> "HttpCompletionBackend":
+    def from_env(cls) -> "HttpCompletionBackend":
         base = os.environ.get(ENV_API_BASE, "")
         if not base:
             raise ConfigError(f"set {ENV_API_BASE} to use the HTTP backend")
-        return cls(base, api_key=os.environ.get(ENV_API_KEY), model_name=model_name, **kwargs)
+        return cls(base, api_key=os.environ.get(ENV_API_KEY))
 
     def _payload(self, request: GenerationRequest) -> dict:
         payload = {
-            "model": request.model_name or self.model_name,
+            "model": request.model_name,
             "prompt": request.prompt,
             "max_tokens": request.max_new_tokens,
             "temperature": request.temperature,
@@ -470,21 +469,6 @@ def make_noisy_oracle(
 # Wrappers
 
 
-class CountingBackend:
-    """Wrapper counting how many requests reach the wrapped backend."""
-
-    def __init__(self, inner: CompletionBackend):
-        self.inner = inner
-        self.backend_id = inner.backend_id
-        self.calls = 0
-        self._lock = threading.Lock()
-
-    def generate(self, request: GenerationRequest) -> str:
-        with self._lock:
-            self.calls += 1
-        return self.inner.generate(request)
-
-
 class DiskCache:
     """One JSON file per request digest.
 
@@ -540,9 +524,6 @@ class DiskCache:
         with open(tmp, "x", encoding="utf-8") as out:
             out.write(json.dumps(payload, sort_keys=True, ensure_ascii=False, indent=2))
         os.replace(tmp, path)
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self.directory.glob("*.json"))
 
 
 class CachedBackend:

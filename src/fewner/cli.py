@@ -6,10 +6,13 @@ micro-F1), predict (annotate a test corpus with a chosen configuration),
 evaluate (score predictions against gold), carbon (estimate emissions).
 
 Run configuration comes from built-in defaults, optionally deep-merged with
-a JSON file (--config) and then dotted --set overrides (--set pipeline.seed=3);
-every override is logged.  Artifacts that describe results (trace,
-best_config, predictions, reports) are written deterministically; wall-clock
-timing and timestamps go to run_meta.json only.
+a JSON file (--config) and then dotted --set overrides (--set pipeline.seed=3).
+In optimize and predict, --language, --seed and --model are shorthands for
+the pipeline settings prompt_language, seed and model_name, applied after
+--set.  Every override is logged, and optimize records them in config.json.
+Artifacts that describe results (trace, best_config, predictions, reports)
+are written deterministically; wall-clock timing and timestamps go to
+run_meta.json only.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import json
 import logging
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -50,17 +53,16 @@ logger = logging.getLogger("fewner")
 _EXIT_CODES = [(ConfigError, 1), (DataError, 2), (BackendError, 3)]
 
 
+# (flag attribute, run config key) of the pipeline setting shorthands.
+_SHORTHANDS = (
+    ("language", "pipeline.prompt_language"),
+    ("seed", "pipeline.seed"),
+    ("model", "pipeline.model_name"),
+)
+
+
 def default_run_config() -> dict:
-    return {
-        "prompt": PromptConfig().to_dict(),
-        "pipeline": {
-            "prompt_language": "en",
-            "model_name": "",
-            "token_budget": 4096,
-            "max_new_tokens": None,
-            "seed": 0,
-        },
-    }
+    return {"prompt": PromptConfig().to_dict(), "pipeline": asdict(PipelineSettings())}
 
 
 def _deep_merge(base: dict, extra: dict) -> dict:
@@ -73,7 +75,23 @@ def _deep_merge(base: dict, extra: dict) -> dict:
     return out
 
 
-def apply_overrides(config: dict, assignments: list[str]) -> list[str]:
+def _override(config: dict, key: str, value) -> dict:
+    """Set the dotted key in place, log it, and return its record."""
+    node = config
+    parts = key.split(".")
+    for part in parts[:-1]:
+        child = node.get(part)
+        if child is None:
+            child = node[part] = {}
+        if not isinstance(child, dict):
+            raise ConfigError(f"cannot override {key!r}: {part!r} is not a section")
+        node = child
+    node[parts[-1]] = value
+    logger.info("config override: %s = %r", key, value)
+    return {"key": key, "value": value}
+
+
+def apply_overrides(config: dict, assignments: list[str]) -> list[dict]:
     """Apply dotted key=value overrides in place; values parse as JSON when
     possible and fall back to plain strings."""
     applied = []
@@ -85,24 +103,13 @@ def apply_overrides(config: dict, assignments: list[str]) -> list[str]:
             value = json.loads(raw)
         except json.JSONDecodeError:
             value = raw
-        node = config
-        parts = key.split(".")
-        for part in parts[:-1]:
-            child = node.get(part)
-            if child is None:
-                child = node[part] = {}
-            if not isinstance(child, dict):
-                raise ConfigError(f"cannot override {key!r}: {part!r} is not a section")
-            node = child
-        node[parts[-1]] = value
-        logger.info("config override: %s = %r", key, value)
-        applied.append({"key": key, "value": value})
+        applied.append(_override(config, key, value))
     return applied
 
 
 def _load_run_config(args) -> tuple[dict, list]:
     config = default_run_config()
-    if getattr(args, "config", None):
+    if args.config:
         path = Path(args.config)
         if not path.exists():
             raise ConfigError(f"config file not found: {path}")
@@ -113,16 +120,17 @@ def _load_run_config(args) -> tuple[dict, list]:
         if not isinstance(loaded, dict):
             raise ConfigError(f"config file {path} must hold a JSON object")
         config = _deep_merge(config, loaded)
-    applied = apply_overrides(config, getattr(args, "set", None) or [])
+    applied = apply_overrides(config, args.set or [])
+    for attr, key in _SHORTHANDS:
+        value = getattr(args, attr, None)
+        if value is not None:
+            applied.append(_override(config, key, value))
     return config, applied
 
 
-def _settings_from(config: dict, language: str | None) -> PipelineSettings:
-    payload = dict(config.get("pipeline", {}))
-    if language:
-        payload["prompt_language"] = language
+def _settings_from(config: dict) -> PipelineSettings:
     try:
-        return PipelineSettings(**payload)
+        return PipelineSettings(**config.get("pipeline", {}))
     except TypeError as exc:
         raise ConfigError(f"bad pipeline settings: {exc}") from exc
 
@@ -157,7 +165,7 @@ def _build_backend(args, run_dir: Path | None, oracle_sentences, entity_types):
             spurious_prob=args.spurious_prob,
         )
     elif name == "http":
-        inner = HttpCompletionBackend.from_env(model_name=args.model)
+        inner = HttpCompletionBackend.from_env()
     else:
         raise ConfigError(f"unknown backend {name!r}")
     if args.no_cache:
@@ -224,12 +232,10 @@ def cmd_sample(args) -> int:
 def cmd_optimize(args) -> int:
     run_dir = Path(args.run_dir)
     config, applied = _load_run_config(args)
-    sample = load_corpus(args.sample, args.format, language=args.language)
+    settings = _settings_from(config)
+    sample = load_corpus(args.sample, args.format, language=settings.prompt_language)
     types = _resolve_types(args.types, args.registry)
     backend = _build_backend(args, run_dir, sample, types)
-    settings = _settings_from(config, args.language)
-    if args.seed is not None:
-        settings = replace(settings, seed=args.seed)
     pipeline = PromptingPipeline(sample, types, backend, settings)
     base = _prompt_config_from(config)
     started = time.monotonic()
@@ -267,8 +273,9 @@ def cmd_optimize(args) -> int:
 def cmd_predict(args) -> int:
     run_dir = Path(args.run_dir)
     config, _ = _load_run_config(args)
-    sample = load_corpus(args.sample, args.format, language=args.language)
-    test = load_corpus(args.test, args.format, language=args.language)
+    settings = _settings_from(config)
+    sample = load_corpus(args.sample, args.format, language=settings.prompt_language)
+    test = load_corpus(args.test, args.format, language=settings.prompt_language)
     types = _resolve_types(args.types, args.registry)
     if args.best_config:
         payload = json.loads(Path(args.best_config).read_text(encoding="utf-8"))
@@ -279,7 +286,6 @@ def cmd_predict(args) -> int:
     # sentences too; a sentence present in both corpora counts once.
     union = {s.id: s for s in list(test) + list(sample)}
     backend = _build_backend(args, run_dir, list(union.values()), types)
-    settings = _settings_from(config, args.language)
     pipeline = PromptingPipeline(sample, types, backend, settings)
     started = time.monotonic()
     predictions = pipeline.predict(prompt_config, test)
@@ -336,9 +342,9 @@ def cmd_carbon(args) -> int:
 # Parser
 
 
-def _add_corpus_args(p, name="--format"):
-    p.add_argument(name, default="jsonl", choices=CORPUS_FORMATS, help="corpus file format")
-    p.add_argument("--language", default="en", help="corpus language code")
+def _add_corpus_args(p, language="en"):
+    p.add_argument("--format", default="jsonl", choices=CORPUS_FORMATS, help="corpus file format")
+    p.add_argument("--language", default=language, help="corpus language code")
 
 
 def _add_backend_args(p):
@@ -348,7 +354,6 @@ def _add_backend_args(p):
         choices=("echo", "oracle", "noisy-oracle", "http"),
         help="completion backend",
     )
-    p.add_argument("--model", default="", help="model name for the http backend")
     p.add_argument("--noise-seed", type=int, default=0, help="noisy oracle seed")
     p.add_argument("--drop-prob", type=float, default=0.0, help="noisy oracle miss rate")
     p.add_argument(
@@ -359,6 +364,7 @@ def _add_backend_args(p):
 
 
 def _add_config_args(p):
+    p.add_argument("--model", default=None, help="model name sent with every request")
     p.add_argument("--config", default=None, help="JSON run configuration file")
     p.add_argument(
         "--set",
@@ -412,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="retry rejected features once after the greedy sweep",
     )
     p.add_argument("--seed", type=int, default=None, help="pipeline seed")
-    _add_corpus_args(p)
+    _add_corpus_args(p, language=None)
     _add_backend_args(p)
     _add_config_args(p)
     p.set_defaults(func=cmd_optimize)
@@ -422,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--test", required=True, help="test corpus to annotate")
     p.add_argument("--run-dir", required=True)
     p.add_argument("--best-config", default=None, help="best_config.json from optimize")
-    _add_corpus_args(p)
+    _add_corpus_args(p, language=None)
     _add_backend_args(p)
     _add_config_args(p)
     p.set_defaults(func=cmd_predict)

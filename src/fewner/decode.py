@@ -174,16 +174,14 @@ def decode_listing(
     return DecodeResult(spans=tuple(spans), diagnostics=diagnostics)
 
 
-def parse_verification(completion: str, long_form: bool = False) -> str:
+def parse_verification(completion: str) -> str:
     """Map a verification completion to accept/reject/unparseable.
 
     Only the first non-empty line is considered.  Affirmative and negative
     word tokens are matched case-insensitively in English, French and
-    Spanish; a line containing both (or neither) is unparseable.  long_form
-    is accepted for symmetry with rendering but the parse is identical: long
-    answers end in ", yes."/", no." and contain the same tokens.
+    Spanish; a line containing both (or neither) is unparseable.  Long
+    answers end in ", yes."/", no." and so parse like short ones.
     """
-    del long_form
     first_line = ""
     for line in completion.lstrip().split("\n"):
         if line.strip():
@@ -235,9 +233,6 @@ class PredictionSet:
 
     def spans_for(self, sentence_id: str, entity_type: str) -> tuple[EntitySpan, ...]:
         return self.spans.get(sentence_id, {}).get(entity_type, ())
-
-    def sentence_ids(self) -> tuple[str, ...]:
-        return tuple(sorted(self.spans))
 
     def total_spans(self) -> int:
         return sum(

@@ -56,7 +56,3 @@ class ProtocolError(BackendError):
         if body_excerpt:
             detail += f": {body_excerpt}"
         super().__init__(detail)
-
-
-class CacheError(BackendError):
-    """The completion cache is unreadable or unwritable."""

@@ -118,19 +118,6 @@ class EvalReport:
         }
         return json.dumps(payload, sort_keys=True, ensure_ascii=False, indent=2)
 
-    @classmethod
-    def from_json(cls, raw: str) -> "EvalReport":
-        payload = json.loads(raw)
-        per_type = {
-            tid: TypeScore(tid, row["tp"], row["fp"], row["fn"])
-            for tid, row in payload["per_type"].items()
-        }
-        return cls(
-            per_type=per_type,
-            n_sentences=payload["n_sentences"],
-            timestamp=payload.get("timestamp"),
-        )
-
     def to_csv(self) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -153,20 +140,6 @@ class EvalReport:
             ]
         )
         return buf.getvalue()
-
-    @classmethod
-    def from_csv(cls, raw: str) -> "EvalReport":
-        reader = csv.DictReader(io.StringIO(raw))
-        per_type: dict[str, TypeScore] = {}
-        n_sentences = 0
-        for row in reader:
-            n_sentences = int(row["n_sentences"])
-            if row["type"] == "micro":
-                continue
-            per_type[row["type"]] = TypeScore(
-                row["type"], int(row["tp"]), int(row["fp"]), int(row["fn"])
-            )
-        return cls(per_type=per_type, n_sentences=n_sentences)
 
     def to_markdown(self) -> str:
         lines = [

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from . import rng, selection
-from .backend import CompletionBackend, CountingBackend, GenerationRequest
+from .backend import CompletionBackend, GenerationRequest
 from .corpus import AnnotatedSentence, EntityType
 from .decode import (
     DecodeResult,
@@ -122,9 +122,9 @@ class PromptingPipeline:
     """Select demos, render prompts, call the backend, decode spans.
 
     corpus is the k-sentence annotated sample; every prompt for a held-out
-    or unseen sentence draws its demonstrations from it.  The backend is
-    wrapped in a counter so searches can report how many requests they
-    issued (a cache below the counter still sees all of them).
+    or unseen sentence draws its demonstrations from it.  backend_calls
+    counts the requests sent to the backend, so searches can report how
+    many they issued (a cache in the backend still sees all of them).
 
     Requests go out in waves: every prompt of a wave is planned first, on
     the calling thread, then the wave is sent and decoded in item order.
@@ -152,7 +152,8 @@ class PromptingPipeline:
         if len(self.corpus_by_id) != len(corpus):
             raise ConfigError("duplicate sentence ids in the annotated sample")
         self.entity_types = list(entity_types)
-        self.backend = CountingBackend(backend)
+        self.backend = backend
+        self.backend_calls = 0
         self.settings = settings or PipelineSettings()
         self.observer = observer
         # One TF-IDF index per held-out id (None: the full corpus), built on
@@ -162,10 +163,6 @@ class PromptingPipeline:
         self._inline_wall_s = 0.0
         self._inline_cpu_s = 0.0
         self._threads: ThreadPoolExecutor | None = None
-
-    @property
-    def backend_calls(self) -> int:
-        return self.backend.calls
 
     def _language(self, config: PromptConfig) -> str:
         return self.settings.prompt_language if config.prompt_language_native else "en"
@@ -210,6 +207,7 @@ class PromptingPipeline:
         Calls run inline, timed, until the backend is seen waiting; the
         remaining requests then go to the pool, created on first use.
         """
+        self.backend_calls += len(requests)
         completions: list[str] = []
         for i, request in enumerate(requests):
             if self._backend_waits():
@@ -301,8 +299,7 @@ class PromptingPipeline:
                 requests.append(self._request(prompt, item))
             asked.append(len(result.spans))
         verdicts = iter(
-            parse_verification(completion, config.long_verification_answer)
-            for completion in self._send(requests)
+            parse_verification(completion) for completion in self._send(requests)
         )
         return [
             apply_verification(result, [next(verdicts) for _ in range(n)]) if n else result

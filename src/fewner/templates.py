@@ -32,7 +32,7 @@ import re
 from dataclasses import asdict, dataclass, fields, replace
 from functools import lru_cache
 from importlib import resources
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from . import rng
 from .corpus import AnnotatedSentence, EntitySpan, EntityType
@@ -54,8 +54,6 @@ FEATURE_NAMES = (
 
 PROMPT_MODES = ("tagging", "listing")
 LISTING_SEPARATORS = ("comma", "newline")
-
-TokenCounter = Callable[[str], int]
 
 
 @lru_cache(maxsize=None)
@@ -187,14 +185,9 @@ class RenderedPrompt:
 _TOKEN_RE = re.compile(r"\w+|[^\w\s]", re.UNICODE)
 
 
-def default_token_counter(text: str) -> int:
+def estimate_tokens(text: str) -> int:
+    """Approximate token count by whitespace-and-punctuation segmentation."""
     return len(_TOKEN_RE.findall(text))
-
-
-def estimate_tokens(text: str, counter: TokenCounter | None = None) -> int:
-    """Approximate token count; whitespace-and-punctuation segmentation by
-    default, or any injected counter (e.g. a real tokenizer's)."""
-    return (counter or default_token_counter)(text)
 
 
 # --------------------------------------------------------------------------
@@ -288,7 +281,6 @@ def render_main_prompt(
     demos: Sequence[AnnotatedSentence],
     test_text: str,
     prompt_language: str,
-    token_counter: TokenCounter | None = None,
     allow_empty_demos: bool = False,
 ) -> RenderedPrompt:
     """Assemble the main prompt for one test sentence and one entity type.
@@ -314,7 +306,7 @@ def render_main_prompt(
         entity_type=entity_type.id,
         demonstrations=tuple(d.id for d in demos),
         stop_sequences=stop_sequences_for(config, prompt_language),
-        estimated_tokens=estimate_tokens(text, token_counter),
+        estimated_tokens=estimate_tokens(text),
         kind="main",
     )
 
@@ -339,7 +331,6 @@ def render_verification_prompt(
     context_sentence: str,
     demos: Sequence[VerificationDemo],
     prompt_language: str,
-    token_counter: TokenCounter | None = None,
 ) -> RenderedPrompt:
     """A yes/no prompt asking whether the candidate really is of the type.
 
@@ -372,7 +363,7 @@ def render_verification_prompt(
         entity_type=entity_type.id,
         demonstrations=tuple(s.id for s, _, _ in demos),
         stop_sequences=stop_sequences_for(config, prompt_language),
-        estimated_tokens=estimate_tokens(text, token_counter),
+        estimated_tokens=estimate_tokens(text),
         kind="self_verification",
     )
 
@@ -384,7 +375,6 @@ def fit_to_budget(
     test_text: str,
     prompt_language: str,
     budget: int,
-    token_counter: TokenCounter | None = None,
     shuffle_seed: int | None = None,
 ) -> RenderedPrompt:
     """Render the main prompt, dropping demos until it fits the token budget.
@@ -401,8 +391,7 @@ def fit_to_budget(
         if shuffle_seed is not None:
             kept = rng.shuffled(kept, shuffle_seed)
         prompt = render_main_prompt(
-            config, entity_type, kept, test_text, prompt_language,
-            token_counter=token_counter, allow_empty_demos=True,
+            config, entity_type, kept, test_text, prompt_language, allow_empty_demos=True
         )
         if prompt.estimated_tokens <= budget:
             dropped = len(ranked_demos) - keep

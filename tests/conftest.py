@@ -27,6 +27,19 @@ class MemoryCache:
         return len(self._store)
 
 
+class CallCounter:
+    """Wraps a backend and counts the generate calls that reach it."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.backend_id = inner.backend_id
+        self.calls = 0
+
+    def generate(self, request):
+        self.calls += 1
+        return self.inner.generate(request)
+
+
 def sent(id, text, spans=(), language="en"):
     """Shorthand sentence factory for tests."""
     return AnnotatedSentence(id=id, text=text, spans=tuple(spans), language=language)

@@ -5,10 +5,9 @@ import os
 
 import pytest
 
-from conftest import MemoryCache, sent, span
+from conftest import CallCounter, MemoryCache, sent, span
 from fewner.backend import (
     CachedBackend,
-    CountingBackend,
     DiskCache,
     EchoBackend,
     GenerationRecord,
@@ -104,11 +103,9 @@ def ok_body(text):
 
 def test_http_success_and_payload_shape():
     transport = ScriptedTransport([ok_body("He has @@x##.")])
-    backend = HttpCompletionBackend(
-        "http://srv:8000/", api_key="k1", model_name="m1", transport=transport
-    )
+    backend = HttpCompletionBackend("http://srv:8000/", api_key="k1", transport=transport)
     request = GenerationRequest(
-        "Input: He has x.\nOutput:", 64, 0.0, ("\nInput:",), model_name=""
+        "Input: He has x.\nOutput:", 64, 0.0, ("\nInput:",), model_name="m1"
     )
     assert backend.generate(request) == "He has @@x##."
     call = transport.calls[0]
@@ -121,7 +118,7 @@ def test_http_success_and_payload_shape():
         "temperature": 0.0,
         "stop": ["\nInput:"],
     }
-    assert backend.backend_id == "http:m1"
+    assert backend.backend_id == "http:http://srv:8000"
 
 
 def test_http_no_auth_header_without_key():
@@ -203,10 +200,10 @@ def test_http_from_env(monkeypatch):
         HttpCompletionBackend.from_env()
     monkeypatch.setenv("FEWNER_API_BASE", "http://srv:9/")
     monkeypatch.setenv("FEWNER_API_KEY", "sekrit")
-    backend = HttpCompletionBackend.from_env(model_name="m2")
+    backend = HttpCompletionBackend.from_env()
     assert backend.base_url == "http://srv:9"
     assert backend.api_key == "sekrit"
-    assert backend.backend_id == "http:m2"
+    assert backend.backend_id == "http:http://srv:9"
 
 
 # --------------------------------------------------------------------------
@@ -498,18 +495,10 @@ def test_noisy_oracle_verification_stays_truthful(corpora, registry):
 
 
 # --------------------------------------------------------------------------
-# Counting and caching wrappers
-
-def test_counting_backend_counts():
-    counting = CountingBackend(EchoBackend())
-    assert counting.backend_id == "echo"
-    counting.generate(req("Input: a b.\nOutput:"))
-    counting.generate(req("Input: a b.\nOutput:"))
-    assert counting.calls == 2
-
+# Caching wrapper
 
 def test_cached_backend_deduplicates():
-    counting = CountingBackend(EchoBackend())
+    counting = CallCounter(EchoBackend())
     cache = MemoryCache()
     cached = CachedBackend(counting, cache)
     assert cached.backend_id == "cached:echo"
@@ -536,13 +525,12 @@ def test_cached_backend_records_metadata():
 
 
 def test_disk_cache_round_trip(tmp_path):
-    cache = DiskCache(tmp_path / "gen")
-    cached = CachedBackend(CountingBackend(EchoBackend()), cache)
+    cached = CachedBackend(EchoBackend(), DiskCache(tmp_path / "gen"))
     request = req("Input: persisted.\nOutput:")
     cached.generate(request)
-    assert len(cache) == 1
+    assert len(list((tmp_path / "gen").glob("*.json"))) == 1
     # A fresh cache over the same directory serves the stored completion.
-    counting = CountingBackend(EchoBackend())
+    counting = CallCounter(EchoBackend())
     again = CachedBackend(counting, DiskCache(tmp_path / "gen"))
     assert again.generate(request) == "persisted."
     assert counting.calls == 0

@@ -8,14 +8,17 @@ construction, and caching are exercised the way a shell user hits them.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from fewner.backend import EchoBackend, GenerationRequest, OracleBackend
 from fewner.cli import main
 from fewner.corpus import load_corpus, sample_fewshot, save_corpus
 from fewner.decode import PredictionSet
-from fewner.evaluation import EvalReport, GridProfile, HardwareProfile, estimate_carbon, score
+from fewner.evaluation import GridProfile, HardwareProfile, estimate_carbon, score
+from fewner.search import PipelineSettings, PromptingPipeline, greedy_search
 from fewner.synthetic import synthetic_corpus
 from fewner.templates import PromptConfig
 
@@ -362,8 +365,7 @@ def test_predict_then_evaluate_is_perfect_with_the_oracle(splits, tmp_path, caps
     assert rc == 0
     out = capsys.readouterr().out
     assert "micro-F1 1.0000" in out
-    report = EvalReport.from_json((run_dir / "report.json").read_text(encoding="utf-8"))
-    assert report.micro_f1 == 1.0
+    assert read_json(run_dir / "report.json")["micro"]["f1"] == 1.0
     assert (run_dir / "report.csv").read_text(encoding="utf-8").startswith("type,tp,fp,fn")
     assert "micro" in (run_dir / "report.md").read_text(encoding="utf-8")
 
@@ -410,8 +412,7 @@ def test_evaluate_restricts_to_requested_types(splits, tmp_path):
             "--gold", str(test_path), "--run-dir", str(run_dir), "--types", "DISO",
         ]
     ) == 0
-    report = EvalReport.from_json((run_dir / "report.json").read_text(encoding="utf-8"))
-    assert list(report.per_type) == ["DISO"]
+    assert list(read_json(run_dir / "report.json")["per_type"]) == ["DISO"]
 
 
 def test_evaluate_unknown_sentence_exits_2(splits, tmp_path, capsys):
@@ -463,6 +464,104 @@ def test_http_protocol_failure_exits_3(splits, tmp_path, monkeypatch, capsys):
     )
     assert rc == 3
     assert "HTTP 400" in capsys.readouterr().err
+
+
+class ModelEndpoint:
+    """Stands in for the HTTP transport: answers each request with the
+    backend its payload's model names, and records (model, prompt) pairs."""
+
+    def __init__(self, monkeypatch, answers):
+        self.answers = answers
+        self.sent: list[tuple[str, str]] = []
+        monkeypatch.setenv("FEWNER_API_BASE", "http://api.test")
+        monkeypatch.setattr("fewner.backend._requests_transport", self)
+
+    def __call__(self, url, headers, payload, timeout_s):
+        self.sent.append((payload["model"], payload["prompt"]))
+        request = GenerationRequest(payload["prompt"], payload["max_tokens"])
+        completion = self.answers[payload["model"]].generate(request)
+        return 200, json.dumps({"choices": [{"text": completion}]})
+
+
+def test_predict_caches_each_model_apart(splits, registry, tmp_path, monkeypatch):
+    sample_path, test_path, sentences = splits
+    types = [registry["DISO"], registry["CHEM"]]
+    endpoint = ModelEndpoint(
+        monkeypatch, {"a": OracleBackend(sentences, types), "b": EchoBackend()}
+    )
+    cache = tmp_path / "cache"
+
+    def predict(model):
+        run_dir = tmp_path / model
+        argv = [
+            "predict", "--sample", str(sample_path), "--test", str(test_path),
+            "--run-dir", str(run_dir), "--types", "DISO,CHEM", "--backend", "http",
+            "--model", model, "--cache-dir", str(cache),
+        ]
+        assert main(argv) == 0
+        predicted = read_json(run_dir / "predictions.json")["sentences"]
+        return sum(len(rows) for per_type in predicted.values() for rows in per_type.values())
+
+    assert predict("a") == sum(len(s.spans) for s in sentences[6:])
+    # Model b shares the cache directory but none of model a's answers.
+    assert predict("b") == 0
+    sent = Counter(model for model, _ in endpoint.sent)
+    assert sent["a"] > 0 and sent["b"] == sent["a"]
+
+
+@pytest.mark.parametrize(
+    "flags, seed",
+    [
+        (["--seed", "7", "--language", "fr", "--model", "123"], 7),
+        (["--set", "pipeline.prompt_language=fr"], 0),
+    ],
+)
+def test_optimize_runs_and_records_the_pipeline_settings(
+    tmp_path, monkeypatch, flags, seed
+):
+    sentences, types = synthetic_corpus(6, seed=21, language="fr", type_ids=("DISO",))
+    sample_path = tmp_path / "sample.jsonl"
+    save_corpus(sentences, sample_path, "jsonl")
+    oracle = OracleBackend(sentences, types)
+    endpoint = ModelEndpoint(monkeypatch, {"": oracle, "123": oracle})
+    run_dir = tmp_path / "run"
+    argv = [
+        "optimize", "--sample", str(sample_path), "--run-dir", str(run_dir),
+        "--types", "DISO", "--backend", "http", "--no-cache",
+        "--set", "prompt.prompt_language_native=true",
+    ]
+    assert main(argv + flags) == 0
+
+    # The run prompts with the given seed, as the library does, and in
+    # French while prompt_language_native is on.
+    expected: list[str] = []
+    pipeline = PromptingPipeline(
+        sentences,
+        types,
+        oracle,
+        PipelineSettings(prompt_language="fr", seed=seed),
+        observer=lambda prompt, held_out_id: expected.append(prompt.text),
+    )
+    greedy_search(pipeline, PromptConfig(prompt_language_native=True))
+    prompts = [prompt for _, prompt in endpoint.sent]
+    assert "Entrée :" in prompts[0]
+    assert Counter(prompts) == Counter(expected)
+
+    config = read_json(run_dir / "config.json")
+    pipeline_config = config["run"]["pipeline"]
+    assert pipeline_config["prompt_language"] == "fr"
+    assert pipeline_config["seed"] == seed
+    overrides = {o["key"]: o["value"] for o in config["overrides"]}
+    assert overrides["pipeline.prompt_language"] == "fr"
+    if "--model" in flags:
+        assert overrides == {
+            "prompt.prompt_language_native": True,
+            "pipeline.prompt_language": "fr",
+            "pipeline.seed": 7,
+            "pipeline.model_name": "123",
+        }
+        assert pipeline_config["model_name"] == "123"
+        assert {model for model, _ in endpoint.sent} == {"123"}
 
 
 # ---------------------------------------------------------------------------

@@ -7,13 +7,7 @@ import time
 import pytest
 
 from conftest import MemoryCache
-from fewner.backend import (
-    CachedBackend,
-    CountingBackend,
-    EchoBackend,
-    GenerationRequest,
-    make_noisy_oracle,
-)
+from fewner.backend import CachedBackend, EchoBackend, GenerationRequest, make_noisy_oracle
 from fewner.errors import ProtocolError
 from fewner.search import MAX_IN_FLIGHT, PipelineSettings, PromptingPipeline, greedy_search
 from fewner.synthetic import synthetic_corpus
@@ -100,25 +94,14 @@ def test_cached_backend_sends_one_request_once_under_threads():
     assert slow.calls == 1
 
 
-def test_counting_backend_counts_every_call_under_threads():
-    counting = CountingBackend(EchoBackend())
-    request = GenerationRequest(prompt="Input: a.\nOutput:", max_new_tokens=8)
-
-    def burst():
-        for _ in range(500):
-            counting.generate(request)
-
-    run_threads(burst)
-    assert counting.calls == THREADS * 500
-
-
 def test_waiting_backend_overlaps_calls_without_changing_the_trace():
     waiting = oracle_pipeline(lambda oracle: SlowBackend(oracle, delay_s=0.005))
     base = PromptConfig(self_verification=True)
     _, expected = greedy_search(oracle_pipeline(), base)
     _, got = greedy_search(waiting, base)
     assert got.to_json() == expected.to_json()
-    assert 1 < waiting.backend.inner.peak_in_flight <= MAX_IN_FLIGHT
+    assert 1 < waiting.backend.peak_in_flight <= MAX_IN_FLIGHT
+    assert waiting.backend_calls == waiting.backend.calls
 
 
 def test_instant_backend_never_starts_a_pool_thread():

@@ -200,7 +200,6 @@ def test_listing_whitespace_only_items_dropped_silently():
 )
 def test_parse_verification_cases(completion, verdict):
     assert parse_verification(completion) == verdict
-    assert parse_verification(completion, long_form=True) == verdict
 
 
 def test_parse_verification_reads_first_nonempty_line_only():
@@ -253,7 +252,7 @@ def test_prediction_set_accumulates():
     preds = PredictionSet()
     preds.add("s2", "DISO", _result((0, 5, "DISO", "fever")))
     preds.add("s1", "CHEM", _result())
-    assert preds.sentence_ids() == ("s1", "s2")
+    assert sorted(preds.spans) == ["s1", "s2"]
     assert preds.total_spans() == 1
     assert preds.spans_for("s2", "DISO")[0].mention == "fever"
     assert preds.spans_for("s2", "CHEM") == ()

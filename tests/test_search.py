@@ -76,7 +76,7 @@ def test_max_new_tokens_sizing():
         sentences, types, RecordingBackend(), PipelineSettings(max_new_tokens=7)
     )
     fixed.annotate(PromptConfig(), types[0], target.text, target.id)
-    assert fixed.backend.inner.requests[0].max_new_tokens == 7
+    assert fixed.backend.requests[0].max_new_tokens == 7
 
 
 def test_native_language_feature_switches_render_language():
@@ -177,7 +177,7 @@ def test_predict_over_unseen_sentences():
     oracle = OracleBackend(list(sample) + test_sentences, types)
     pipeline = PromptingPipeline(sample, types, oracle)
     predictions = pipeline.predict(PromptConfig(), test_sentences)
-    assert predictions.sentence_ids() == tuple(sorted(s.id for s in test_sentences))
+    assert sorted(predictions.spans) == sorted(s.id for s in test_sentences)
     report = score(predictions, test_sentences, entity_types=[t.id for t in types])
     assert report.micro_f1 == 1.0
 

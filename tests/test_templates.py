@@ -144,7 +144,6 @@ def test_from_dict_rejects_unknown_keys():
 def test_estimate_tokens_counts_words_and_punctuation():
     assert estimate_tokens("He has @@diabetes##.") == 8
     assert estimate_tokens("") == 0
-    assert estimate_tokens("a b", counter=len) == 3
 
 
 # --------------------------------------------------------------------------
@@ -431,12 +430,3 @@ def test_fit_to_budget_shuffles_kept_demos_deterministically(diso):
     assert sorted(first.demonstrations) == ["d1", "d2", "d3"]
     expected = tuple(s.id for s in rng.shuffled(demos, 11))
     assert first.demonstrations == expected
-
-
-def test_fit_to_budget_custom_token_counter(diso):
-    # A counter that bills one token per character forces every demo out.
-    prompt = fit_to_budget(
-        PromptConfig(), diso, [D1, D2], TEST_TEXT, "en",
-        budget=200, token_counter=len,
-    )
-    assert prompt.dropped_demos == 2
