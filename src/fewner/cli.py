@@ -9,7 +9,8 @@ Run configuration comes from built-in defaults, optionally deep-merged with
 a JSON file (--config) and then dotted --set overrides (--set pipeline.seed=3).
 In optimize and predict, --language, --seed and --model are shorthands for
 the pipeline settings prompt_language, seed and model_name, applied after
---set.  Every override is logged, and optimize records them in config.json.
+--set.  Every override is logged, and optimize and predict record them in
+config.json.
 Artifacts that describe results (trace, best_config, predictions, reports)
 are written deterministically; wall-clock timing and timestamps go to
 run_meta.json only.
@@ -272,7 +273,7 @@ def cmd_optimize(args) -> int:
 
 def cmd_predict(args) -> int:
     run_dir = Path(args.run_dir)
-    config, _ = _load_run_config(args)
+    config, applied = _load_run_config(args)
     settings = _settings_from(config)
     sample = load_corpus(args.sample, args.format, language=settings.prompt_language)
     test = load_corpus(args.test, args.format, language=settings.prompt_language)
@@ -289,10 +290,23 @@ def cmd_predict(args) -> int:
     pipeline = PromptingPipeline(sample, types, backend, settings)
     started = time.monotonic()
     predictions = pipeline.predict(prompt_config, test)
+    _write_json(
+        run_dir / "config.json",
+        {"run": config, "overrides": applied, "prompt": prompt_config.to_dict()},
+    )
     _write(run_dir / "predictions.json", predictions.to_json() + "\n")
     _write_json(
         run_dir / "run_meta.json",
-        _run_meta(started, pipeline, {"n_test_sentences": len(test)}),
+        _run_meta(
+            started,
+            pipeline,
+            {
+                "n_test_sentences": len(test),
+                "model_name": settings.model_name,
+                "prompt_language": settings.prompt_language,
+                "seed": settings.seed,
+            },
+        ),
     )
     print(
         f"predicted {predictions.total_spans()} spans over {len(test)} sentences "

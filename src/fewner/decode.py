@@ -4,17 +4,19 @@ Completions are treated as untrusted text: decoding never raises on
 arbitrary input, and anything that cannot be mapped back onto the original
 sentence is dropped and counted instead.
 
-Only the text before the first stop-like boundary is decoded (a blank line
-or a line starting with "Input:"), which guards against servers that ignore
-stop sequences and hallucinate further exchanges.
+Only the text before the first stop-like boundary is decoded (a blank line,
+a line starting with the input label of any prompt language, or, for
+dialogue prompts, a later line starting a "- " turn), which guards against
+servers that ignore stop sequences and hallucinate further exchanges.
 
 Each extracted mention is located in the original sentence starting one
 character past the previous successful match's start, so repeated surface
 forms map to successive occurrences.  Localization has three stages of
 increasing leniency: (a) exact substring search, (b) case-insensitive search
-on lowercased copies, (c) whitespace-normalized case-insensitive search via
-an escaped-token regex.  The recorded mention is always the original text
-between the found offsets, so span invariants hold by construction.
+on casefolded text, with offsets mapped back to the original characters,
+(c) whitespace-normalized case-insensitive search via an escaped-token
+regex.  The recorded mention is always the original text between the found
+offsets, so span invariants hold by construction.
 
 A consequence of surface matching: when a completion tags a later occurrence
 of a word whose earlier occurrences are untagged, the span lands on the
@@ -29,7 +31,7 @@ import re
 from dataclasses import dataclass, field, replace
 
 from .corpus import EntitySpan
-from .templates import TagPair
+from .templates import TagPair, fragments
 
 VERDICT_ACCEPT = "accept"
 VERDICT_REJECT = "reject"
@@ -74,24 +76,54 @@ class DecodeResult:
     diagnostics: DecodeDiagnostics
 
 
-def decodable_prefix(completion: str) -> str:
-    """Text before the first blank line or 'Input:'-prefixed line."""
-    body = completion.lstrip()
+def decodable_prefix(completion: str, dialogue: bool = False) -> str:
+    """Text before the first blank line or line that starts with an input
+    label of any prompt language; with dialogue, also before the first line
+    after the first that starts a "- " turn."""
+    labels = tuple(frags["input_label"] for frags in fragments().values())
     kept = []
-    for line in body.split("\n"):
-        if line.strip() == "" or line.startswith("Input:"):
+    for line in completion.lstrip().split("\n"):
+        if (
+            line.strip() == ""
+            or line.startswith(labels)
+            or (dialogue and kept and line.startswith("- "))
+        ):
             break
         kept.append(line)
     return "\n".join(kept)
+
+
+def _find_casefolded(original: str, mention: str, search_from: int) -> tuple[int, int] | None:
+    """Offsets of the first substring of original, starting at or after
+    search_from, whose casefold equals mention's.
+
+    Casefolding can change a character's length ("ß" folds to "ss"), so the
+    search runs on the folded text and a match counts only when both of its
+    ends fall on original character boundaries.
+    """
+    target = mention.casefold()
+    folded = [c.casefold() for c in original]
+    starts = [0]
+    for piece in folded:
+        starts.append(starts[-1] + len(piece))
+    char_at = {offset: i for i, offset in enumerate(starts)}
+    text = "".join(folded)
+    at = text.find(target, starts[search_from])
+    while at != -1:
+        start, end = char_at.get(at), char_at.get(at + len(target))
+        if start is not None and end is not None:
+            return start, end
+        at = text.find(target, at + 1)
+    return None
 
 
 def _locate_mention(original: str, mention: str, search_from: int) -> tuple[int, int] | None:
     idx = original.find(mention, search_from)
     if idx != -1:
         return idx, idx + len(mention)
-    idx = original.lower().find(mention.lower(), search_from)
-    if idx != -1 and idx + len(mention) <= len(original):
-        return idx, idx + len(mention)
+    found = _find_casefolded(original, mention, search_from)
+    if found is not None:
+        return found
     tokens = mention.lower().split()
     if tokens:
         pattern = re.compile(r"\s+".join(re.escape(t) for t in tokens), re.IGNORECASE)
@@ -126,11 +158,14 @@ def _localize_all(
 
 
 def decode_tagged(
-    completion: str, original: str, tags: TagPair, entity_type: str
+    completion: str, original: str, tags: TagPair, entity_type: str, dialogue: bool = False
 ) -> DecodeResult:
-    """Extract tag-wrapped mentions from a completion and map them to spans."""
+    """Extract tag-wrapped mentions from a completion and map them to spans.
+
+    dialogue says the prompt used the dash-turn layout (see decodable_prefix).
+    """
     diagnostics = DecodeDiagnostics()
-    text = decodable_prefix(completion)
+    text = decodable_prefix(completion, dialogue)
     mentions: list[str] = []
     cursor = 0
     while True:
@@ -155,15 +190,16 @@ def decode_tagged(
 
 
 def decode_listing(
-    completion: str, original: str, separator: str, entity_type: str
+    completion: str, original: str, separator: str, entity_type: str, dialogue: bool = False
 ) -> DecodeResult:
     """Split a listed completion into mentions and map them to spans.
 
     separator is "comma" or "newline"; items are trimmed of surrounding
-    whitespace and punctuation, empties dropped.
+    whitespace and punctuation, empties dropped.  dialogue is as in
+    decode_tagged.
     """
     diagnostics = DecodeDiagnostics()
-    text = decodable_prefix(completion)
+    text = decodable_prefix(completion, dialogue)
     raw_items = text.split("," if separator == "comma" else "\n")
     mentions = []
     for item in raw_items:

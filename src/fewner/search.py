@@ -72,6 +72,29 @@ class PipelineSettings:
     max_new_tokens: int | None = None  # None: sized from the test sentence
     seed: int = 0  # ties demo ordering and verification picks to the sample
 
+    def __post_init__(self):
+        def require(ok: bool, name: str, expected: str) -> None:
+            if not ok:
+                value = getattr(self, name)
+                raise ConfigError(f"pipeline.{name} must be {expected}, got {value!r}")
+
+        require(isinstance(self.prompt_language, str), "prompt_language", "a string")
+        require(isinstance(self.model_name, str), "model_name", "a string")
+        require(_is_int(self.seed), "seed", "an integer")
+        require(
+            _is_int(self.token_budget) and self.token_budget >= 1,
+            "token_budget", "an integer of at least 1",
+        )
+        require(
+            self.max_new_tokens is None
+            or (_is_int(self.max_new_tokens) and self.max_new_tokens >= 1),
+            "max_new_tokens", "null or an integer of at least 1",
+        )
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
 
 @dataclass(frozen=True)
 class TraceEntry:
@@ -135,6 +158,14 @@ class PromptingPipeline:
     observer, when set, is called as observer(rendered_prompt, held_out_id)
     for every prompt before it is sent; tests use it to check that held-out
     text never appears among demonstrations.
+
+    Planning work that depends on the item and not on the feature flags is
+    memoized: ranked demos, shuffled orders, verification demos, demo
+    turns with their token counts, and max_new_tokens.  LOOCV keeps one
+    memo for the pipeline's lifetime, since its folds are the same for
+    every configuration; any other wave gets a fresh memo that ends with
+    it.  So entries stay bounded by k x types x the few selection and
+    render variants.
     """
 
     def __init__(
@@ -159,6 +190,8 @@ class PromptingPipeline:
         # One TF-IDF index per held-out id (None: the full corpus), built on
         # first use; fold pools never change within a pipeline's lifetime.
         self._indexes: dict[str | None, TfidfIndex] = {}
+        # The memo of the LOOCV folds; see the class docstring.
+        self._folds: dict = {}
         # Wall and CPU seconds of the backend calls made inline so far.
         self._inline_wall_s = 0.0
         self._inline_cpu_s = 0.0
@@ -177,12 +210,15 @@ class PromptingPipeline:
             self._indexes[held_out_id] = index
         return index
 
-    def _request(self, prompt: RenderedPrompt, item: _Item) -> GenerationRequest:
+    def _request(self, prompt: RenderedPrompt, item: _Item, memo: dict) -> GenerationRequest:
         if self.observer is not None:
             self.observer(prompt, item.held_out_id)
+        key = ("max_new_tokens", item.text)
+        if key not in memo:
+            memo[key] = self._max_new_tokens(item.text)
         return GenerationRequest(
             prompt=prompt.text,
-            max_new_tokens=self._max_new_tokens(item.text),
+            max_new_tokens=memo[key],
             temperature=0.0,
             stop_sequences=prompt.stop_sequences,
             model_name=self.settings.model_name,
@@ -223,17 +259,29 @@ class PromptingPipeline:
             self._inline_cpu_s += time.thread_time() - cpu
         return completions
 
-    def _demos(self, config: PromptConfig, item: _Item) -> list[AnnotatedSentence]:
-        pool = self._pool(item.held_out_id)
-        n = min(config.effective_demo_count, len(pool))
-        if config.self_verification:
-            demo_ids = selection.select_entity_rich(pool, item.entity_type.id, n)
-        else:
-            demo_ids = selection.select_nearest(self._index(item.held_out_id), item.text, n)
-        return [self.corpus_by_id[sid] for sid in demo_ids]
+    def _demos(
+        self, config: PromptConfig, item: _Item, memo: dict
+    ) -> tuple[AnnotatedSentence, ...]:
+        """Ranked demos: entity-rich for the type under self_verification,
+        else TF-IDF nearest to the text."""
+        rich = config.self_verification
+        key = (
+            "demos", item.held_out_id, None if rich else item.text,
+            item.entity_type.id if rich else None, config.effective_demo_count,
+        )
+        demos = memo.get(key)
+        if demos is None:
+            pool = self._pool(item.held_out_id)
+            n = min(config.effective_demo_count, len(pool))
+            if rich:
+                demo_ids = selection.select_entity_rich(pool, item.entity_type.id, n)
+            else:
+                demo_ids = selection.select_nearest(self._index(item.held_out_id), item.text, n)
+            demos = memo[key] = tuple(self.corpus_by_id[sid] for sid in demo_ids)
+        return demos
 
     def _verification_demos(
-        self, demos: list[AnnotatedSentence], entity_type: EntityType
+        self, demos: tuple[AnnotatedSentence, ...], entity_type: EntityType
     ) -> list[VerificationDemo] | None:
         """Alternating yes/no examples drawn from the main demonstrations.
 
@@ -276,8 +324,9 @@ class PromptingPipeline:
         self,
         config: PromptConfig,
         items: list[_Item],
-        demos: list[list[AnnotatedSentence]],
+        demos: list[tuple[AnnotatedSentence, ...]],
         results: list[DecodeResult],
+        memo: dict,
     ) -> list[DecodeResult]:
         """The dependent wave: one yes/no request per decoded span."""
         language = self._language(config)
@@ -287,16 +336,19 @@ class PromptingPipeline:
             if not result.spans:
                 asked.append(0)
                 continue
-            vdemos = self._verification_demos(item_demos, item.entity_type)
+            key = ("verification", tuple(d.id for d in item_demos), item.entity_type.id)
+            if key not in memo:
+                memo[key] = self._verification_demos(item_demos, item.entity_type)
+            vdemos = memo[key]
             if vdemos is None:
                 result.diagnostics.unverified_kept += len(result.spans)
                 asked.append(0)
                 continue
             for span in result.spans:
                 prompt = render_verification_prompt(
-                    config, item.entity_type, span.mention, item.text, vdemos, language
+                    config, item.entity_type, span.mention, item.text, vdemos, language, memo
                 )
-                requests.append(self._request(prompt, item))
+                requests.append(self._request(prompt, item, memo))
             asked.append(len(result.spans))
         verdicts = iter(
             parse_verification(completion) for completion in self._send(requests)
@@ -306,14 +358,23 @@ class PromptingPipeline:
             for result, n in zip(results, asked)
         ]
 
-    def _annotate_wave(self, config: PromptConfig, items: list[_Item]) -> list[DecodeResult]:
+    def _annotate_wave(
+        self, config: PromptConfig, items: list[_Item], memo: dict | None = None
+    ) -> list[DecodeResult]:
         """Spans for each item: plan every main prompt in item order, send
-        them, decode in item order, then verify as a second wave."""
+        them, decode in item order, then verify as a second wave.  memo
+        defaults to a fresh one for this wave."""
+        memo = {} if memo is None else memo
         language = self._language(config)
-        demos: list[list[AnnotatedSentence]] = []
+        demos: list[tuple[AnnotatedSentence, ...]] = []
         requests: list[GenerationRequest] = []
         for item in items:
-            item_demos = self._demos(config, item)
+            item_demos = self._demos(config, item, memo)
+            seed_key = ("shuffle_seed", item.test_id, item.entity_type.id)
+            if seed_key not in memo:
+                memo[seed_key] = rng.stable_seed(
+                    self.settings.seed, item.test_id, item.entity_type.id
+                )
             prompt = fit_to_budget(
                 config,
                 item.entity_type,
@@ -321,25 +382,26 @@ class PromptingPipeline:
                 item.text,
                 language,
                 self.settings.token_budget,
-                shuffle_seed=rng.stable_seed(
-                    self.settings.seed, item.test_id, item.entity_type.id
-                ),
+                shuffle_seed=memo[seed_key],
+                memo=memo,
             )
             demos.append(item_demos)
-            requests.append(self._request(prompt, item))
+            requests.append(self._request(prompt, item, memo))
         results = []
         for item, completion in zip(items, self._send(requests)):
             if config.mode == "tagging":
                 result = decode_tagged(
-                    completion, item.text, config.tag_pair, item.entity_type.id
+                    completion, item.text, config.tag_pair, item.entity_type.id,
+                    config.dialogue_template,
                 )
             else:
                 result = decode_listing(
-                    completion, item.text, config.listing_separator, item.entity_type.id
+                    completion, item.text, config.listing_separator, item.entity_type.id,
+                    config.dialogue_template,
                 )
             results.append(result)
         if config.self_verification:
-            results = self._verify(config, items, demos, results)
+            results = self._verify(config, items, demos, results, memo)
         return results
 
     def annotate(
@@ -365,7 +427,8 @@ class PromptingPipeline:
         pairs = [(s, t) for s in self.corpus for t in self.entity_types]
         items = [_Item(t, s.text, s.id, s.id) for s, t in pairs]
         tp = fp = fn = 0
-        for (sentence, entity_type), result in zip(pairs, self._annotate_wave(config, items)):
+        results = self._annotate_wave(config, items, self._folds)
+        for (sentence, entity_type), result in zip(pairs, results):
             dtp, dfp, dfn = span_match_counts(result.spans, sentence.spans_of(entity_type.id))
             tp, fp, fn = tp + dtp, fp + dfp, fn + dfn
         return f1_from_counts(tp, fp, fn)[2]

@@ -275,6 +275,19 @@ def _intro(frags: dict[str, str], config: PromptConfig, entity_type: EntityType,
     return frags["intro_listing"].format(plural=plural, separator=separator)
 
 
+def _counted_turn(memo: dict, key: tuple, build) -> tuple[tuple[str, ...], int]:
+    """The lines build() returns and their token count, memoized under key.
+
+    A demonstration's key names what shapes its turn, so one entry serves
+    every configuration that agrees on those parts.
+    """
+    turn = memo.get(key)
+    if turn is None:
+        lines = tuple(build())
+        turn = memo[key] = (lines, estimate_tokens("\n".join(lines)))
+    return turn
+
+
 def render_main_prompt(
     config: PromptConfig,
     entity_type: EntityType,
@@ -282,31 +295,49 @@ def render_main_prompt(
     test_text: str,
     prompt_language: str,
     allow_empty_demos: bool = False,
+    memo: dict | None = None,
 ) -> RenderedPrompt:
     """Assemble the main prompt for one test sentence and one entity type.
 
     Layout: header (task description or persona), optional definition,
     demonstrations in the order given, optional introductory sentence, then
     the test sentence with an open output slot.
+
+    memo, when given, keeps each demonstration's lines and token count
+    across calls, keyed by sentence id: share one only among calls whose
+    sentences of one id are the same sentence.
     """
     if not demos and not allow_empty_demos:
         raise ConfigError("cannot render a prompt with an empty demonstration set")
+    memo = {} if memo is None else memo
     frags = fragments_for(prompt_language)
-    lines = [_header(frags, config, entity_type, prompt_language)]
+    head = [_header(frags, config, entity_type, prompt_language)]
     if config.label_definitions:
-        lines.append(entity_type.definition(prompt_language))
+        head.append(entity_type.definition(prompt_language))
+    tail = [_intro(frags, config, entity_type, prompt_language)] if config.intro_sentence else []
+    tail.extend(_turn(frags, config, test_text, None))
+    lines = list(head)
+    # Lines are joined by "\n" and no token spans whitespace, so the
+    # prompt's count is the sum of the counts of its parts.
+    tokens = estimate_tokens("\n".join(head + tail))
     for demo in demos:
-        lines.extend(_turn(frags, config, demo.text, _demo_output(demo, entity_type, config)))
-    if config.intro_sentence:
-        lines.append(_intro(frags, config, entity_type, prompt_language))
-    lines.extend(_turn(frags, config, test_text, None))
-    text = "\n".join(lines)
+        turn, turn_tokens = _counted_turn(
+            memo,
+            (
+                "demo", demo.id, entity_type.id, config.mode, config.tag_pair,
+                config.listing_separator, config.dialogue_template, prompt_language,
+            ),
+            lambda: _turn(frags, config, demo.text, _demo_output(demo, entity_type, config)),
+        )
+        lines.extend(turn)
+        tokens += turn_tokens
+    lines.extend(tail)
     return RenderedPrompt(
-        text=text,
+        text="\n".join(lines),
         entity_type=entity_type.id,
         demonstrations=tuple(d.id for d in demos),
         stop_sequences=stop_sequences_for(config, prompt_language),
-        estimated_tokens=estimate_tokens(text),
+        estimated_tokens=tokens,
         kind="main",
     )
 
@@ -331,11 +362,13 @@ def render_verification_prompt(
     context_sentence: str,
     demos: Sequence[VerificationDemo],
     prompt_language: str,
+    memo: dict | None = None,
 ) -> RenderedPrompt:
     """A yes/no prompt asking whether the candidate really is of the type.
 
     demos are (sentence, mention, is_positive) triples; at least one positive
     and one negative example are required so both answers are demonstrated.
+    memo is as in render_main_prompt.
     """
     if not config.self_verification:
         raise ConfigError("verification prompts require the self_verification feature")
@@ -344,26 +377,43 @@ def render_verification_prompt(
         raise ConfigError(
             "verification demos must include at least one positive and one negative"
         )
+    memo = {} if memo is None else memo
     frags = fragments_for(prompt_language)
     singular = entity_type.singular(prompt_language)
-    lines = [frags["verification_task"].format(singular=singular)]
-    for sentence, mention, is_positive in demos:
-        question = frags["verification_question"].format(
-            sentence=sentence.text, mention=mention, singular=singular
-        )
-        answer = _verification_answer(frags, config, entity_type, prompt_language, mention, is_positive)
-        lines.extend(_turn(frags, config, question, answer))
     final_question = frags["verification_question"].format(
         sentence=context_sentence, mention=candidate_mention, singular=singular
     )
-    lines.extend(_turn(frags, config, final_question, None))
-    text = "\n".join(lines)
+    head = frags["verification_task"].format(singular=singular)
+    tail = _turn(frags, config, final_question, None)
+    lines = [head]
+    tokens = estimate_tokens("\n".join([head, *tail]))
+    for sentence, mention, is_positive in demos:
+        turn, turn_tokens = _counted_turn(
+            memo,
+            (
+                "verify", sentence.id, mention, is_positive, entity_type.id,
+                config.long_verification_answer, config.dialogue_template, prompt_language,
+            ),
+            lambda: _turn(
+                frags,
+                config,
+                frags["verification_question"].format(
+                    sentence=sentence.text, mention=mention, singular=singular
+                ),
+                _verification_answer(
+                    frags, config, entity_type, prompt_language, mention, is_positive
+                ),
+            ),
+        )
+        lines.extend(turn)
+        tokens += turn_tokens
+    lines.extend(tail)
     return RenderedPrompt(
-        text=text,
+        text="\n".join(lines),
         entity_type=entity_type.id,
         demonstrations=tuple(s.id for s, _, _ in demos),
         stop_sequences=stop_sequences_for(config, prompt_language),
-        estimated_tokens=estimate_tokens(text),
+        estimated_tokens=tokens,
         kind="self_verification",
     )
 
@@ -376,22 +426,29 @@ def fit_to_budget(
     prompt_language: str,
     budget: int,
     shuffle_seed: int | None = None,
+    memo: dict | None = None,
 ) -> RenderedPrompt:
     """Render the main prompt, dropping demos until it fits the token budget.
 
     Demonstrations are dropped from the end of the selection-ranked list; the
     kept demos are then shuffled (when a seed is given) to fix prompt order.
     Raises ConfigError when even the scaffold without demonstrations exceeds
-    the budget.
+    the budget.  memo, as in render_main_prompt, also keeps each shuffled
+    order.
     """
     if budget < 1:
         raise ConfigError(f"token budget must be positive, got {budget}")
+    memo = {} if memo is None else memo
     for keep in range(len(ranked_demos), -1, -1):
-        kept = list(ranked_demos[:keep])
+        kept = tuple(ranked_demos[:keep])
         if shuffle_seed is not None:
-            kept = rng.shuffled(kept, shuffle_seed)
+            key = ("order", tuple(d.id for d in kept), shuffle_seed)
+            if key not in memo:
+                memo[key] = tuple(rng.shuffled(kept, shuffle_seed))
+            kept = memo[key]
         prompt = render_main_prompt(
-            config, entity_type, kept, test_text, prompt_language, allow_empty_demos=True
+            config, entity_type, kept, test_text, prompt_language,
+            allow_empty_demos=True, memo=memo,
         )
         if prompt.estimated_tokens <= budget:
             dropped = len(ranked_demos) - keep

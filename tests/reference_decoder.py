@@ -10,14 +10,16 @@ Contract being implemented:
 
 * Only text before the first stop-like boundary is decoded: leading
   whitespace is stripped, then lines are kept up to (excluding) the first
-  line that is blank or starts with "Input:".
+  line that is blank or starts with an input label ("Input:", "Entrée :",
+  "Entrada:").  For dialogue prompts a line after the first that starts
+  with "- " is a boundary too.
 * An open tag with no close before the next open counts as unbalanced and
   is skipped.  A trailing open with no close at all is unbalanced too.
 * Extracted mentions that are empty or whitespace-only are unmatched.
 * Each mention is located in the original sentence searching from one past
   the previous successful match's start: (a) exact substring, then
-  (b) case-insensitive via lowercased copies, then (c) whitespace-normalized
-  and case-insensitive via an escaped-token regex.
+  (b) the first substring whose casefold equals the mention's, then
+  (c) whitespace-normalized and case-insensitive via an escaped-token regex.
 * A mention that cannot be located counts as a duplicate when an identical
   extracted string was located before, as unmatched otherwise.
 """
@@ -33,14 +35,17 @@ def _all_positions(haystack: str, needle: str) -> list[int]:
     return [m.start() for m in re.finditer(f"(?=({re.escape(needle)}))", haystack)]
 
 
-def _decodable_prefix(completion: str) -> str:
-    body = completion.lstrip()
-    kept = []
-    for line in body.split("\n"):
-        if line.strip() == "" or line.startswith("Input:"):
-            break
-        kept.append(line)
-    return "\n".join(kept)
+_INPUT_LABELS = ("Input:", "Entrée :", "Entrada:")
+
+
+def _decodable_prefix(completion: str, dialogue: bool) -> str:
+    lines = completion.lstrip().split("\n")
+    for i, line in enumerate(lines):
+        if not line.strip() or any(line.startswith(label) for label in _INPUT_LABELS):
+            return "\n".join(lines[:i])
+        if dialogue and i > 0 and line.startswith("- "):
+            return "\n".join(lines[:i])
+    return "\n".join(lines)
 
 
 def _extract_mentions(text: str, open_tag: str, close_tag: str) -> tuple[list[str], int]:
@@ -76,9 +81,13 @@ def _locate(original: str, mention: str, search_from: int) -> tuple[int, int] | 
     idx = original.find(mention, search_from)
     if idx != -1:
         return idx, idx + len(mention)
-    idx = original.lower().find(mention.lower(), search_from)
-    if idx != -1 and idx + len(mention) <= len(original):
-        return idx, idx + len(mention)
+    # Brute force over every (start, end) pair: at most one end per start
+    # can fold to the mention, since no character folds to nothing.
+    target = mention.casefold()
+    for start in range(search_from, len(original)):
+        for end in range(start + 1, len(original) + 1):
+            if original[start:end].casefold() == target:
+                return start, end
     tokens = mention.lower().split()
     if tokens:
         pattern = re.compile(r"\s+".join(re.escape(t) for t in tokens), re.IGNORECASE)
@@ -89,11 +98,11 @@ def _locate(original: str, mention: str, search_from: int) -> tuple[int, int] | 
 
 
 def reference_decode_tagged(
-    completion: str, original: str, open_tag: str, close_tag: str
+    completion: str, original: str, open_tag: str, close_tag: str, dialogue: bool = False
 ) -> dict:
     """Returns {"spans": [(start, end)], "unbalanced": n, "unmatched": n,
     "duplicates": n} for comparison against the production decoder."""
-    text = _decodable_prefix(completion)
+    text = _decodable_prefix(completion, dialogue)
     mentions, unbalanced = _extract_mentions(text, open_tag, close_tag)
     spans: list[tuple[int, int]] = []
     located_surfaces: set[str] = set()

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -289,6 +290,11 @@ def test_optimize_config_file_merges_with_defaults(splits, tmp_path):
         ["--set", "pipeline.bogus_key=1"],
         ["--types", ","],
         ["--types", "DISO,GHOST"],
+        ["--set", "pipeline.token_budget=abc"],
+        ["--set", "pipeline.token_budget=0"],
+        ["--set", "pipeline.max_new_tokens=0"],
+        ["--set", "pipeline.seed=true"],
+        ["--set", "pipeline.model_name=7"],
     ],
 )
 def test_optimize_config_errors_exit_1(splits, tmp_path, capsys, extra):
@@ -368,6 +374,36 @@ def test_predict_then_evaluate_is_perfect_with_the_oracle(splits, tmp_path, caps
     assert read_json(run_dir / "report.json")["micro"]["f1"] == 1.0
     assert (run_dir / "report.csv").read_text(encoding="utf-8").startswith("type,tp,fp,fn")
     assert "micro" in (run_dir / "report.md").read_text(encoding="utf-8")
+
+
+def test_predict_records_the_settings_it_ran_with(splits, tmp_path):
+    sample_path, test_path, _ = splits
+    run_dir = tmp_path / "run"
+    best = tmp_path / "best_config.json"
+    chosen = PromptConfig(alt_taggers=True, intro_sentence=True)
+    best.write_text(
+        json.dumps({"bitmask": chosen.bitmask, "prompt": chosen.to_dict()}), encoding="utf-8"
+    )
+    rc = main(
+        [
+            "predict", "--sample", str(sample_path), "--test", str(test_path),
+            "--run-dir", str(run_dir), "--types", "DISO", "--best-config", str(best),
+            "--model", "m1", "--language", "en", "--set", "pipeline.seed=4",
+        ]
+    )
+    assert rc == 0
+    config = read_json(run_dir / "config.json")
+    assert config["prompt"] == chosen.to_dict()
+    assert config["run"]["pipeline"] == {
+        **asdict(PipelineSettings()), "model_name": "m1", "prompt_language": "en", "seed": 4,
+    }
+    assert config["overrides"] == [
+        {"key": "pipeline.seed", "value": 4},
+        {"key": "pipeline.prompt_language", "value": "en"},
+        {"key": "pipeline.model_name", "value": "m1"},
+    ]
+    meta = read_json(run_dir / "run_meta.json")
+    assert (meta["model_name"], meta["prompt_language"], meta["seed"]) == ("m1", "en", 4)
 
 
 def test_predict_best_config_changes_the_prompts(splits, tmp_path):

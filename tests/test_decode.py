@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fewner.decode import (
@@ -41,6 +41,30 @@ def test_prefix_stops_at_blank_line_and_input_label():
     assert decodable_prefix("a b\n\nInput: junk") == "a b"
     assert decodable_prefix("a b\nInput: junk\nc") == "a b"
     assert decodable_prefix("a\nc d\n  \ne") == "a\nc d"
+
+
+def test_prefix_stops_at_the_input_label_of_every_language():
+    assert decodable_prefix("@@fièvre##\nEntrée : il a une @@toux##") == "@@fièvre##"
+    assert decodable_prefix("@@fiebre##\nEntrada: tiene @@tos##") == "@@fiebre##"
+    assert decodable_prefix("Entrada: tiene @@tos##") == ""
+    result = decode_tagged(
+        "@@fièvre##\nEntrée : il a une @@toux##", "fièvre et toux", DEFAULT_TAGS, "DISO"
+    )
+    assert [s.mention for s in result.spans] == ["fièvre"]
+
+
+def test_prefix_stops_at_a_later_dialogue_turn():
+    completion = " He has @@fever##.\n- She has a rash.\n- She has a @@rash##."
+    assert decodable_prefix(completion, dialogue=True) == "He has @@fever##."
+    # Outside the dialogue layout a dash line may be a listed item.
+    assert decodable_prefix(completion) == completion.lstrip()
+    assert decodable_prefix("- a\nb\n- c", dialogue=True) == "- a\nb"
+    result = decode_tagged(
+        completion, "He has fever and rash.", DEFAULT_TAGS, "DISO", dialogue=True
+    )
+    assert [s.mention for s in result.spans] == ["fever"]
+    listed = decode_listing("fever\n- rash", "fever and rash", "newline", "DISO", dialogue=True)
+    assert [s.mention for s in listed.spans] == ["fever"]
 
 
 def test_prefix_strips_leading_whitespace_first():
@@ -88,6 +112,40 @@ def test_tagged_case_insensitive_localization_keeps_original_casing():
     result = decode_tagged("severe @@dyspnea## seen", "Severe Dyspnea seen", DEFAULT_TAGS, "DISO")
     assert starts_ends(result) == [(7, 14)]
     assert result.spans[0].mention == "Dyspnea"
+
+
+def test_case_insensitive_localization_survives_a_lowercase_that_changes_length():
+    # "İ".lower() is two characters long, so offsets found in a lowercased
+    # copy used to land one character late.
+    result = decode_listing("aspirin", "İstanbul clinic gave ASPIRIN daily", "comma", "CHEM")
+    assert starts_ends(result) == [(21, 28)]
+    assert result.spans[0].mention == "ASPIRIN"
+
+
+def test_case_insensitive_localization_uses_full_case_folding():
+    result = decode_tagged("@@STRASSE##", "die Straße ist lang", DEFAULT_TAGS, "LOC")
+    assert [s.mention for s in result.spans] == ["Straße"]
+    # A match that would split a folded character ("ß" folds to "ss") is none.
+    result = decode_tagged("@@s##", "ße", DEFAULT_TAGS, "LOC")
+    assert result.spans == ()
+    assert result.diagnostics.unmatched_mentions == 1
+
+
+@settings(max_examples=300)
+@given(st.text(min_size=1, max_size=40), st.data())
+def test_case_variant_substring_decodes_to_a_casefold_equal_span(original, data):
+    start = data.draw(st.integers(0, len(original) - 1))
+    end = data.draw(st.integers(start + 1, len(original)))
+    flips = data.draw(st.lists(st.booleans(), min_size=end - start, max_size=end - start))
+    mention = "".join(
+        c.upper() if flip else c.lower() for c, flip in zip(original[start:end], flips)
+    )
+    assume(mention.casefold() == original[start:end].casefold())
+    assume(mention.strip() and "\n" not in mention and not set("@#") & set(mention))
+    result = decode_tagged(f"@@{mention}##", original, DEFAULT_TAGS, "DISO")
+    assert len(result.spans) == 1
+    assert result.spans[0].mention.casefold() == mention.casefold()
+    assert_span_invariants(result, original)
 
 
 def test_tagged_whitespace_normalized_localization():
@@ -338,6 +396,22 @@ def test_fuzz_matches_reference_decoder():
         assert got.diagnostics.unmatched_mentions == want["unmatched"], context
         assert got.diagnostics.duplicate_mentions == want["duplicates"], context
         assert_span_invariants(got, original)
+
+
+def test_fuzz_matches_reference_decoder_in_the_dialogue_layout():
+    rand = random.Random(0xD1A1)
+    for i in range(1000):
+        completion, original, tags = fuzz_case(rand)
+        word = rand.choice(original.split())
+        if rand.random() < 0.5:
+            completion += f"\n- {word}\n- {tags[0]}{word}{tags[1]}"
+        got = decode_tagged(completion, original, TagPair(*tags), "DISO", dialogue=True)
+        want = reference_decode_tagged(completion, original, *tags, dialogue=True)
+        context = f"case {i}: completion={completion!r} original={original!r} tags={tags}"
+        assert starts_ends(got) == want["spans"], context
+        assert got.diagnostics.unbalanced_tags == want["unbalanced"], context
+        assert got.diagnostics.unmatched_mentions == want["unmatched"], context
+        assert got.diagnostics.duplicate_mentions == want["duplicates"], context
 
 
 # --------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 import random
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 
 from conftest import additive_scorer, nine_weights, sent, span
-from fewner.backend import EchoBackend, GenerationRequest, OracleBackend
+from fewner.backend import EchoBackend, GenerationRequest, OracleBackend, make_noisy_oracle
 from fewner.errors import ConfigError
 from fewner.evaluation import score
 from fewner.search import (
@@ -343,3 +345,123 @@ def test_predict_holds_a_sample_sentence_out_of_its_own_demos():
     for config in (PromptConfig(additional_sentences=True), PromptConfig(self_verification=True)):
         pipeline.predict(config, [target])
     assert leaks == []
+
+
+# --------------------------------------------------------------------------
+# Memoized planning: the fold memo must not change a single request
+
+
+class StreamRecorder:
+    """Records what each request asks for; the wrapped backend answers."""
+
+    backend_id = "stream"
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.stream: list[tuple] = []
+
+    def generate(self, request):
+        self.stream.append((request.prompt, request.max_new_tokens, request.stop_sequences))
+        return self.inner.generate(request)
+
+
+# Every sentence has one mention of each type, so both types rank the same
+# entity-rich demos, and only the type tells their verification demos apart.
+_MIXED = [
+    sent("m1", "fever after aspirin",
+         [span(0, 5, "DISO", "fever"), span(12, 19, "CHEM", "aspirin")]),
+    sent("m2", "rash from ibuprofen today",
+         [span(0, 4, "DISO", "rash"), span(10, 19, "CHEM", "ibuprofen")]),
+    sent("m3", "cough with codeine syrup",
+         [span(0, 5, "DISO", "cough"), span(11, 18, "CHEM", "codeine")]),
+]
+
+
+@pytest.mark.parametrize("sample", ["synthetic", "mixed"])
+def test_one_pipeline_sends_the_requests_of_a_fresh_pipeline_per_mask(sample):
+    sentences, types = synthetic_corpus(7, seed=17)
+    if sample == "mixed":
+        sentences = _MIXED
+    oracle = make_noisy_oracle(sentences, types, seed=17, drop_prob=0.2, spurious_prob=0.3)
+    # Tight enough that the longest prompts drop demonstrations.
+    settings = PipelineSettings(seed=17, token_budget=210)
+    shared = StreamRecorder(oracle)
+    pipeline = PromptingPipeline(sentences, types, shared, settings)
+    fresh = StreamRecorder(oracle)
+    # annotate plans one item per wave, so nothing planned for one fold
+    # can serve another; its requests come in another order.
+    single = StreamRecorder(oracle)
+    one_by_one = PromptingPipeline(sentences, types, single, settings)
+    dropped = []
+    for mask in range(1 << len(FEATURE_NAMES)):
+        config = PromptConfig.from_bitmask(mask)
+        pipeline.evaluate_loocv(config)
+        PromptingPipeline(
+            sentences, types, fresh, settings,
+            observer=lambda prompt, _: dropped.append(prompt.dropped_demos),
+        ).evaluate_loocv(config)
+        for s in sentences:
+            for t in types:
+                one_by_one.annotate(config, t, s.text, s.id, held_out_id=s.id)
+    assert shared.stream == fresh.stream
+    assert Counter(shared.stream) == Counter(single.stream)
+    if sample == "synthetic":
+        assert any(dropped) and not all(dropped)
+
+
+@pytest.mark.parametrize("config", [PromptConfig(), PromptConfig(self_verification=True)])
+def test_predict_sends_what_annotate_sends_per_sentence(config):
+    sample, types = synthetic_corpus(6, seed=11)
+    extra, _ = synthetic_corpus(12, seed=12)
+    seen = {s.text for s in sample}
+    unseen = [replace(s, id=f"t{i}") for i, s in enumerate(extra) if s.text not in seen]
+    test_sentences = unseen[:6] + [sample[0]]
+    oracle = make_noisy_oracle(
+        sample + unseen[:6], types, seed=11, drop_prob=0.2, spurious_prob=0.3
+    )
+    waves, single = StreamRecorder(oracle), StreamRecorder(oracle)
+    PromptingPipeline(sample, types, waves).predict(config, test_sentences)
+    one_by_one = PromptingPipeline(sample, types, single)
+    for s in test_sentences:
+        for t in types:
+            held_out = s.id if s is sample[0] else None
+            one_by_one.annotate(config, t, s.text, s.id, held_out_id=held_out)
+    assert Counter(waves.stream) == Counter(single.stream)
+
+
+@pytest.fixture(scope="module", params=["en", "fr", "es"])
+def grid_prompts(request):
+    """Violations seen by an observer over one grid run per language."""
+    language = request.param
+    sentences, types = synthetic_corpus(5, seed=23, language=language)
+    by_id = {s.id: s for s in sentences}
+    oracle = make_noisy_oracle(sentences, types, seed=23, drop_prob=0.2, spurious_prob=0.3)
+    seen = Counter()
+    miscounted, leaked = [], []
+
+    def observer(prompt, held_out_id):
+        seen[prompt.kind] += 1
+        if prompt.estimated_tokens != estimate_tokens(prompt.text):
+            miscounted.append((prompt.kind, prompt.text))
+        if held_out_id in prompt.demonstrations or (
+            prompt.kind == "main" and prompt.text.count(by_id[held_out_id].text) != 1
+        ):
+            leaked.append((held_out_id, prompt.kind, prompt.demonstrations))
+
+    pipeline = PromptingPipeline(
+        sentences, types, oracle, PipelineSettings(prompt_language=language, seed=23),
+        observer=observer,
+    )
+    grid_search(pipeline, acknowledge_cost=True)
+    return seen, miscounted, leaked
+
+
+def test_every_mask_estimates_tokens_of_the_whole_prompt(grid_prompts):
+    seen, miscounted, _ = grid_prompts
+    assert seen["main"] == 512 * 5 * 2 and seen["self_verification"] > 0
+    assert miscounted == []
+
+
+def test_every_mask_keeps_held_out_sentences_out_of_the_demos(grid_prompts):
+    _, _, leaked = grid_prompts
+    assert leaked == []

@@ -314,6 +314,20 @@ def test_verification_prompt_short_answers(diso):
     assert prompt.demonstrations == ("d1", "d2")
 
 
+def test_verification_prompt_keeps_turns_of_one_sentence_apart(diso):
+    config = PromptConfig(self_verification=True)
+    vdemos = [(D2, "fever", True), (D2, "today", False), (D2, "fever", False)]
+    prompt = render_verification_prompt(config, diso, "nausea", TEST_TEXT, vdemos, "en")
+    assert prompt.text.split("\n")[1:7] == [
+        'Input: In the sentence "No fever today.", is "fever" a disorder?',
+        "Output: Yes",
+        'Input: In the sentence "No fever today.", is "today" a disorder?',
+        "Output: No",
+        'Input: In the sentence "No fever today.", is "fever" a disorder?',
+        "Output: No",
+    ]
+
+
 def test_verification_prompt_long_answers(diso):
     config = PromptConfig(self_verification=True, long_verification_answer=True)
     prompt = render_verification_prompt(
@@ -379,6 +393,28 @@ def test_stop_sequences_per_language_and_dialogue():
     assert stop_sequences_for(PromptConfig(), "fr") == ("\nEntrée :",)
     assert stop_sequences_for(PromptConfig(), "es") == ("\nEntrada:",)
     assert stop_sequences_for(PromptConfig(dialogue_template=True), "fr") == ("\n-",)
+
+
+def test_a_shared_memo_renders_what_a_fresh_memo_renders(diso, chem):
+    # One memo serves every mask, mode, separator, language and type; each
+    # render must equal a render that memoizes nothing across calls.
+    d3 = sent("d3", "Aspirin eased the fever and the rash.", [
+        span(0, 7, "CHEM", "Aspirin"), span(18, 23, "DISO", "fever"), span(32, 36, "DISO", "rash"),
+    ])
+    vdemos = [(D1, "diabetes", True), (D2, "today", False), (d3, "rash", True)]
+    memo: dict = {}
+    for mask in range(1 << len(FEATURE_NAMES)):
+        for mode, separator in (("tagging", "comma"), ("listing", "comma"), ("listing", "newline")):
+            config = PromptConfig.from_bitmask(mask, mode=mode, listing_separator=separator)
+            for language in ("en", "fr", "es"):
+                for entity_type in (diso, chem):
+                    args = (config, entity_type, [D1, D2, d3], TEST_TEXT, language, 140, 7)
+                    assert fit_to_budget(*args, memo=memo) == fit_to_budget(*args)
+                    if config.self_verification:
+                        args = (config, entity_type, "nausea", TEST_TEXT, vdemos, language)
+                        assert render_verification_prompt(*args, memo=memo) == (
+                            render_verification_prompt(*args)
+                        )
 
 
 def test_fit_to_budget_keeps_all_when_roomy(diso):
