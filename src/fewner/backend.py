@@ -24,6 +24,8 @@ import secrets
 import threading
 import time
 from dataclasses import dataclass
+from json.encoder import encode_basestring as _encode_string
+from math import isfinite
 from pathlib import Path
 from typing import Callable, Protocol
 
@@ -58,14 +60,48 @@ class GenerationRecord:
     timestamp: float
 
 
+# What json.dumps(payload, sort_keys=True, ensure_ascii=False) writes.
+_CANONICAL_REQUEST = (
+    '{"max_new_tokens": %d, "model_name": %s, "prompt": %s, '
+    '"stop_sequences": [%s], "temperature": %r}'
+)
+
+
 def request_digest(request: GenerationRequest) -> str:
-    """Stable cache key: sha256 over the canonical JSON of all request fields."""
+    """Stable cache key: sha256 over the canonical JSON of all request fields.
+
+    The JSON is what json.dumps(..., sort_keys=True, ensure_ascii=False)
+    writes.  It is built by hand when every field has its plain type (an
+    int, a finite float or int temperature, strings, a tuple of strings),
+    and by json.dumps otherwise; both give the same text, so digests never
+    depend on the path.
+    """
+    max_new_tokens, temperature = request.max_new_tokens, request.temperature
+    model_name, prompt, stops = request.model_name, request.prompt, request.stop_sequences
+    if (
+        type(max_new_tokens) is int
+        and (type(temperature) is int or type(temperature) is float and isfinite(temperature))
+        and type(model_name) is str
+        and type(prompt) is str
+        and type(stops) is tuple
+    ):
+        encoded = []
+        for stop in stops:
+            if type(stop) is not str:
+                break
+            encoded.append(_encode_string(stop))
+        else:
+            blob = _CANONICAL_REQUEST % (
+                max_new_tokens, _encode_string(model_name), _encode_string(prompt),
+                ", ".join(encoded), temperature,
+            )
+            return hashlib.sha256(blob.encode("utf-8")).hexdigest()
     payload = {
-        "prompt": request.prompt,
-        "max_new_tokens": request.max_new_tokens,
-        "temperature": request.temperature,
-        "stop_sequences": list(request.stop_sequences),
-        "model_name": request.model_name,
+        "prompt": prompt,
+        "max_new_tokens": max_new_tokens,
+        "temperature": temperature,
+        "stop_sequences": list(stops),
+        "model_name": model_name,
     }
     blob = json.dumps(payload, sort_keys=True, ensure_ascii=False)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
@@ -476,7 +512,9 @@ class DiskCache:
     digest, are logged and treated as misses, then overwritten by the fresh
     result; they never poison a run.  Each put writes a temp file of its
     own and renames it into place, so threads and processes sharing the
-    directory never see or clobber a half-written entry.
+    directory never see or clobber a half-written entry.  Entries are
+    written as compact JSON; get reads any layout, such as the indented
+    one of older caches.
     """
 
     def __init__(self, directory: str | Path):
@@ -521,8 +559,9 @@ class DiskCache:
             "timestamp": record.timestamp,
         }
         tmp = path.with_name(f"{key}.{secrets.token_hex(8)}.tmp")
+        blob = json.dumps(payload, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
         with open(tmp, "x", encoding="utf-8") as out:
-            out.write(json.dumps(payload, sort_keys=True, ensure_ascii=False, indent=2))
+            out.write(blob)
         os.replace(tmp, path)
 
 
@@ -531,37 +570,45 @@ class CachedBackend:
 
     Identical concurrent requests are serialized by a per-key lock, so the
     wrapped backend sees each distinct request at most once per cache
-    lifetime.
+    lifetime.  A key's lock lives only while some caller holds or awaits
+    it: each entry counts its users, and the last to leave removes it.
     """
 
     def __init__(self, inner: CompletionBackend, cache):
         self.inner = inner
         self.cache = cache
         self.backend_id = f"cached:{inner.backend_id}"
-        self._locks: dict[str, threading.Lock] = {}
+        self._locks: dict[str, list] = {}  # key -> [lock, users]
         self._master = threading.Lock()
-
-    def _lock_for(self, key: str) -> threading.Lock:
-        with self._master:
-            lock = self._locks.get(key)
-            if lock is None:
-                lock = self._locks[key] = threading.Lock()
-            return lock
 
     def generate(self, request: GenerationRequest) -> str:
         key = request_digest(request)
-        with self._lock_for(key):
-            record = self.cache.get(key)
-            if record is not None:
-                return record.completion
-            started = time.monotonic()
-            completion = self.inner.generate(request)
-            record = GenerationRecord(
-                request_hash=key,
-                completion=completion,
-                latency_s=time.monotonic() - started,
-                backend_id=self.inner.backend_id,
-                timestamp=time.time(),
-            )
-            self.cache.put(key, record)
-            return completion
+        with self._master:
+            entry = self._locks.get(key)
+            if entry is None:
+                entry = self._locks[key] = [threading.Lock(), 0]
+            entry[1] += 1
+        try:
+            with entry[0]:
+                return self._generate(key, request)
+        finally:
+            with self._master:
+                entry[1] -= 1
+                if not entry[1]:
+                    del self._locks[key]
+
+    def _generate(self, key: str, request: GenerationRequest) -> str:
+        record = self.cache.get(key)
+        if record is not None:
+            return record.completion
+        started = time.monotonic()
+        completion = self.inner.generate(request)
+        record = GenerationRecord(
+            request_hash=key,
+            completion=completion,
+            latency_s=time.monotonic() - started,
+            backend_id=self.inner.backend_id,
+            timestamp=time.time(),
+        )
+        self.cache.put(key, record)
+        return completion

@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -23,13 +22,27 @@ from .errors import DataError
 def span_match_counts(
     predicted: Iterable[EntitySpan], gold: Iterable[EntitySpan]
 ) -> tuple[int, int, int]:
-    """(tp, fp, fn) under exact (start, end, type) one-to-one matching."""
-    pred_keys = Counter((s.start, s.end, s.type) for s in predicted)
-    gold_keys = Counter((s.start, s.end, s.type) for s in gold)
-    tp = sum((pred_keys & gold_keys).values())
-    fp = sum(pred_keys.values()) - tp
-    fn = sum(gold_keys.values()) - tp
-    return tp, fp, fn
+    """(tp, fp, fn) under exact (start, end, type) one-to-one matching.
+
+    Each prediction takes one of the gold triples still unmatched, so the
+    counts are those of multiset intersection.
+    """
+    unmatched: dict[tuple[int, int, str], int] = {}
+    n_gold = 0
+    for s in gold:
+        key = (s.start, s.end, s.type)
+        unmatched[key] = unmatched.get(key, 0) + 1
+        n_gold += 1
+    tp = fp = 0
+    for s in predicted:
+        key = (s.start, s.end, s.type)
+        left = unmatched.get(key)
+        if left:
+            unmatched[key] = left - 1
+            tp += 1
+        else:
+            fp += 1
+    return tp, fp, n_gold - tp
 
 
 def f1_from_counts(tp: int, fp: int, fn: int) -> tuple[float, float, float]:

@@ -19,13 +19,14 @@ import json
 import re
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 from . import rng, selection
 from .backend import CompletionBackend, GenerationRequest
 from .corpus import AnnotatedSentence, EntityType
 from .decode import (
+    VERDICT_UNPARSEABLE,
     DecodeResult,
     PredictionSet,
     apply_verification,
@@ -328,13 +329,17 @@ class PromptingPipeline:
         results: list[DecodeResult],
         memo: dict,
     ) -> list[DecodeResult]:
-        """The dependent wave: one yes/no request per decoded span."""
+        """The dependent wave: one yes/no request per decoded span.
+
+        A span whose prompt cannot fit the token budget is kept unverified,
+        counted as an unparseable answer is.
+        """
         language = self._language(config)
         requests: list[GenerationRequest] = []
-        asked: list[int] = []  # requests per item
+        asked: list[list[bool]] = []  # per item, whether each span was asked
         for item, item_demos, result in zip(items, demos, results):
             if not result.spans:
-                asked.append(0)
+                asked.append([])
                 continue
             key = ("verification", tuple(d.id for d in item_demos), item.entity_type.id)
             if key not in memo:
@@ -342,21 +347,49 @@ class PromptingPipeline:
             vdemos = memo[key]
             if vdemos is None:
                 result.diagnostics.unverified_kept += len(result.spans)
-                asked.append(0)
+                asked.append([])
                 continue
+            item_asked = []
             for span in result.spans:
-                prompt = render_verification_prompt(
-                    config, item.entity_type, span.mention, item.text, vdemos, language, memo
-                )
-                requests.append(self._request(prompt, item, memo))
-            asked.append(len(result.spans))
+                prompt = self._fit_verification(config, item, span.mention, vdemos, language, memo)
+                if prompt is not None:
+                    requests.append(self._request(prompt, item, memo))
+                item_asked.append(prompt is not None)
+            asked.append(item_asked)
         verdicts = iter(
             parse_verification(completion) for completion in self._send(requests)
         )
         return [
-            apply_verification(result, [next(verdicts) for _ in range(n)]) if n else result
-            for result, n in zip(results, asked)
+            apply_verification(
+                result, [next(verdicts) if ask else VERDICT_UNPARSEABLE for ask in item_asked]
+            )
+            if item_asked else result
+            for result, item_asked in zip(results, asked)
         ]
+
+    def _fit_verification(
+        self,
+        config: PromptConfig,
+        item: _Item,
+        mention: str,
+        vdemos: list[VerificationDemo],
+        language: str,
+        memo: dict,
+    ) -> RenderedPrompt | None:
+        """The verification prompt for mention, dropping demos from the end
+        until it fits the token budget; None when it does not fit with two.
+
+        vdemos open with a positive and a negative, so every kept prefix
+        still shows both answers.
+        """
+        for keep in range(len(vdemos), 1, -1):
+            prompt = render_verification_prompt(
+                config, item.entity_type, mention, item.text, vdemos[:keep], language, memo
+            )
+            if prompt.estimated_tokens <= self.settings.token_budget:
+                dropped = len(vdemos) - keep
+                return replace(prompt, dropped_demos=dropped) if dropped else prompt
+        return None
 
     def _annotate_wave(
         self, config: PromptConfig, items: list[_Item], memo: dict | None = None

@@ -278,7 +278,7 @@ def _intro(frags: dict[str, str], config: PromptConfig, entity_type: EntityType,
 def _counted_turn(memo: dict, key: tuple, build) -> tuple[tuple[str, ...], int]:
     """The lines build() returns and their token count, memoized under key.
 
-    A demonstration's key names what shapes its turn, so one entry serves
+    A prompt part's key names what shapes its lines, so one entry serves
     every configuration that agrees on those parts.
     """
     turn = memo.get(key)
@@ -303,35 +303,50 @@ def render_main_prompt(
     demonstrations in the order given, optional introductory sentence, then
     the test sentence with an open output slot.
 
-    memo, when given, keeps each demonstration's lines and token count
-    across calls, keyed by sentence id: share one only among calls whose
-    sentences of one id are the same sentence.
+    memo, when given, keeps the lines and token count of each part across
+    calls: the header with its definition, each demonstration (keyed by
+    sentence id), and the intro with the test turn.  Share one only among
+    calls whose sentences of one id are the same sentence.
     """
     if not demos and not allow_empty_demos:
         raise ConfigError("cannot render a prompt with an empty demonstration set")
     memo = {} if memo is None else memo
     frags = fragments_for(prompt_language)
-    head = [_header(frags, config, entity_type, prompt_language)]
-    if config.label_definitions:
-        head.append(entity_type.definition(prompt_language))
-    tail = [_intro(frags, config, entity_type, prompt_language)] if config.intro_sentence else []
-    tail.extend(_turn(frags, config, test_text, None))
-    lines = list(head)
+    # What shapes every part but the demo sentence and the test turn;
+    # alt_taggers stands for the tag pair, which it decides.
+    variant = (
+        entity_type.id, config.mode, config.alt_taggers, config.listing_separator, prompt_language,
+    )
+
+    def head():
+        yield _header(frags, config, entity_type, prompt_language)
+        if config.label_definitions:
+            yield entity_type.definition(prompt_language)
+
+    def tail():
+        if config.intro_sentence:
+            yield _intro(frags, config, entity_type, prompt_language)
+        yield from _turn(frags, config, test_text, None)
+
     # Lines are joined by "\n" and no token spans whitespace, so the
     # prompt's count is the sum of the counts of its parts.
-    tokens = estimate_tokens("\n".join(head + tail))
+    head_lines, tokens = _counted_turn(
+        memo, ("head", variant, config.specialist_persona, config.label_definitions), head
+    )
+    tail_lines, tail_tokens = _counted_turn(
+        memo, ("tail", variant, test_text, config.intro_sentence, config.dialogue_template), tail
+    )
+    lines = list(head_lines)
+    tokens += tail_tokens
     for demo in demos:
         turn, turn_tokens = _counted_turn(
             memo,
-            (
-                "demo", demo.id, entity_type.id, config.mode, config.tag_pair,
-                config.listing_separator, config.dialogue_template, prompt_language,
-            ),
+            ("demo", demo.id, variant, config.dialogue_template),
             lambda: _turn(frags, config, demo.text, _demo_output(demo, entity_type, config)),
         )
         lines.extend(turn)
         tokens += turn_tokens
-    lines.extend(tail)
+    lines.extend(tail_lines)
     return RenderedPrompt(
         text="\n".join(lines),
         entity_type=entity_type.id,
@@ -380,13 +395,28 @@ def render_verification_prompt(
     memo = {} if memo is None else memo
     frags = fragments_for(prompt_language)
     singular = entity_type.singular(prompt_language)
-    final_question = frags["verification_question"].format(
-        sentence=context_sentence, mention=candidate_mention, singular=singular
+    head_lines, tokens = _counted_turn(
+        memo,
+        ("verify_head", entity_type.id, prompt_language),
+        lambda: [frags["verification_task"].format(singular=singular)],
     )
-    head = frags["verification_task"].format(singular=singular)
-    tail = _turn(frags, config, final_question, None)
-    lines = [head]
-    tokens = estimate_tokens("\n".join([head, *tail]))
+    tail_lines, tail_tokens = _counted_turn(
+        memo,
+        (
+            "verify_tail", entity_type.id, prompt_language, context_sentence,
+            candidate_mention, config.dialogue_template,
+        ),
+        lambda: _turn(
+            frags,
+            config,
+            frags["verification_question"].format(
+                sentence=context_sentence, mention=candidate_mention, singular=singular
+            ),
+            None,
+        ),
+    )
+    lines = list(head_lines)
+    tokens += tail_tokens
     for sentence, mention, is_positive in demos:
         turn, turn_tokens = _counted_turn(
             memo,
@@ -407,7 +437,7 @@ def render_verification_prompt(
         )
         lines.extend(turn)
         tokens += turn_tokens
-    lines.extend(tail)
+    lines.extend(tail_lines)
     return RenderedPrompt(
         text="\n".join(lines),
         entity_type=entity_type.id,

@@ -4,8 +4,11 @@ import logging
 import os
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import CallCounter, MemoryCache, sent, span
+from reference_digest import json_digest
 from fewner.backend import (
     CachedBackend,
     DiskCache,
@@ -45,16 +48,65 @@ def req(prompt, **kwargs):
 # Digests and stop sequences
 
 def test_request_digest_pinned():
-    request = GenerationRequest(
-        prompt="Input: x\nOutput:",
-        max_new_tokens=32,
-        temperature=0.0,
-        stop_sequences=("\nInput:",),
-        model_name="m1",
-    )
-    assert request_digest(request) == (
-        "d363d3ee481d3526506c7a804664860ae69955ea7d529b5a991a4527ef259138"
-    )
+    # Digests name disk cache files, so a change here orphans old caches.
+    pinned = {
+        GenerationRequest("Input: x\nOutput:", 32, 0.0, ("\nInput:",), "m1"):
+            "d363d3ee481d3526506c7a804664860ae69955ea7d529b5a991a4527ef259138",
+        GenerationRequest(
+            "Tag diseases with @@ and ##.\nInput: Fièvre \"aiguë\" \\ café\nOutput:",
+            40, 0.0, ("\nInput:",), "m",
+        ): "de22b670c6a8eeed826694ceda19feb032a537b59838436e266ed1c01b1e6571",
+        GenerationRequest("x", 40, 0, (), ""):
+            "671a8a3ce441e9c6f985a121d5639ab7068be0f29116f530316592f15002ef10",
+    }
+    for request, digest in pinned.items():
+        assert request_digest(request) == digest, request
+
+
+# Quotes, backslashes, control and line-separator characters, non-ASCII
+# letters and any other character JSON can encode.
+_TRICKY_TEXT = st.text(
+    st.one_of(
+        st.sampled_from('"\\\n\t\x00\x1f\x7f\u2028é€😀'),
+        st.characters(blacklist_categories=("Cs",)),
+    ),
+    max_size=30,
+)
+
+
+@given(
+    prompt=_TRICKY_TEXT,
+    model_name=_TRICKY_TEXT,
+    stops=st.lists(_TRICKY_TEXT, max_size=3),
+    max_new_tokens=st.integers(),
+    temperature=st.one_of(st.floats(), st.integers()),
+)
+def test_request_digest_matches_the_json_reference(
+    prompt, model_name, stops, max_new_tokens, temperature
+):
+    request = GenerationRequest(prompt, max_new_tokens, temperature, tuple(stops), model_name)
+    assert request_digest(request) == json_digest(request)
+
+
+class _Text(str):
+    pass
+
+
+# Values json.dumps writes differently from repr, or that only it accepts.
+@pytest.mark.parametrize("change", [
+    {"temperature": True},
+    {"temperature": float("nan")},
+    {"temperature": -float("inf")},
+    {"max_new_tokens": True},
+    {"max_new_tokens": 40.0},
+    {"stop_sequences": ["\nInput:"]},
+    {"stop_sequences": ("\nInput:", 7)},
+    {"prompt": _Text("Input: x\nOutput:")},
+])
+def test_request_digest_of_other_field_types_matches_the_json_reference(change):
+    base = GenerationRequest("Input: x\nOutput:", 40, 0.0, (), "m")
+    request = dataclasses.replace(base, **change)
+    assert request_digest(request) == json_digest(request)
 
 
 def test_request_digest_covers_every_field():
@@ -593,6 +645,32 @@ def test_disk_cache_writers_do_not_share_a_temp_file(tmp_path, monkeypatch):
     assert len(calls) == 2 and calls[0] != calls[1]
     assert DiskCache(tmp_path).get(key) == mine  # the last rename wins
     assert [p.name for p in tmp_path.iterdir()] == [f"{key}.json"]
+
+
+def test_disk_cache_reads_an_entry_in_the_old_indented_layout(tmp_path):
+    request = req("Input: kept.\nOutput:")
+    key = request_digest(request)
+    payload = {
+        "request_hash": key, "completion": "old.", "latency_s": 0.5,
+        "backend_id": "echo", "timestamp": 2.0,
+    }
+    (tmp_path / f"{key}.json").write_text(
+        json.dumps(payload, sort_keys=True, ensure_ascii=False, indent=2), encoding="utf-8"
+    )
+    assert DiskCache(tmp_path).get(key) == GenerationRecord(**payload)
+    counting = CallCounter(EchoBackend())
+    assert CachedBackend(counting, DiskCache(tmp_path)).generate(request) == "old."
+    assert counting.calls == 0
+
+
+def test_disk_cache_writes_compact_json(tmp_path):
+    record = GenerationRecord(
+        request_hash="b" * 64, completion="é\n", latency_s=0.1, backend_id="echo", timestamp=1.0
+    )
+    DiskCache(tmp_path).put(record.request_hash, record)
+    text = (tmp_path / f"{record.request_hash}.json").read_text(encoding="utf-8")
+    assert "\n" not in text and ": " not in text
+    assert json.loads(text) == dataclasses.asdict(record)
 
 
 def test_disk_cache_missing_key(tmp_path):

@@ -94,6 +94,27 @@ def test_cached_backend_sends_one_request_once_under_threads():
     assert slow.calls == 1
 
 
+def test_cached_backend_keeps_no_lock_once_its_requests_end():
+    slow = SlowBackend(EchoBackend(), delay_s=0.002, fail_on={2})
+    cached = CachedBackend(slow, MemoryCache())
+    request = GenerationRequest(prompt="Input: a b.\nOutput:", max_new_tokens=8)
+    assert run_threads(lambda: cached.generate(request)) == ["a b."] * THREADS
+    assert slow.calls == 1 and cached._locks == {}
+    with pytest.raises(ProtocolError):  # the second call fails
+        cached.generate(GenerationRequest(prompt="Input: c d.\nOutput:", max_new_tokens=8))
+    assert cached.generate(request) == "a b."
+    assert cached._locks == {}
+    sequential = oracle_pipeline(lambda oracle: CachedBackend(oracle, MemoryCache()))
+    greedy_search(sequential, PromptConfig(self_verification=True))
+    assert sequential.backend._locks == {}
+    pooled = oracle_pipeline(
+        lambda oracle: CachedBackend(SlowBackend(oracle, delay_s=0.005), MemoryCache())
+    )
+    greedy_search(pooled, PromptConfig(self_verification=True))
+    assert pooled.backend.inner.peak_in_flight > 1
+    assert pooled.backend._locks == {}
+
+
 def test_waiting_backend_overlaps_calls_without_changing_the_trace():
     waiting = oracle_pipeline(lambda oracle: SlowBackend(oracle, delay_s=0.005))
     base = PromptConfig(self_verification=True)

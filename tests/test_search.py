@@ -172,6 +172,39 @@ def test_verification_without_negative_examples_keeps_spans():
     assert result.diagnostics.unverified_kept == 1
 
 
+@pytest.mark.parametrize("budget", [100, 160])
+def test_verification_prompts_fit_the_token_budget(budget):
+    sentences, types = synthetic_corpus(8, seed=11)
+    seen = []
+    pipeline = PromptingPipeline(
+        sentences, types, OracleBackend(sentences, types),
+        PipelineSettings(token_budget=budget), observer=lambda prompt, _: seen.append(prompt),
+    )
+    assert pipeline.evaluate_loocv(PromptConfig(self_verification=True)) == 1.0
+    verification = [p for p in seen if p.kind == "self_verification"]
+    assert verification and sum(p.dropped_demos for p in verification) > 0
+    assert all(estimate_tokens(p.text) <= budget for p in verification)
+    assert all(
+        p.estimated_tokens == estimate_tokens(p.text) and len(p.demonstrations) >= 2
+        for p in verification
+    )
+
+
+def test_a_span_whose_verification_cannot_fit_stays_unverified():
+    sentences, types = synthetic_corpus(8, seed=11)
+    seen = []
+    pipeline = PromptingPipeline(
+        sentences, types, OracleBackend(sentences, types),
+        PipelineSettings(token_budget=80), observer=lambda prompt, _: seen.append(prompt),
+    )
+    predictions = pipeline.predict(PromptConfig(self_verification=True), sentences)
+    # Main prompts fit by dropping demos; no verification prompt fits with
+    # two demos, so every decoded span is kept unverified.
+    assert {p.kind for p in seen} == {"main"}
+    assert predictions.total_spans() == sum(len(s.spans) for s in sentences)
+    assert predictions.diagnostics.unverified_kept == predictions.total_spans()
+
+
 def test_predict_over_unseen_sentences():
     sample, types = synthetic_corpus(6, seed=11)
     extra, _ = synthetic_corpus(9, seed=12)

@@ -396,22 +396,29 @@ def test_stop_sequences_per_language_and_dialogue():
 
 
 def test_a_shared_memo_renders_what_a_fresh_memo_renders(diso, chem):
-    # One memo serves every mask, mode, separator, language and type; each
-    # render must equal a render that memoizes nothing across calls.
+    # One memo serves every mask, mode, separator, language, type, test
+    # sentence and verified mention; each render must equal a render that
+    # memoizes nothing across calls.
     d3 = sent("d3", "Aspirin eased the fever and the rash.", [
         span(0, 7, "CHEM", "Aspirin"), span(18, 23, "DISO", "fever"), span(32, 36, "DISO", "rash"),
     ])
     vdemos = [(D1, "diabetes", True), (D2, "today", False), (d3, "rash", True)]
+    test_texts = (TEST_TEXT, "He denies chest pain.", "Fièvre et toux.")
+    # (context sentence, mention): each differs from another in one part.
+    candidates = ((TEST_TEXT, "nausea"), (TEST_TEXT, "reports"), ("Nausea again.", "nausea"))
     memo: dict = {}
     for mask in range(1 << len(FEATURE_NAMES)):
         for mode, separator in (("tagging", "comma"), ("listing", "comma"), ("listing", "newline")):
             config = PromptConfig.from_bitmask(mask, mode=mode, listing_separator=separator)
             for language in ("en", "fr", "es"):
                 for entity_type in (diso, chem):
-                    args = (config, entity_type, [D1, D2, d3], TEST_TEXT, language, 140, 7)
-                    assert fit_to_budget(*args, memo=memo) == fit_to_budget(*args)
-                    if config.self_verification:
-                        args = (config, entity_type, "nausea", TEST_TEXT, vdemos, language)
+                    for test_text in test_texts:
+                        args = (config, entity_type, [D1, D2, d3], test_text, language, 140, 7)
+                        assert fit_to_budget(*args, memo=memo) == fit_to_budget(*args)
+                    if not config.self_verification:
+                        continue
+                    for context, mention in candidates:
+                        args = (config, entity_type, mention, context, vdemos, language)
                         assert render_verification_prompt(*args, memo=memo) == (
                             render_verification_prompt(*args)
                         )
