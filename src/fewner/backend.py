@@ -74,7 +74,9 @@ def request_digest(request: GenerationRequest) -> str:
     writes.  It is built by hand when every field has its plain type (an
     int, a finite float or int temperature, strings, a tuple of strings),
     and by json.dumps otherwise; both give the same text, so digests never
-    depend on the path.
+    depend on the path.  The text is UTF-8 encoded with "surrogatepass", so
+    a lone surrogate, which a server's JSON escape can produce, hashes
+    instead of raising; valid text encodes as plain UTF-8.
     """
     max_new_tokens, temperature = request.max_new_tokens, request.temperature
     model_name, prompt, stops = request.model_name, request.prompt, request.stop_sequences
@@ -95,7 +97,7 @@ def request_digest(request: GenerationRequest) -> str:
                 max_new_tokens, _encode_string(model_name), _encode_string(prompt),
                 ", ".join(encoded), temperature,
             )
-            return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+            return hashlib.sha256(blob.encode("utf-8", "surrogatepass")).hexdigest()
     payload = {
         "prompt": prompt,
         "max_new_tokens": max_new_tokens,
@@ -104,7 +106,7 @@ def request_digest(request: GenerationRequest) -> str:
         "model_name": model_name,
     }
     blob = json.dumps(payload, sort_keys=True, ensure_ascii=False)
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    return hashlib.sha256(blob.encode("utf-8", "surrogatepass")).hexdigest()
 
 
 def truncate_at_stop(text: str, stop_sequences: tuple[str, ...]) -> str:
@@ -295,7 +297,8 @@ class OracleBackend:
     listing prompts the separator-joined gold mentions, verification prompts
     Yes or No (in the prompt's language) by gold membership of the candidate
     mention.  Subclasses can perturb the answered span set by overriding
-    _spans_for_answer.
+    _spans_for_answer, which must be a pure function of the sentence and
+    the type: the oracle keeps its outermost spans per (sentence id, type).
     """
 
     backend_id = "oracle"
@@ -341,6 +344,9 @@ class OracleBackend:
         self._answers = {
             lang: (frags[lang]["answer_no"], frags[lang]["answer_yes"]) for lang in frags
         }
+        # (sentence id, type) -> outermost answered spans; at most one entry
+        # per sentence and type of the corpus above.
+        self._answered: dict[tuple[str, str], tuple[EntitySpan, ...]] = {}
 
     # Overridden by noisy variants.
     def _spans_for_answer(
@@ -394,28 +400,27 @@ class OracleBackend:
         else:
             raise ConfigError("prompt names no known entity type on its first line")
         tags = ALT_TAGS if ALT_TAGS.open in prompt else DEFAULT_TAGS
-        input_label, output_label = self._labels[lang]
-        pairs = _turn_pairs(prompt, input_label, output_label)
-        test_text = _final_input_text(prompt)
-        sentence = self._sentence(test_text)
-        spans = self._spans_for_answer(sentence, type_id)
-        if self._is_listing(prompt, first_line, pairs, tags):
+        sentence = self._sentence(_final_input_text(prompt))
+        key = (sentence.id, type_id)
+        spans = self._answered.get(key)
+        if spans is None:
+            spans = self._answered[key] = outermost_spans(
+                self._spans_for_answer(sentence, type_id)
+            )
+        if self._is_listing(prompt, first_line, lang, tags):
             sep = "\n" if self._newline_names[lang] in prompt else ", "
-            return sep.join(sp.mention for sp in outermost_spans(spans))
-        return tag_sentence(sentence.text, outermost_spans(spans), tags)
+            return sep.join(sp.mention for sp in spans)
+        return tag_sentence(sentence.text, spans, tags)
 
-    def _is_listing(
-        self,
-        prompt: str,
-        first_line: str,
-        pairs: list[tuple[str, str]],
-        tags,
-    ) -> bool:
+    def _is_listing(self, prompt: str, first_line: str, lang: str, tags) -> bool:
+        """Whether the prompt asks for a list: its first line says so, or
+        else, when no tag appears, its demo turns show it."""
         for marker in self._listing_markers.values():
             if first_line.startswith(marker):
                 return True
         if tags.open in prompt:
             return False
+        pairs = _turn_pairs(prompt, *self._labels[lang])
         if any(out == inp and out for inp, out in pairs):
             # Untagged passthrough only happens in tagging mode.
             return False
@@ -514,7 +519,9 @@ class DiskCache:
     own and renames it into place, so threads and processes sharing the
     directory never see or clobber a half-written entry.  Entries are
     written as compact JSON; get reads any layout, such as the indented
-    one of older caches.
+    one of older caches.  Entries are ASCII, with every other character
+    escaped, so any completion string can be stored, a lone surrogate
+    included.
     """
 
     def __init__(self, directory: str | Path):
@@ -526,8 +533,6 @@ class DiskCache:
 
     def get(self, key: str) -> GenerationRecord | None:
         path = self._path(key)
-        if not path.exists():
-            return None
         try:
             payload = json.loads(path.read_text(encoding="utf-8"))
             record = GenerationRecord(
@@ -537,6 +542,8 @@ class DiskCache:
                 backend_id=payload["backend_id"],
                 timestamp=payload["timestamp"],
             )
+        except FileNotFoundError:  # never written, or removed by another process
+            return None
         except (json.JSONDecodeError, KeyError, TypeError, UnicodeDecodeError) as exc:
             logger.warning("ignoring corrupt cache entry %s: %s", path, exc)
             return None
@@ -559,19 +566,25 @@ class DiskCache:
             "timestamp": record.timestamp,
         }
         tmp = path.with_name(f"{key}.{secrets.token_hex(8)}.tmp")
-        blob = json.dumps(payload, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
-        with open(tmp, "x", encoding="utf-8") as out:
-            out.write(blob)
-        os.replace(tmp, path)
+        blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        try:
+            with open(tmp, "x", encoding="utf-8") as out:
+                out.write(blob)
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
 
 
 class CachedBackend:
     """Memoizes completions by request digest.
 
-    Identical concurrent requests are serialized by a per-key lock, so the
-    wrapped backend sees each distinct request at most once per cache
-    lifetime.  A key's lock lives only while some caller holds or awaits
-    it: each entry counts its users, and the last to leave removes it.
+    A hit takes no lock: the store is read right after the digest.  A miss
+    enters a per-key lock and reads the store again before calling the
+    wrapped backend, so identical concurrent requests reach it at most
+    once per cache lifetime, even when a put lands between the two reads.
+    A key's lock lives only while some caller holds or awaits it: each
+    entry counts its users, and the last to leave removes it.
     """
 
     def __init__(self, inner: CompletionBackend, cache):
@@ -583,6 +596,9 @@ class CachedBackend:
 
     def generate(self, request: GenerationRequest) -> str:
         key = request_digest(request)
+        record = self.cache.get(key)
+        if record is not None:
+            return record.completion
         with self._master:
             entry = self._locks.get(key)
             if entry is None:

@@ -162,11 +162,13 @@ class PromptingPipeline:
 
     Planning work that depends on the item and not on the feature flags is
     memoized: ranked demos, shuffled orders, verification demos, demo
-    turns with their token counts, and max_new_tokens.  LOOCV keeps one
-    memo for the pipeline's lifetime, since its folds are the same for
-    every configuration; any other wave gets a fresh memo that ends with
-    it.  So entries stay bounded by k x types x the few selection and
-    render variants.
+    turns and whole demo blocks with their token counts, and
+    max_new_tokens; so is each decoded completion.  LOOCV keeps one memo
+    for the pipeline's lifetime, since its folds are the same for every
+    configuration; any other wave gets a fresh memo that ends with it.  So
+    planning entries stay bounded by k x types x the few selection and
+    render variants, and decoded ones by the distinct main completions of
+    the folds.
     """
 
     def __init__(
@@ -331,30 +333,27 @@ class PromptingPipeline:
     ) -> list[DecodeResult]:
         """The dependent wave: one yes/no request per decoded span.
 
-        A span whose prompt cannot fit the token budget is kept unverified,
-        counted as an unparseable answer is.
+        A span with no verification demos, or whose prompt cannot fit the
+        token budget, is kept unverified, counted as an unparseable answer
+        is.  results are never changed in place, since memos share them.
         """
         language = self._language(config)
         requests: list[GenerationRequest] = []
         asked: list[list[bool]] = []  # per item, whether each span was asked
         for item, item_demos, result in zip(items, demos, results):
-            if not result.spans:
-                asked.append([])
-                continue
-            key = ("verification", tuple(d.id for d in item_demos), item.entity_type.id)
-            if key not in memo:
-                memo[key] = self._verification_demos(item_demos, item.entity_type)
-            vdemos = memo[key]
-            if vdemos is None:
-                result.diagnostics.unverified_kept += len(result.spans)
-                asked.append([])
-                continue
             item_asked = []
-            for span in result.spans:
-                prompt = self._fit_verification(config, item, span.mention, vdemos, language, memo)
-                if prompt is not None:
-                    requests.append(self._request(prompt, item, memo))
-                item_asked.append(prompt is not None)
+            if result.spans:
+                key = ("verification", tuple(d.id for d in item_demos), item.entity_type.id)
+                if key not in memo:
+                    memo[key] = self._verification_demos(item_demos, item.entity_type)
+                vdemos = memo[key]
+                for span in result.spans:
+                    prompt = None if vdemos is None else self._fit_verification(
+                        config, item, span.mention, vdemos, language, memo
+                    )
+                    if prompt is not None:
+                        requests.append(self._request(prompt, item, memo))
+                    item_asked.append(prompt is not None)
             asked.append(item_asked)
         verdicts = iter(
             parse_verification(completion) for completion in self._send(requests)
@@ -396,7 +395,8 @@ class PromptingPipeline:
     ) -> list[DecodeResult]:
         """Spans for each item: plan every main prompt in item order, send
         them, decode in item order, then verify as a second wave.  memo
-        defaults to a fresh one for this wave."""
+        defaults to a fresh one for this wave; it also keeps each decoded
+        result, keyed by all the decoder reads."""
         memo = {} if memo is None else memo
         language = self._language(config)
         demos: list[tuple[AnnotatedSentence, ...]] = []
@@ -420,18 +420,29 @@ class PromptingPipeline:
             )
             demos.append(item_demos)
             requests.append(self._request(prompt, item, memo))
+        tagging = config.mode == "tagging"
+        # What picks the decoder and shapes its output, besides the item.
+        decoder = (
+            config.mode,
+            config.alt_taggers if tagging else config.listing_separator,
+            config.dialogue_template,
+        )
         results = []
         for item, completion in zip(items, self._send(requests)):
-            if config.mode == "tagging":
-                result = decode_tagged(
-                    completion, item.text, config.tag_pair, item.entity_type.id,
-                    config.dialogue_template,
-                )
-            else:
-                result = decode_listing(
-                    completion, item.text, config.listing_separator, item.entity_type.id,
-                    config.dialogue_template,
-                )
+            key = ("decoded", decoder, item.entity_type.id, item.text, completion)
+            result = memo.get(key)
+            if result is None:
+                if tagging:
+                    result = decode_tagged(
+                        completion, item.text, config.tag_pair, item.entity_type.id,
+                        config.dialogue_template,
+                    )
+                else:
+                    result = decode_listing(
+                        completion, item.text, config.listing_separator, item.entity_type.id,
+                        config.dialogue_template,
+                    )
+                memo[key] = result
             results.append(result)
         if config.self_verification:
             results = self._verify(config, items, demos, results, memo)

@@ -288,6 +288,20 @@ def _counted_turn(memo: dict, key: tuple, build) -> tuple[tuple[str, ...], int]:
     return turn
 
 
+def _counted_block(memo: dict, key: tuple, turns) -> tuple[tuple[str, ...], int]:
+    """The lines of consecutive turns and their summed token count,
+    memoized under key; turns() yields each (lines, count) pair and runs
+    only when key is new."""
+    block = memo.get(key)
+    if block is None:
+        parts = list(turns())
+        block = memo[key] = (
+            tuple(line for lines, _ in parts for line in lines),
+            sum(count for _, count in parts),
+        )
+    return block
+
+
 def render_main_prompt(
     config: PromptConfig,
     entity_type: EntityType,
@@ -305,8 +319,9 @@ def render_main_prompt(
 
     memo, when given, keeps the lines and token count of each part across
     calls: the header with its definition, each demonstration (keyed by
-    sentence id), and the intro with the test turn.  Share one only among
-    calls whose sentences of one id are the same sentence.
+    sentence id), the whole demonstration block (keyed by the ordered ids),
+    and the intro with the test turn.  Share one only among calls whose
+    sentences of one id are the same sentence.
     """
     if not demos and not allow_empty_demos:
         raise ConfigError("cannot render a prompt with an empty demonstration set")
@@ -330,29 +345,31 @@ def render_main_prompt(
 
     # Lines are joined by "\n" and no token spans whitespace, so the
     # prompt's count is the sum of the counts of its parts.
-    head_lines, tokens = _counted_turn(
+    head_lines, head_tokens = _counted_turn(
         memo, ("head", variant, config.specialist_persona, config.label_definitions), head
     )
     tail_lines, tail_tokens = _counted_turn(
         memo, ("tail", variant, test_text, config.intro_sentence, config.dialogue_template), tail
     )
-    lines = list(head_lines)
-    tokens += tail_tokens
-    for demo in demos:
-        turn, turn_tokens = _counted_turn(
-            memo,
-            ("demo", demo.id, variant, config.dialogue_template),
-            lambda: _turn(frags, config, demo.text, _demo_output(demo, entity_type, config)),
-        )
-        lines.extend(turn)
-        tokens += turn_tokens
-    lines.extend(tail_lines)
+
+    def turns():
+        for demo in demos:
+            yield _counted_turn(
+                memo,
+                ("demo", demo.id, variant, config.dialogue_template),
+                lambda: _turn(frags, config, demo.text, _demo_output(demo, entity_type, config)),
+            )
+
+    demo_ids = tuple(d.id for d in demos)
+    block_lines, block_tokens = _counted_block(
+        memo, ("demo_block", demo_ids, variant, config.dialogue_template), turns
+    )
     return RenderedPrompt(
-        text="\n".join(lines),
+        text="\n".join((*head_lines, *block_lines, *tail_lines)),
         entity_type=entity_type.id,
-        demonstrations=tuple(d.id for d in demos),
+        demonstrations=demo_ids,
         stop_sequences=stop_sequences_for(config, prompt_language),
-        estimated_tokens=tokens,
+        estimated_tokens=head_tokens + block_tokens + tail_tokens,
         kind="main",
     )
 
@@ -395,7 +412,7 @@ def render_verification_prompt(
     memo = {} if memo is None else memo
     frags = fragments_for(prompt_language)
     singular = entity_type.singular(prompt_language)
-    head_lines, tokens = _counted_turn(
+    head_lines, head_tokens = _counted_turn(
         memo,
         ("verify_head", entity_type.id, prompt_language),
         lambda: [frags["verification_task"].format(singular=singular)],
@@ -415,35 +432,37 @@ def render_verification_prompt(
             None,
         ),
     )
-    lines = list(head_lines)
-    tokens += tail_tokens
-    for sentence, mention, is_positive in demos:
-        turn, turn_tokens = _counted_turn(
-            memo,
-            (
-                "verify", sentence.id, mention, is_positive, entity_type.id,
-                config.long_verification_answer, config.dialogue_template, prompt_language,
-            ),
-            lambda: _turn(
-                frags,
-                config,
-                frags["verification_question"].format(
-                    sentence=sentence.text, mention=mention, singular=singular
+    shape = (
+        entity_type.id, config.long_verification_answer, config.dialogue_template,
+        prompt_language,
+    )
+
+    def turns():
+        for sentence, mention, is_positive in demos:
+            yield _counted_turn(
+                memo,
+                ("verify", sentence.id, mention, is_positive, *shape),
+                lambda: _turn(
+                    frags,
+                    config,
+                    frags["verification_question"].format(
+                        sentence=sentence.text, mention=mention, singular=singular
+                    ),
+                    _verification_answer(
+                        frags, config, entity_type, prompt_language, mention, is_positive
+                    ),
                 ),
-                _verification_answer(
-                    frags, config, entity_type, prompt_language, mention, is_positive
-                ),
-            ),
-        )
-        lines.extend(turn)
-        tokens += turn_tokens
-    lines.extend(tail_lines)
+            )
+
+    block_lines, block_tokens = _counted_block(
+        memo, ("verify_block", tuple((s.id, m, pos) for s, m, pos in demos), shape), turns
+    )
     return RenderedPrompt(
-        text="\n".join(lines),
+        text="\n".join((*head_lines, *block_lines, *tail_lines)),
         entity_type=entity_type.id,
         demonstrations=tuple(s.id for s, _, _ in demos),
         stop_sequences=stop_sequences_for(config, prompt_language),
-        estimated_tokens=tokens,
+        estimated_tokens=head_tokens + block_tokens + tail_tokens,
         kind="self_verification",
     )
 

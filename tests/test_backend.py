@@ -1,7 +1,10 @@
 import dataclasses
+import hashlib
 import json
 import logging
 import os
+import threading
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -30,6 +33,7 @@ from fewner.decode import (
     parse_verification,
 )
 from fewner.errors import ConfigError, ProtocolError, TransportError
+from fewner.search import PipelineSettings, PromptingPipeline, grid_search
 from fewner.synthetic import synthetic_corpus
 from fewner.templates import (
     PromptConfig,
@@ -64,10 +68,10 @@ def test_request_digest_pinned():
 
 
 # Quotes, backslashes, control and line-separator characters, non-ASCII
-# letters and any other character JSON can encode.
+# letters, lone surrogates and any other character JSON can encode.
 _TRICKY_TEXT = st.text(
     st.one_of(
-        st.sampled_from('"\\\n\t\x00\x1f\x7f\u2028é€😀'),
+        st.sampled_from('"\\\n\t\x00\x1f\x7f\u2028é€😀\ud800\udfff'),
         st.characters(blacklist_categories=("Cs",)),
     ),
     max_size=30,
@@ -107,6 +111,27 @@ def test_request_digest_of_other_field_types_matches_the_json_reference(change):
     base = GenerationRequest("Input: x\nOutput:", 40, 0.0, (), "m")
     request = dataclasses.replace(base, **change)
     assert request_digest(request) == json_digest(request)
+
+
+def test_request_digest_hashes_lone_surrogates():
+    # A server's "\ud800" escape decodes to a lone surrogate, which plain
+    # UTF-8 cannot encode; the canonical JSON is encoded with surrogatepass.
+    request = GenerationRequest("Input: a \ud800 b\nOutput:", 32, 0.0, ("\nInput:",), "m")
+    blob = json.dumps(
+        {
+            "max_new_tokens": 32, "model_name": "m", "prompt": request.prompt,
+            "stop_sequences": ["\nInput:"], "temperature": 0.0,
+        },
+        sort_keys=True, ensure_ascii=False,
+    )
+    expected = hashlib.sha256(blob.encode("utf-8", "surrogatepass")).hexdigest()
+    assert request_digest(request) == expected
+    # The json.dumps path agrees, and other surrogates hash apart.
+    assert request_digest(dataclasses.replace(request, temperature=False)) == json_digest(
+        dataclasses.replace(request, temperature=False)
+    )
+    other = dataclasses.replace(request, prompt="Input: a \udfff b\nOutput:")
+    assert request_digest(other) != request_digest(request)
 
 
 def test_request_digest_covers_every_field():
@@ -351,6 +376,19 @@ def test_oracle_handles_persona_listing_prompts(corpora, registry):
         assert answer == ", ".join(s.mention for s in target.spans_of("DISO")), demos
 
 
+def test_oracle_reads_untagged_persona_demos_as_tagging(corpora, registry):
+    # No tag and no task line: demo outputs that repeat their inputs can
+    # only come from tagging, so the answer is the sentence, untagged.
+    sentences, types = corpora["en"]
+    oracle = OracleBackend(sentences, types)
+    poor = [s for s in sentences if not s.spans_of("DISO")]
+    target, demos = poor[0], poor[1:3]
+    config = PromptConfig(specialist_persona=True)
+    prompt = render_main_prompt(config, registry["DISO"], demos, target.text, "en")
+    assert "@@" not in prompt.text
+    assert oracle.generate(req(prompt.text)) == target.text
+
+
 def test_oracle_tagging_with_all_decorations(corpora, registry):
     sentences, types = corpora["en"]
     oracle = OracleBackend(sentences, types)
@@ -488,6 +526,42 @@ def test_noisy_oracle_is_call_order_independent(corpora, registry):
         assert _tagging_answer(first, registry, sentences, t) == forward[t.id]
 
 
+class Transcript:
+    """Keeps the first answer the wrapped backend gave to each prompt."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.backend_id = inner.backend_id
+        self.answers: dict[str, str] = {}
+
+    def generate(self, request):
+        answer = self.inner.generate(request)
+        self.answers.setdefault(request.prompt, answer)
+        return answer
+
+
+@pytest.mark.parametrize("mode, separator", [
+    ("tagging", "comma"), ("listing", "comma"), ("listing", "newline"),
+])
+def test_noisy_oracle_answers_a_grid_as_a_fresh_oracle_does(mode, separator):
+    # The oracle keeps answered spans per sentence and type and reads demo
+    # turns only when the first line and the tags leave the mode open;
+    # neither may change an answer.
+    sentences, types = synthetic_corpus(5, seed=29)
+
+    def oracle():
+        return make_noisy_oracle(sentences, types, seed=29, drop_prob=0.3, spurious_prob=0.4)
+
+    transcript = Transcript(oracle())
+    pipeline = PromptingPipeline(sentences, types, transcript, PipelineSettings(seed=29))
+    grid_search(
+        pipeline, PromptConfig(mode=mode, listing_separator=separator), acknowledge_cost=True
+    )
+    assert len(transcript.answers) > 100
+    for prompt, answer in transcript.answers.items():
+        assert oracle().generate(req(prompt)) == answer
+
+
 def test_noisy_oracle_seed_changes_answers(corpora, registry):
     sentences, types = corpora["en"]
     targets = _pool_with_mentions(sentences, "DISO")
@@ -558,10 +632,24 @@ def test_cached_backend_deduplicates():
     second = cached.generate(req("Input: a b.\nOutput:"))
     assert first == second == "a b."
     assert counting.calls == 1
-    assert cache.hits == 1 and cache.misses == 1
+    # The first request misses twice: before its key's lock and under it.
+    assert cache.hits == 1 and cache.misses == 2
     cached.generate(req("Input: c.\nOutput:"))
     assert counting.calls == 2
     assert len(cache) == 2
+
+
+def test_cached_backend_serves_a_hit_without_taking_a_lock():
+    cached = CachedBackend(EchoBackend(), MemoryCache())
+    request = req("Input: a b.\nOutput:")
+    cached.generate(request)
+    answers = []
+    with cached._master:  # a miss of another key holds the lock table
+        hit = threading.Thread(target=lambda: answers.append(cached.generate(request)))
+        hit.start()
+        hit.join(timeout=5)
+        assert not hit.is_alive()
+    assert answers == ["a b."] and cached._locks == {}
 
 
 def test_cached_backend_records_metadata():
@@ -586,6 +674,64 @@ def test_disk_cache_round_trip(tmp_path):
     again = CachedBackend(counting, DiskCache(tmp_path / "gen"))
     assert again.generate(request) == "persisted."
     assert counting.calls == 0
+
+
+@pytest.mark.parametrize("probe", ["exists", "read_text"])
+def test_disk_cache_treats_an_entry_removed_before_its_read_as_a_miss(
+    tmp_path, monkeypatch, probe
+):
+    cache = DiskCache(tmp_path)
+    key = "c" * 64
+    record = GenerationRecord(
+        request_hash=key, completion="x", latency_s=0.1, backend_id="echo", timestamp=1.0
+    )
+    cache.put(key, record)
+    entry = tmp_path / f"{key}.json"
+    real = getattr(Path, probe)
+
+    def vanish_then_probe(self, *args, **kwargs):
+        # Another process removes the entry just before this probe of it;
+        # every other path is left alone.
+        if self == entry:
+            os.remove(entry)
+            if probe == "exists":
+                return True
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, probe, vanish_then_probe)
+    try:
+        got = cache.get(key)  # must not raise
+    finally:
+        monkeypatch.undo()
+    # Whatever is gone by the time of the read is a miss.
+    assert got is None or got == record and entry.is_file()
+
+
+def test_disk_cache_stores_a_lone_surrogate(tmp_path):
+    request = req("Input: a \ud800 b.\nOutput:")
+    assert CachedBackend(EchoBackend(), DiskCache(tmp_path)).generate(request) == "a \ud800 b."
+    [entry] = tmp_path.iterdir()
+    assert entry.suffix == ".json" and entry.read_bytes().isascii()
+    counting = CallCounter(EchoBackend())
+    assert CachedBackend(counting, DiskCache(tmp_path)).generate(request) == "a \ud800 b."
+    assert counting.calls == 0
+
+
+def test_disk_cache_put_that_fails_leaves_no_temp_file(tmp_path, monkeypatch):
+    record = GenerationRecord(
+        request_hash="d" * 64, completion="x", latency_s=0.1, backend_id="echo", timestamp=1.0
+    )
+
+    def replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", replace)
+    try:
+        with pytest.raises(OSError, match="disk full"):
+            DiskCache(tmp_path).put(record.request_hash, record)
+    finally:
+        monkeypatch.undo()
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_disk_cache_ignores_corrupt_entries(tmp_path, caplog):

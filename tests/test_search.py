@@ -1,11 +1,13 @@
+import itertools
 import random
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import replace
 
 import pytest
 
 from conftest import additive_scorer, nine_weights, sent, span
 from fewner.backend import EchoBackend, GenerationRequest, OracleBackend, make_noisy_oracle
+from fewner.decode import decode_listing, decode_tagged
 from fewner.errors import ConfigError
 from fewner.evaluation import score
 from fewner.search import (
@@ -460,6 +462,105 @@ def test_predict_sends_what_annotate_sends_per_sentence(config):
             held_out = s.id if s is sample[0] else None
             one_by_one.annotate(config, t, s.text, s.id, held_out_id=held_out)
     assert Counter(waves.stream) == Counter(single.stream)
+
+
+@pytest.fixture
+def decoded(monkeypatch):
+    """backend -> (spans, diagnostics) of every item that the waves of
+    pipelines over that backend returned, read as each wave returns."""
+    seen = defaultdict(list)
+    real = PromptingPipeline._annotate_wave
+
+    def wave(self, config, items, memo=None):
+        results = real(self, config, items, memo)
+        seen[self.backend].extend((r.spans, r.diagnostics.to_dict()) for r in results)
+        return results
+
+    monkeypatch.setattr(PromptingPipeline, "_annotate_wave", wave)
+    return seen
+
+
+def test_one_pipeline_scores_and_decodes_every_mask_as_a_fresh_pipeline_does(decoded):
+    sentences, types = synthetic_corpus(7, seed=17)
+    oracle = make_noisy_oracle(sentences, types, seed=17, drop_prob=0.2, spurious_prob=0.3)
+    # Tight enough that some verification prompts do not fit.
+    settings = PipelineSettings(seed=17, token_budget=130)
+    shared, fresh = StreamRecorder(oracle), StreamRecorder(oracle)
+    pipeline = PromptingPipeline(sentences, types, shared, settings)
+    for mask in range(1 << len(FEATURE_NAMES)):
+        config = PromptConfig.from_bitmask(mask)
+        expected = PromptingPipeline(sentences, types, fresh, settings).evaluate_loocv(config)
+        assert pipeline.evaluate_loocv(config) == expected, mask
+    assert decoded[shared] == decoded[fresh]
+    assert any(diagnostics["unverified_kept"] for _, diagnostics in decoded[shared])
+
+
+class ScriptedBackend:
+    """Answers every request with one completion."""
+
+    backend_id = "scripted"
+
+    def __init__(self, completion):
+        self.completion = completion
+
+    def generate(self, request):
+        return self.completion
+
+
+def test_the_decode_memo_keeps_every_decoder_input_apart(decoded, registry):
+    # Each tag pair, separator and turn layout decodes this completion to
+    # other spans or counts, and each sentence and type to other spans; one
+    # pipeline must decode each item as the decoder itself does.
+    sentences = [
+        sent("s1", "fever and rash after aspirin"),
+        sent("s2", "aspirin eased the fever and the rash"),
+        sent("s3", "rash, fever and aspirin"),
+    ]
+    types = [registry["DISO"], registry["CHEM"]]
+    completion = "@@fever## <<rash>>, aspirin\n- @@aspirin##\nfever"
+    backend = ScriptedBackend(completion)
+    pipeline = PromptingPipeline(sentences, types, backend)
+    decoders = [("tagging", "comma"), ("listing", "comma"), ("listing", "newline")]
+    expected = []
+    for (mode, separator), alt, dialogue, verify in itertools.product(
+        decoders, (False, True), (False, True), (False, True)
+    ):
+        config = PromptConfig(
+            mode=mode, listing_separator=separator, alt_taggers=alt,
+            dialogue_template=dialogue, self_verification=verify,
+        )
+        pipeline.evaluate_loocv(config)
+        for s in sentences:
+            for t in types:
+                if mode == "tagging":
+                    result = decode_tagged(completion, s.text, config.tag_pair, t.id, dialogue)
+                else:
+                    result = decode_listing(completion, s.text, separator, t.id, dialogue)
+                # No sentence has a gold span, so none has verification demos.
+                unverified = len(result.spans) if verify else 0
+                expected.append(
+                    (result.spans, result.diagnostics.to_dict() | {"unverified_kept": unverified})
+                )
+    assert decoded[backend] == expected
+    assert len({spans for spans, _ in expected}) > 8
+
+
+def test_spans_without_verification_demos_count_as_unverified_every_time(decoded):
+    # Every demo token is a gold mention, so no item has verification demos.
+    sentences = [
+        sent("v1", "fever", [span(0, 5, "DISO", "fever")]),
+        sent("v2", "rash", [span(0, 4, "DISO", "rash")]),
+        sent("v3", "angina", [span(0, 6, "DISO", "angina")]),
+    ]
+    _, types = synthetic_corpus(2, seed=1, type_ids=("DISO",))
+    backend = StreamRecorder(OracleBackend(sentences, types))
+    pipeline = PromptingPipeline(sentences, types, backend)
+    config = PromptConfig(self_verification=True)
+    for _ in range(2):  # the second run decodes from the fold memo
+        assert pipeline.evaluate_loocv(config) == 1.0
+    first, second = decoded[backend][:3], decoded[backend][3:]
+    assert first == second
+    assert [diagnostics["unverified_kept"] for _, diagnostics in first] == [1, 1, 1]
 
 
 @pytest.fixture(scope="module", params=["en", "fr", "es"])

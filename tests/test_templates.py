@@ -424,6 +424,37 @@ def test_a_shared_memo_renders_what_a_fresh_memo_renders(diso, chem):
                         )
 
 
+def test_a_shared_memo_keeps_demo_blocks_of_other_orders_and_triples_apart(diso, chem):
+    # A demo block is keyed by the ordered ids (or the verification
+    # triples): reordering, dropping or changing one demo must render anew.
+    d3 = sent("d3", "Aspirin eased the fever.", [
+        span(0, 7, "CHEM", "Aspirin"), span(18, 23, "DISO", "fever"),
+    ])
+    orders = ([D1, D2, d3], [d3, D2, D1], [D2, D1, d3], [D1, D2], [D1], [d3, D1])
+    triples = (
+        [(D1, "diabetes", True), (D2, "today", False)],
+        [(D2, "today", False), (D1, "diabetes", True)],
+        [(D1, "diabetes", True), (D2, "fever", False)],
+        [(D1, "diabetes", True), (D2, "today", False), (D2, "fever", True)],
+        [(D1, "diabetes", True), (D2, "today", False), (D2, "fever", False)],
+    )
+    memo: dict = {}
+    for mask in (0, 4, 8, 132, 260, 511):
+        for mode in ("tagging", "listing"):
+            config = PromptConfig.from_bitmask(mask, mode=mode)
+            for entity_type in (diso, chem):
+                for demos in orders:
+                    args = (config, entity_type, demos, TEST_TEXT, "en")
+                    assert render_main_prompt(*args, memo=memo) == render_main_prompt(*args)
+                if not config.self_verification:
+                    continue
+                for vdemos in triples:
+                    args = (config, entity_type, "nausea", TEST_TEXT, vdemos, "en")
+                    assert render_verification_prompt(*args, memo=memo) == (
+                        render_verification_prompt(*args)
+                    )
+
+
 def test_fit_to_budget_keeps_all_when_roomy(diso):
     prompt = fit_to_budget(PromptConfig(), diso, [D1, D2], TEST_TEXT, "en", budget=500)
     assert prompt.dropped_demos == 0
