@@ -6,11 +6,15 @@ mocks never look at anything but the prompt text, so they exercise exactly
 the same prompt-rendering and decoding paths as a real server.
 
 Mock limitations (deliberate, to keep them simple): sentence texts must be
-unique within the corpus handed to OracleBackend; mention surfaces and
-sentence texts must not contain double quotes; and listing prompts with the
-newline separator are only recognized when a header or intro sentence names
-the separator, and are not supported together with the dialogue template
-(a multi-line answer would break the turn shape anyway).
+unique within the corpus handed to OracleBackend, and must not contain the
+double quotes that frame them in a verification question, nor may mention
+surfaces.  OracleBackend reads a main prompt's answer format from its task
+header, else from the intro line before the test turn, else from its demo
+turns.  When a persona header comes without an intro, the text gives no
+evidence of the format in three cases, and the oracle answers in a default
+one: with no demos (@@/## tagging), in tagging mode with alt taggers and
+no tagged demo (@@/## tags), and with the newline separator (comma-joined
+mentions).
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from typing import Callable, Protocol
 from . import rng
 from .corpus import AnnotatedSentence, EntitySpan, EntityType
 from .errors import ConfigError, ProtocolError, TransportError
-from .templates import ALT_TAGS, DEFAULT_TAGS, fragments, outermost_spans, tag_sentence
+from .templates import ALT_TAGS, DEFAULT_TAGS, TagPair, fragments, outermost_spans, tag_sentence
 
 logger = logging.getLogger(__name__)
 
@@ -242,7 +246,7 @@ class HttpCompletionBackend:
 
 def _final_input_text(prompt: str) -> str:
     """The test slot content: the last Input line, or the last dash line."""
-    lines = prompt.rstrip("\n").split("\n")
+    lines = prompt.rstrip("\n").rsplit("\n", 2)
     if lines[-1].strip() == "-":
         return lines[-2][2:] if lines[-2].startswith("- ") else lines[-2]
     # Classic layout: final line is a bare output label, test input before it.
@@ -260,33 +264,16 @@ class EchoBackend:
         return _final_input_text(request.prompt)
 
 
-def _turn_pairs(prompt: str, input_label: str, output_label: str) -> list[tuple[str, str]]:
-    """(input, output) demonstration pairs, in both turn layouts.
+def _inverse(template: str) -> re.Pattern[str]:
+    """A pattern that matches exactly the lines template.format writes, with
+    each {field} captured as the group of that name."""
+    return re.compile(re.sub(r"\\\{(\w+)\\\}", r"(?P<\1>.+?)", re.escape(template)))
 
-    The final test turn is not a pair and is excluded.  In the dialogue
-    layout an empty output renders as a bare dash, which counts as "".
-    """
-    lines = prompt.rstrip("\n").split("\n")
-    pairs: list[tuple[str, str]] = []
-    if lines[-1].strip() == "-":
-        items = [
-            "" if ln.strip() == "-" else ln[2:]
-            for ln in lines
-            if ln.strip() == "-" or ln.startswith("- ")
-        ]
-        items = items[:-2]  # drop the test input and its empty answer slot
-        for i in range(0, len(items) - 1, 2):
-            pairs.append((items[i], items[i + 1]))
-        return pairs
-    for i, line in enumerate(lines[:-2]):
-        if line.startswith(input_label) and lines[i + 1].startswith(output_label):
-            pairs.append(
-                (
-                    line[len(input_label):].lstrip(),
-                    lines[i + 1][len(output_label):].lstrip(),
-                )
-            )
-    return pairs
+
+# The fragments that can write a prompt's first line, and those that can
+# write the line before a main prompt's test turn.
+_HEADERS = ("verification_task", "task_tagging", "task_listing", "persona")
+_INTROS = ("intro_tagging", "intro_listing")
 
 
 class OracleBackend:
@@ -296,9 +283,11 @@ class OracleBackend:
     Tagging prompts get the test sentence with gold outermost spans tagged,
     listing prompts the separator-joined gold mentions, verification prompts
     Yes or No (in the prompt's language) by gold membership of the candidate
-    mention.  Subclasses can perturb the answered span set by overriding
-    _spans_for_answer, which must be a pure function of the sentence and
-    the type: the oracle keeps its outermost spans per (sentence id, type).
+    mention.  The task is read by matching lines against the template
+    fragments that wrote them.  Subclasses can perturb the answered span set
+    by overriding _spans_for_answer, which must be a pure function of the
+    sentence and the type: the oracle keeps its outermost spans per
+    (sentence id, type).
     """
 
     backend_id = "oracle"
@@ -311,39 +300,20 @@ class OracleBackend:
                     f"oracle backend needs unique sentence texts; {s.id!r} duplicates one"
                 )
             self._by_text[s.text] = s
-        self._types = {t.id: t for t in entity_types}
+        # (language, "singular" or "plural", name) -> type id
+        self._type_ids = {
+            (lang, form, name): t.id
+            for t in entity_types
+            for lang, forms in t.names.items()
+            for form, name in forms.items()
+        }
         frags = fragments()
-        # (plural, language, type) sorted longest-first so e.g. a type whose
-        # plural embeds another's never resolves to the shorter name.
-        self._plurals: list[tuple[str, str, str]] = sorted(
-            (
-                (t.names[lang]["plural"], lang, t.id)
-                for t in entity_types
-                for lang in t.languages()
-            ),
-            key=lambda item: (-len(item[0]), item[1], item[2]),
+        # (language, fragment key, pattern) candidates for _match.
+        self._headers, self._intros = (
+            [(lang, key, _inverse(frags[lang][key])) for lang in frags for key in keys]
+            for keys in (_HEADERS, _INTROS)
         )
-        self._verification_headers = {
-            lang: frags[lang]["verification_task"].split("{singular}")[0]
-            for lang in frags
-        }
-        self._question_parts = {
-            lang: _question_markers(frags[lang]["verification_question"])
-            for lang in frags
-        }
-        self._listing_markers = {
-            lang: frags[lang]["task_listing"].split("{plural}")[0] for lang in frags
-        }
-        self._newline_names = {
-            lang: frags[lang]["separator_newline"] for lang in frags
-        }
-        self._labels = {
-            lang: (frags[lang]["input_label"], frags[lang]["output_label"])
-            for lang in frags
-        }
-        self._answers = {
-            lang: (frags[lang]["answer_no"], frags[lang]["answer_yes"]) for lang in frags
-        }
+        self._questions = {lang: _inverse(frags[lang]["verification_question"]) for lang in frags}
         # (sentence id, type) -> outermost answered spans; at most one entry
         # per sentence and type of the corpus above.
         self._answered: dict[tuple[str, str], tuple[EntitySpan, ...]] = {}
@@ -360,85 +330,77 @@ class OracleBackend:
         except KeyError:
             raise ConfigError(f"oracle backend does not know the sentence {text!r}") from None
 
+    def _type_id(self, lang: str, form: str, name: str) -> str:
+        try:
+            return self._type_ids[lang, form, name]
+        except KeyError:
+            raise ConfigError(f"no entity type has the {lang} {form} name {name!r}") from None
+
     def generate(self, request: GenerationRequest) -> str:
         prompt = request.prompt
-        for lang, header in self._verification_headers.items():
-            if prompt.startswith(header):
-                return self._answer_verification(prompt, lang)
-        return self._answer_main(prompt)
-
-    def _answer_verification(self, prompt: str, lang: str) -> str:
-        prefix, mid, tail_strip = self._question_parts[lang]
-        start = prompt.rfind(prefix)
-        if start == -1:
-            raise ConfigError("verification prompt without a final question")
-        segment = prompt[start + len(prefix):]
-        sent_end = segment.find(mid)
-        sentence_text = segment[:sent_end]
-        rest = segment[sent_end + len(mid):]
-        mention_end = rest.find('"')
-        mention = rest[:mention_end]
-        tail = rest[mention_end + 1:].split("\n")[0].strip().rstrip("?").strip()
-        if tail_strip and tail.startswith(tail_strip):
-            tail = tail[len(tail_strip):]
-        type_id = self._type_by_singular(tail, lang)
-        sentence = self._sentence(sentence_text)
-        gold = any(sp.mention == mention for sp in sentence.spans_of(type_id))
-        return self._answers[lang][int(gold)]
-
-    def _type_by_singular(self, tail: str, lang: str) -> str:
-        for t in self._types.values():
-            if lang in t.languages() and t.names[lang]["singular"] == tail:
-                return t.id
-        raise ConfigError(f"no entity type has the {lang} singular name {tail!r}")
-
-    def _answer_main(self, prompt: str) -> str:
-        first_line = prompt.split("\n", 1)[0]
-        for plural, lang, type_id in self._plurals:
-            if plural in first_line:
-                break
-        else:
+        header = _match(prompt.partition("\n")[0], self._headers)
+        if header is None:
             raise ConfigError("prompt names no known entity type on its first line")
-        tags = ALT_TAGS if ALT_TAGS.open in prompt else DEFAULT_TAGS
-        sentence = self._sentence(_final_input_text(prompt))
-        key = (sentence.id, type_id)
-        spans = self._answered.get(key)
+        lang, key, match = header
+        frags = fragments()[lang]
+        text = _final_input_text(prompt)
+        if key == "verification_task":
+            question = self._questions[lang].fullmatch(text)
+            if question is None:
+                raise ConfigError("verification prompt without a final question")
+            type_id = self._type_id(lang, "singular", question["singular"])
+            gold = self._sentence(question["sentence"]).spans_of(type_id)
+            is_gold = any(sp.mention == question["mention"] for sp in gold)
+            return frags["answer_yes" if is_gold else "answer_no"]
+        type_id = self._type_id(lang, "plural", match["plural"])
+        if key == "persona":
+            # The header names no format; the line before the test turn may.
+            intro = prompt.rstrip("\n").rsplit("\n", 3)[-3]
+            _, key, match = _match(intro, self._intros) or header
+        if key.endswith("_tagging"):
+            answer_format = TagPair(match["open"], match["close"])
+        elif key.endswith("_listing"):
+            answer_format = "\n" if match["separator"] == frags["separator_newline"] else ", "
+        else:
+            answer_format = _demo_format(prompt, frags)
+        sentence = self._sentence(text)
+        spans = self._answered.get((sentence.id, type_id))
         if spans is None:
-            spans = self._answered[key] = outermost_spans(
+            spans = self._answered[sentence.id, type_id] = outermost_spans(
                 self._spans_for_answer(sentence, type_id)
             )
-        if self._is_listing(prompt, first_line, lang, tags):
-            sep = "\n" if self._newline_names[lang] in prompt else ", "
-            return sep.join(sp.mention for sp in spans)
-        return tag_sentence(sentence.text, spans, tags)
+        if isinstance(answer_format, TagPair):
+            return tag_sentence(sentence.text, spans, answer_format)
+        return answer_format.join(sp.mention for sp in spans)
 
-    def _is_listing(self, prompt: str, first_line: str, lang: str, tags) -> bool:
-        """Whether the prompt asks for a list: its first line says so, or
-        else, when no tag appears, its demo turns show it."""
-        for marker in self._listing_markers.values():
-            if first_line.startswith(marker):
-                return True
+
+def _match(line: str, candidates) -> tuple[str, str, re.Match] | None:
+    """(language, fragment key, match) of the first of the candidate
+    (language, fragment key, pattern) triples whose fragment wrote line."""
+    for lang, key, pattern in candidates:
+        match = pattern.fullmatch(line)
+        if match:
+            return lang, key, match
+    return None
+
+
+def _demo_format(prompt: str, frags: dict[str, str]) -> TagPair | str:
+    """The tag pair or listing separator the demo turns show, for a prompt
+    whose header and intro name neither."""
+    for tags in (ALT_TAGS, DEFAULT_TAGS):
         if tags.open in prompt:
-            return False
-        pairs = _turn_pairs(prompt, *self._labels[lang])
-        if any(out == inp and out for inp, out in pairs):
-            # Untagged passthrough only happens in tagging mode.
-            return False
-        # Remaining evidence: demo outputs that are neither tagged text nor
-        # the input itself.  Tagging outputs are never empty, so even
-        # all-empty outputs imply listing.  With no demos at all, assume
-        # tagging (the default mode).
-        return bool(pairs)
-
-
-def _question_markers(template: str) -> tuple[str, str, str]:
-    """(prefix-before-sentence, marker-between-sentence-and-mention,
-    word to strip from the head of the trailing singular)."""
-    before_sentence, after = template.split("{sentence}", 1)
-    between, tail = after.split("{mention}", 1)
-    # tail looks like '" {singular}?' or '" est {singular} ?'
-    lead = tail[1:].split("{singular}")[0].strip()
-    return before_sentence, between, (lead + " " if lead else "")
+            return tags
+    dialogue = prompt.endswith("\n-")
+    labels = ("-", "-") if dialogue else (frags["input_label"], frags["output_label"])
+    # An untagged output repeats its input only in tagging mode, and tagging
+    # outputs are never empty, so any other demo turn implies listing.  With
+    # no demo turn beside the test turn, assume tagging (the default mode).
+    passthrough = re.search(
+        "^%s (.+)\n%s \\1$" % tuple(map(re.escape, labels)), prompt, re.MULTILINE
+    )
+    if passthrough is None and prompt.count("\n" + labels[0]) > (2 if dialogue else 1):
+        return ", "
+    return DEFAULT_TAGS
 
 
 class NoisyOracleBackend(OracleBackend):
@@ -514,10 +476,11 @@ class DiskCache:
     """One JSON file per request digest.
 
     Corrupt entries, including a record filed under another request's
-    digest, are logged and treated as misses, then overwritten by the fresh
-    result; they never poison a run.  Each put writes a temp file of its
-    own and renames it into place, so threads and processes sharing the
-    directory never see or clobber a half-written entry.  Entries are
+    digest and one whose completion is not a string, are logged and
+    treated as misses, then overwritten by the fresh result; they never
+    poison a run.  Each put writes a temp file of its own and renames it
+    into place, so threads and processes sharing the directory never see
+    or clobber a half-written entry.  Entries are
     written as compact JSON; get reads any layout, such as the indented
     one of older caches.  Entries are ASCII, with every other character
     escaped, so any completion string can be stored, a lone surrogate
@@ -552,6 +515,13 @@ class DiskCache:
                 "ignoring corrupt cache entry %s: it holds request %s",
                 path,
                 record.request_hash,
+            )
+            return None
+        if not isinstance(record.completion, str):
+            logger.warning(
+                "ignoring corrupt cache entry %s: its completion %r is not a string",
+                path,
+                record.completion,
             )
             return None
         return record

@@ -108,19 +108,25 @@ def apply_overrides(config: dict, assignments: list[str]) -> list[dict]:
     return applied
 
 
+def _read_json_object(path: str, what: str, error: type[FewnerError] = ConfigError) -> dict:
+    """The JSON object that the input file at path holds; raises error,
+    naming the file as what, when it is missing, not JSON or not an object."""
+    path = Path(path)
+    if not path.exists():
+        raise error(f"{what} not found: {path}")
+    try:
+        loaded = json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise error(f"{what} {path} is not valid JSON: {exc}") from exc
+    if not isinstance(loaded, dict):
+        raise error(f"{what} {path} must hold a JSON object")
+    return loaded
+
+
 def _load_run_config(args) -> tuple[dict, list]:
     config = default_run_config()
     if args.config:
-        path = Path(args.config)
-        if not path.exists():
-            raise ConfigError(f"config file not found: {path}")
-        try:
-            loaded = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
-        if not isinstance(loaded, dict):
-            raise ConfigError(f"config file {path} must hold a JSON object")
-        config = _deep_merge(config, loaded)
+        config = _deep_merge(config, _read_json_object(args.config, "config file"))
     applied = apply_overrides(config, args.set or [])
     for attr, key in _SHORTHANDS:
         value = getattr(args, attr, None)
@@ -151,7 +157,7 @@ def _resolve_types(spec: str, registry_path: str | None):
     return [registry[t] for t in type_ids]
 
 
-def _build_backend(args, run_dir: Path | None, oracle_sentences, entity_types):
+def _build_backend(args, run_dir: Path, oracle_sentences, entity_types):
     name = args.backend
     if name == "echo":
         inner = EchoBackend()
@@ -171,11 +177,7 @@ def _build_backend(args, run_dir: Path | None, oracle_sentences, entity_types):
         raise ConfigError(f"unknown backend {name!r}")
     if args.no_cache:
         return inner
-    cache_dir = Path(args.cache_dir) if args.cache_dir else None
-    if cache_dir is None and run_dir is not None:
-        cache_dir = run_dir / "generations"
-    if cache_dir is None:
-        return inner
+    cache_dir = Path(args.cache_dir) if args.cache_dir else run_dir / "generations"
     return CachedBackend(inner, DiskCache(cache_dir))
 
 
@@ -189,15 +191,13 @@ def _write_json(path: Path, payload) -> None:
 
 
 def _run_meta(started: float, pipeline, extra: dict) -> dict:
-    meta = {
+    return {
         "wall_clock_seconds": time.monotonic() - started,
         "timestamp": datetime.now(timezone.utc).isoformat(),
+        "backend_calls": pipeline.backend_calls,
+        "backend_id": pipeline.backend.backend_id,
+        **extra,
     }
-    if pipeline is not None:
-        meta["backend_calls"] = pipeline.backend_calls
-        meta["backend_id"] = pipeline.backend.backend_id
-    meta.update(extra)
-    return meta
 
 
 # ---------------------------------------------------------------------------
@@ -279,8 +279,10 @@ def cmd_predict(args) -> int:
     test = load_corpus(args.test, args.format, language=settings.prompt_language)
     types = _resolve_types(args.types, args.registry)
     if args.best_config:
-        payload = json.loads(Path(args.best_config).read_text(encoding="utf-8"))
-        prompt_config = PromptConfig.from_dict(payload["prompt"])
+        prompt = _read_json_object(args.best_config, "best config file").get("prompt")
+        if not isinstance(prompt, dict):
+            raise ConfigError(f"best config file {args.best_config} has no prompt object")
+        prompt_config = PromptConfig.from_dict(prompt)
     else:
         prompt_config = _prompt_config_from(config)
     # The oracle backends answer from gold, so they must know the test
@@ -316,7 +318,9 @@ def cmd_predict(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    predictions = PredictionSet.from_json(Path(args.predictions).read_text(encoding="utf-8"))
+    predictions = PredictionSet.from_dict(
+        _read_json_object(args.predictions, "predictions file", DataError)
+    )
     gold = load_corpus(args.gold, args.format, language=args.language)
     type_ids = None
     if args.types:

@@ -292,8 +292,8 @@ class PredictionSet:
         return json.dumps(payload, sort_keys=True, ensure_ascii=False, indent=2)
 
     @classmethod
-    def from_json(cls, raw: str) -> "PredictionSet":
-        payload = json.loads(raw)
+    def from_dict(cls, payload: dict) -> "PredictionSet":
+        """The set that to_json's JSON object, once parsed, describes."""
         out = cls()
         out.diagnostics = DecodeDiagnostics(**payload.get("diagnostics", {}))
         for sid, per_type in payload.get("sentences", {}).items():

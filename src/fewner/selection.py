@@ -67,40 +67,31 @@ def cosine(a: dict[str, float], b: dict[str, float]) -> float:
     return sum(w * b[t] for t, w in a.items() if t in b)
 
 
-def select_nearest(
-    index: TfidfIndex, test_text: str, n: int, exclude: set[str] | None = None
-) -> list[str]:
+def select_nearest(index: TfidfIndex, test_text: str, n: int) -> list[str]:
     """Ids of the n indexed sentences most similar to test_text.
 
     Ordered by descending cosine similarity, ties broken by ascending id.
     """
-    exclude = exclude or set()
-    candidates = [sid for sid in index.ids if sid not in exclude]
-    if n > len(candidates):
+    if n > len(index.ids):
         raise ConfigError(
-            f"asked for {n} demonstrations but only {len(candidates)} candidates remain"
+            f"asked for {n} demonstrations but only {len(index.ids)} candidates remain"
         )
     query = index.vector_for_text(test_text)
-    ranked = sorted(candidates, key=lambda sid: (-cosine(query, index.vectors[sid]), sid))
+    ranked = sorted(index.ids, key=lambda sid: (-cosine(query, index.vectors[sid]), sid))
     return ranked[:n]
 
 
 def select_entity_rich(
-    sentences: list[AnnotatedSentence],
-    entity_type: str,
-    n: int,
-    exclude: set[str] | None = None,
+    sentences: list[AnnotatedSentence], entity_type: str, n: int
 ) -> list[str]:
     """Ids of the n sentences with the most gold spans of entity_type.
 
     Ties break toward the lexicographically smaller id, so the result is
     stable regardless of input order.
     """
-    exclude = exclude or set()
-    candidates = [s for s in sentences if s.id not in exclude]
-    if n > len(candidates):
+    if n > len(sentences):
         raise ConfigError(
-            f"asked for {n} demonstrations but only {len(candidates)} candidates remain"
+            f"asked for {n} demonstrations but only {len(sentences)} candidates remain"
         )
-    ranked = sorted(candidates, key=lambda s: (-len(s.spans_of(entity_type)), s.id))
+    ranked = sorted(sentences, key=lambda s: (-len(s.spans_of(entity_type)), s.id))
     return [s.id for s in ranked[:n]]

@@ -21,12 +21,7 @@ def _tokens(text: str) -> list[str]:
     return [w.lower() for w in _WORDS.findall(text)]
 
 
-def scan_nearest(
-    pool: list[tuple[str, str]],
-    test_text: str,
-    n: int,
-    exclude: frozenset[str] = frozenset(),
-) -> list[str]:
+def scan_nearest(pool: list[tuple[str, str]], test_text: str, n: int) -> list[str]:
     """Ids of the n pool entries nearest to test_text, ties toward smaller id.
 
     pool holds (id, text) pairs.  idf uses the same formula as the package
@@ -51,8 +46,6 @@ def scan_nearest(
     query_sq = sum(w * w for w in query.values())
     scored: list[tuple[Fraction, str]] = []
     for sid, _ in pool:
-        if sid in exclude:
-            continue
         candidate = vec(token_lists[sid])
         cand_sq = sum(w * w for w in candidate.values())
         dot = sum(w * candidate[t] for t, w in query.items() if t in candidate)

@@ -37,6 +37,8 @@ from fewner.search import PipelineSettings, PromptingPipeline, grid_search
 from fewner.synthetic import synthetic_corpus
 from fewner.templates import (
     PromptConfig,
+    fragments_for,
+    outermost_spans,
     render_main_prompt,
     render_verification_prompt,
     tag_sentence,
@@ -458,6 +460,90 @@ def test_oracle_verification_checks_requested_type(corpora, registry):
     assert parse_verification(oracle.generate(req(prompt.text))) == VERDICT_REJECT
 
 
+@pytest.mark.parametrize("separator", ["comma", "newline"])
+def test_oracle_reads_the_listing_format_from_the_intro_line(corpora, registry, separator):
+    # A persona header names no mode, and with no demos left (a tight token
+    # budget drops them all) only the intro line says that a list is wanted.
+    config = PromptConfig(
+        mode="listing", listing_separator=separator, specialist_persona=True,
+        intro_sentence=True, prompt_language_native=True,
+    )
+    for lang in ("en", "fr", "es"):
+        sentences, types = corpora[lang]
+        target = max(sentences, key=lambda s: len(s.spans_of("CHEM")))
+        prompt = render_main_prompt(
+            config, registry["CHEM"], [], target.text, lang, allow_empty_demos=True
+        )
+        want = config.separator_string().join(s.mention for s in target.spans_of("CHEM"))
+        assert OracleBackend(sentences, types).generate(req(prompt.text)) == want, lang
+
+
+def _format_unreadable(config, demos, type_id):
+    """Whether a main prompt's text gives no evidence of its answer format:
+    a persona header, no intro, and either no demos, alt taggers with no
+    tagged demo, or the newline separator."""
+    if not config.specialist_persona or config.intro_sentence:
+        return False
+    if not demos or config.mode == "listing" and config.listing_separator == "newline":
+        return True
+    return (
+        config.mode == "tagging"
+        and config.alt_taggers
+        and not any(d.spans_of(type_id) for d in demos)
+    )
+
+
+def test_oracle_answers_every_prompt_the_templates_write(corpora, registry):
+    # Spec over all 512 masks x 3 formats x 3 languages, with and without
+    # demos: the main answer is the gold one in the config's format, and the
+    # verification answer is Yes or No by gold membership.
+    entity_type = registry["CHEM"]
+    checked = 0
+    for lang in ("en", "fr", "es"):
+        sentences, types = corpora[lang]
+        oracle = OracleBackend(sentences, types)
+        target = max(sentences, key=lambda s: len(s.spans_of("CHEM")))
+        gold = outermost_spans(target.spans_of("CHEM"))
+        assert len(gold) >= 2
+        others = [s for s in sentences if s.id != target.id]
+        rich = [s for s in others if s.spans_of("CHEM")]
+        poor = [s for s in others if not s.spans_of("CHEM")]
+        demos = [rich[0], poor[0]]
+        vdemos = [(rich[0], rich[0].spans_of("CHEM")[0].mention, True), (poor[0], "xyz", False)]
+        candidates = [(sp.mention, True) for sp in gold] + [(target.text.split()[0], False)]
+        memo = {}
+        for mask in range(512):
+            for mode, separator in (("tagging", "comma"), ("listing", "comma"), ("listing", "newline")):
+                config = PromptConfig.from_bitmask(mask, mode=mode, listing_separator=separator)
+                language = lang if config.prompt_language_native else "en"
+                if mode == "tagging":
+                    want = tag_sentence(target.text, gold, config.tag_pair)
+                else:
+                    want = config.separator_string().join(sp.mention for sp in gold)
+                for shown in ([], demos):
+                    if _format_unreadable(config, shown, "CHEM"):
+                        continue
+                    prompt = render_main_prompt(
+                        config, entity_type, shown, target.text, language,
+                        allow_empty_demos=True, memo=memo,
+                    )
+                    got = oracle.generate(req(prompt.text))
+                    assert got == want, (lang, mask, mode, separator, len(shown))
+                    checked += 1
+            config = PromptConfig.from_bitmask(mask)
+            if not config.self_verification:
+                continue
+            language = lang if config.prompt_language_native else "en"
+            for mention, is_gold in candidates:
+                prompt = render_verification_prompt(
+                    config, entity_type, mention, target.text, vdemos, language, memo=memo
+                )
+                want = fragments_for(language)["answer_yes" if is_gold else "answer_no"]
+                assert oracle.generate(req(prompt.text)) == want, (lang, mask, mention)
+                checked += 1
+    assert checked > 3 * 512 * 5
+
+
 def test_oracle_rejects_duplicate_texts(corpora):
     sentences, types = corpora["en"]
     twin = dataclasses.replace(sentences[0], id="twin")
@@ -545,8 +631,8 @@ class Transcript:
 ])
 def test_noisy_oracle_answers_a_grid_as_a_fresh_oracle_does(mode, separator):
     # The oracle keeps answered spans per sentence and type and reads demo
-    # turns only when the first line and the tags leave the mode open;
-    # neither may change an answer.
+    # turns only when the header, the intro and the tags leave the mode
+    # open; neither may change an answer.
     sentences, types = synthetic_corpus(5, seed=29)
 
     def oracle():
@@ -749,6 +835,26 @@ def test_disk_cache_ignores_corrupt_entries(tmp_path, caplog):
     )
     cache.put(key, record)
     assert cache.get(key) == record
+
+
+@pytest.mark.parametrize("completion", [5, None, ["x"]])
+def test_disk_cache_treats_a_non_string_completion_as_corrupt(tmp_path, caplog, completion):
+    request = req("Input: stored.\nOutput:")
+    key = request_digest(request)
+    (tmp_path / f"{key}.json").write_text(
+        json.dumps({
+            "request_hash": key, "completion": completion, "latency_s": 0.1,
+            "backend_id": "echo", "timestamp": 1.0,
+        }),
+        encoding="utf-8",
+    )
+    cache = DiskCache(tmp_path)
+    with caplog.at_level(logging.WARNING):
+        assert cache.get(key) is None
+    assert "corrupt cache entry" in caplog.text
+    # The miss reaches the model, and its answer overwrites the entry.
+    assert CachedBackend(EchoBackend(), cache).generate(request) == "stored."
+    assert cache.get(key).completion == "stored."
 
 
 def test_disk_cache_rejects_a_record_filed_under_another_key(tmp_path, caplog):

@@ -358,7 +358,7 @@ def test_predict_then_evaluate_is_perfect_with_the_oracle(splits, tmp_path, caps
     assert rc == 0
     gold_spans = sum(len(s.spans) for s in sentences[6:])
     assert f"predicted {gold_spans} spans over 6 sentences" in capsys.readouterr().out
-    predictions = PredictionSet.from_json((run_dir / "predictions.json").read_text(encoding="utf-8"))
+    predictions = PredictionSet.from_dict(read_json(run_dir / "predictions.json"))
     assert predictions.total_spans() == gold_spans
     assert read_json(run_dir / "run_meta.json")["n_test_sentences"] == 6
 
@@ -428,9 +428,41 @@ def test_predict_best_config_changes_the_prompts(splits, tmp_path):
     assert main(argv + ["--best-config", str(best)]) == 0
     # Alternate taggers rewrite every prompt, so fresh cache entries appear.
     assert len(list(cache.iterdir())) > baseline_entries
-    predictions = PredictionSet.from_json((run_dir / "predictions.json").read_text(encoding="utf-8"))
+    predictions = PredictionSet.from_dict(read_json(run_dir / "predictions.json"))
     gold = load_corpus(test_path, "jsonl")
     assert score(predictions, gold, ["DISO"]).micro_f1 == 1.0
+
+
+@pytest.mark.parametrize("content", [None, "{not json", "[1]", '{"bitmask": 0}'])
+def test_predict_bad_best_config_file_exits_1(splits, tmp_path, capsys, content):
+    sample_path, test_path, _ = splits
+    best = tmp_path / "best_config.json"
+    if content is not None:
+        best.write_text(content, encoding="utf-8")
+    rc = main(
+        [
+            "predict", "--sample", str(sample_path), "--test", str(test_path),
+            "--run-dir", str(tmp_path / "run"), "--types", "DISO", "--best-config", str(best),
+        ]
+    )
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("content", [None, "{not json", "[]"])
+def test_evaluate_bad_predictions_file_exits_2(splits, tmp_path, capsys, content):
+    _, test_path, _ = splits
+    predictions = tmp_path / "predictions.json"
+    if content is not None:
+        predictions.write_text(content, encoding="utf-8")
+    rc = main(
+        [
+            "evaluate", "--predictions", str(predictions), "--gold", str(test_path),
+            "--run-dir", str(tmp_path / "run"),
+        ]
+    )
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_evaluate_restricts_to_requested_types(splits, tmp_path):

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -323,7 +324,7 @@ def test_prediction_set_json_round_trip():
     preds.add("s1", "DISO", _result((0, 5, "DISO", "fever"), (10, 14, "DISO", "rash")))
     preds.add("s1", "CHEM", _result((6, 9, "CHEM", "and")))
     raw = preds.to_json()
-    back = PredictionSet.from_json(raw)
+    back = PredictionSet.from_dict(json.loads(raw))
     assert back == preds
     assert back.to_json() == raw
 

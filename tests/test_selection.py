@@ -126,16 +126,10 @@ def test_select_nearest_ties_break_by_id():
     assert got == ["a1", "z9", "m4", "m5"]
 
 
-def test_select_nearest_respects_exclude():
-    pool = [("d1", "fever"), ("d2", "fever cough"), ("d3", "rash")]
-    got = select_nearest(pool_index(pool), "fever", 2, exclude={"d1"})
-    assert got == ["d2", "d3"]
-
-
 def test_select_nearest_rejects_overdraw():
     index = pool_index([("d1", "a"), ("d2", "b")])
-    with pytest.raises(ConfigError, match="only 1"):
-        select_nearest(index, "a", 2, exclude={"d1"})
+    with pytest.raises(ConfigError, match="only 2"):
+        select_nearest(index, "a", 3)
 
 
 def test_select_nearest_matches_exhaustive_scan():
@@ -144,12 +138,10 @@ def test_select_nearest_matches_exhaustive_scan():
         pool = make_pool(rand)
         index = pool_index(pool)
         query = make_query(rand, pool)
-        ids = [sid for sid, _ in pool]
-        exclude = set(rand.sample(ids, rand.randint(0, len(ids) - 1)))
-        n = rand.randint(1, len(ids) - len(exclude))
-        got = select_nearest(index, query, n, exclude=exclude)
-        want = scan_nearest(pool, query, n, exclude=frozenset(exclude))
-        assert got == want, f"pool={pool} query={query!r} n={n} exclude={sorted(exclude)}"
+        n = rand.randint(1, len(pool))
+        got = select_nearest(index, query, n)
+        want = scan_nearest(pool, query, n)
+        assert got == want, f"pool={pool} query={query!r} n={n}"
 
 
 def test_select_nearest_results_are_prefix_stable():
@@ -190,8 +182,7 @@ def test_select_entity_rich_counts_only_requested_type():
     assert select_entity_rich(pool, "DISO", 2) == ["b", "a"]
 
 
-def test_select_entity_rich_exclude_and_overdraw():
+def test_select_entity_rich_rejects_overdraw():
     pool = [_with_spans("a", 1), _with_spans("b", 2)]
-    assert select_entity_rich(pool, "DISO", 1, exclude={"b"}) == ["a"]
-    with pytest.raises(ConfigError):
-        select_entity_rich(pool, "DISO", 2, exclude={"b"})
+    with pytest.raises(ConfigError, match="only 2"):
+        select_entity_rich(pool, "DISO", 3)
