@@ -31,6 +31,7 @@ import re
 from dataclasses import dataclass, field, replace
 
 from .corpus import EntitySpan
+from .errors import DataError
 from .templates import TagPair, fragments
 
 VERDICT_ACCEPT = "accept"
@@ -293,14 +294,28 @@ class PredictionSet:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "PredictionSet":
-        """The set that to_json's JSON object, once parsed, describes."""
+        """The set that to_json's JSON object, once parsed, describes;
+        DataError when the object is not shaped that way."""
         out = cls()
-        out.diagnostics = DecodeDiagnostics(**payload.get("diagnostics", {}))
-        for sid, per_type in payload.get("sentences", {}).items():
-            out.spans[sid] = {
-                type_id: tuple(
-                    EntitySpan(r["start"], r["end"], r["type"], r["mention"]) for r in rows
-                )
-                for type_id, rows in per_type.items()
-            }
+        try:
+            out.diagnostics = DecodeDiagnostics(**payload.get("diagnostics", {}))
+            for sid, per_type in payload.get("sentences", {}).items():
+                out.spans[sid] = {
+                    type_id: tuple(_span_from_row(row) for row in rows)
+                    for type_id, rows in per_type.items()
+                }
+        except (AttributeError, KeyError, TypeError) as exc:
+            raise DataError(
+                f"predictions are not shaped as predict writes them ({type(exc).__name__}: {exc})"
+            ) from exc
         return out
+
+
+def _span_from_row(row: dict) -> EntitySpan:
+    span = EntitySpan(row["start"], row["end"], row["type"], row["mention"])
+    offsets = (span.start, span.end)
+    if not all(isinstance(o, int) and not isinstance(o, bool) for o in offsets) or not (
+        isinstance(span.type, str) and isinstance(span.mention, str)
+    ):
+        raise DataError(f"predicted span {row!r} needs integer offsets, a string type and mention")
+    return span

@@ -140,6 +140,8 @@ class _Item(NamedTuple):
     text: str
     test_id: str
     held_out_id: str | None  # removed from the demonstration pool
+    shuffle_seed: int  # orders the kept demonstrations
+    max_new_tokens: int  # room for the answer
 
 
 class PromptingPipeline:
@@ -160,15 +162,15 @@ class PromptingPipeline:
     for every prompt before it is sent; tests use it to check that held-out
     text never appears among demonstrations.
 
-    Planning work that depends on the item and not on the feature flags is
-    memoized: ranked demos, shuffled orders, verification demos, demo
-    turns and whole demo blocks with their token counts, and
-    max_new_tokens; so is each decoded completion.  LOOCV keeps one memo
-    for the pipeline's lifetime, since its folds are the same for every
-    configuration; any other wave gets a fresh memo that ends with it.  So
-    planning entries stay bounded by k x types x the few selection and
-    render variants, and decoded ones by the distinct main completions of
-    the folds.
+    The LOOCV items are made once, with the pipeline.  Planning work that
+    depends on the item and not on the feature flags is memoized: ranked
+    demos, shuffled orders, verification demos, and the prompt parts and
+    demo blocks with their token counts; so is each decoded completion.
+    LOOCV keeps one memo for the pipeline's lifetime, since its folds are
+    the same for every configuration; any other wave gets a fresh memo that
+    ends with it.  So planning entries stay bounded by k x types x the few
+    selection and render variants, and decoded ones by the distinct main
+    completions of the folds.
     """
 
     def __init__(
@@ -193,7 +195,10 @@ class PromptingPipeline:
         # One TF-IDF index per held-out id (None: the full corpus), built on
         # first use; fold pools never change within a pipeline's lifetime.
         self._indexes: dict[str | None, TfidfIndex] = {}
-        # The memo of the LOOCV folds; see the class docstring.
+        # The LOOCV items and the memo of their folds; see the class docstring.
+        self._loocv: list[_Item] = []
+        for s in self.corpus:
+            self._loocv += self._items(s.text, s.id, s.id, self.entity_types)
         self._folds: dict = {}
         # Wall and CPU seconds of the backend calls made inline so far.
         self._inline_wall_s = 0.0
@@ -213,25 +218,27 @@ class PromptingPipeline:
             self._indexes[held_out_id] = index
         return index
 
-    def _request(self, prompt: RenderedPrompt, item: _Item, memo: dict) -> GenerationRequest:
+    def _items(
+        self, text: str, test_id: str, held_out_id: str | None, entity_types: list[EntityType]
+    ) -> list[_Item]:
+        # Room for the answer: a tagged copy of the test sentence plus slack.
+        room = self.settings.max_new_tokens or 2 * estimate_tokens(text) + _WORD_LIMIT_PAD
+        seed = self.settings.seed
+        return [
+            _Item(t, text, test_id, held_out_id, rng.stable_seed(seed, test_id, t.id), room)
+            for t in entity_types
+        ]
+
+    def _request(self, prompt: RenderedPrompt, item: _Item) -> GenerationRequest:
         if self.observer is not None:
             self.observer(prompt, item.held_out_id)
-        key = ("max_new_tokens", item.text)
-        if key not in memo:
-            memo[key] = self._max_new_tokens(item.text)
         return GenerationRequest(
             prompt=prompt.text,
-            max_new_tokens=memo[key],
+            max_new_tokens=item.max_new_tokens,
             temperature=0.0,
             stop_sequences=prompt.stop_sequences,
             model_name=self.settings.model_name,
         )
-
-    def _max_new_tokens(self, test_text: str) -> int:
-        if self.settings.max_new_tokens is not None:
-            return self.settings.max_new_tokens
-        # Room for the answer: a tagged copy of the test sentence plus slack.
-        return 2 * estimate_tokens(test_text) + _WORD_LIMIT_PAD
 
     def _backend_waits(self) -> bool:
         """Whether inline calls spent more than half their wall time off
@@ -352,7 +359,7 @@ class PromptingPipeline:
                         config, item, span.mention, vdemos, language, memo
                     )
                     if prompt is not None:
-                        requests.append(self._request(prompt, item, memo))
+                        requests.append(self._request(prompt, item))
                     item_asked.append(prompt is not None)
             asked.append(item_asked)
         verdicts = iter(
@@ -403,11 +410,6 @@ class PromptingPipeline:
         requests: list[GenerationRequest] = []
         for item in items:
             item_demos = self._demos(config, item, memo)
-            seed_key = ("shuffle_seed", item.test_id, item.entity_type.id)
-            if seed_key not in memo:
-                memo[seed_key] = rng.stable_seed(
-                    self.settings.seed, item.test_id, item.entity_type.id
-                )
             prompt = fit_to_budget(
                 config,
                 item.entity_type,
@@ -415,11 +417,11 @@ class PromptingPipeline:
                 item.text,
                 language,
                 self.settings.token_budget,
-                shuffle_seed=memo[seed_key],
+                shuffle_seed=item.shuffle_seed,
                 memo=memo,
             )
             demos.append(item_demos)
-            requests.append(self._request(prompt, item, memo))
+            requests.append(self._request(prompt, item))
         tagging = config.mode == "tagging"
         # What picks the decoder and shapes its output, besides the item.
         decoder = (
@@ -461,19 +463,17 @@ class PromptingPipeline:
         held_out_id removes that sentence from the demonstration pool (the
         LOOCV case); the returned spans refer to offsets in test_text.
         """
-        item = _Item(entity_type, test_text, test_id, held_out_id)
-        return self._annotate_wave(config, [item])[0]
+        items = self._items(test_text, test_id, held_out_id, [entity_type])
+        return self._annotate_wave(config, items)[0]
 
     def evaluate_loocv(self, config: PromptConfig) -> float:
         """Micro-F1 of config under leave-one-out over the annotated sample."""
         if len(self.corpus) < 2:
             raise ConfigError("leave-one-out needs at least two annotated sentences")
-        pairs = [(s, t) for s in self.corpus for t in self.entity_types]
-        items = [_Item(t, s.text, s.id, s.id) for s, t in pairs]
         tp = fp = fn = 0
-        results = self._annotate_wave(config, items, self._folds)
-        for (sentence, entity_type), result in zip(pairs, results):
-            dtp, dfp, dfn = span_match_counts(result.spans, sentence.spans_of(entity_type.id))
+        for item, result in zip(self._loocv, self._annotate_wave(config, self._loocv, self._folds)):
+            gold = self.corpus_by_id[item.test_id].spans_of(item.entity_type.id)
+            dtp, dfp, dfn = span_match_counts(result.spans, gold)
             tp, fp, fn = tp + dtp, fp + dfp, fn + dfn
         return f1_from_counts(tp, fp, fn)[2]
 
@@ -484,15 +484,14 @@ class PromptingPipeline:
         from the annotated sample; a test sentence that is also in the
         sample is held out of its own demonstrations."""
         predictions = PredictionSet()
-        pairs = [(s, t) for s in test_sentences for t in self.entity_types]
-        for start in range(0, len(pairs), PREDICT_WAVE):
-            wave = pairs[start : start + PREDICT_WAVE]
-            items = [
-                _Item(t, s.text, s.id, s.id if s.id in self.corpus_by_id else None)
-                for s, t in wave
-            ]
-            for (sentence, entity_type), result in zip(wave, self._annotate_wave(config, items)):
-                predictions.add(sentence.id, entity_type.id, result)
+        items: list[_Item] = []
+        for s in test_sentences:
+            held_out = s.id if s.id in self.corpus_by_id else None
+            items += self._items(s.text, s.id, held_out, self.entity_types)
+        for start in range(0, len(items), PREDICT_WAVE):
+            wave = items[start : start + PREDICT_WAVE]
+            for item, result in zip(wave, self._annotate_wave(config, wave)):
+                predictions.add(item.test_id, item.entity_type.id, result)
         return predictions
 
 

@@ -22,6 +22,11 @@ wording:
 
 Nested or overlapping same-type gold spans cannot be expressed with flat
 tag pairs, so demonstrations show outermost spans only.
+
+Main and verification prompts are built by one assembler from a head, a
+block of demonstration turns and a tail.  Each part is memoized with its
+token count, and its template fragments are filled, from the one table of
+fields a fragment may name, only when its memo key is new.
 """
 
 from __future__ import annotations
@@ -106,6 +111,13 @@ class PromptConfig:
     base_demo_count: int = 5
 
     def __post_init__(self):
+        for name in FEATURE_NAMES:
+            value = getattr(self, name)
+            if not isinstance(value, bool):
+                raise ConfigError(f"prompt.{name} must be true or false, got {value!r}")
+        count = self.base_demo_count
+        if not isinstance(count, int) or isinstance(count, bool):
+            raise ConfigError(f"prompt.base_demo_count must be an integer, got {count!r}")
         if self.mode not in PROMPT_MODES:
             raise ConfigError(f"unknown prompt mode {self.mode!r}; expected one of {PROMPT_MODES}")
         if self.listing_separator not in LISTING_SEPARATORS:
@@ -150,6 +162,8 @@ class PromptConfig:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "PromptConfig":
+        if not isinstance(payload, dict):
+            raise ConfigError(f"the prompt config must be an object, got {payload!r}")
         known = {f.name for f in fields(cls)}
         unknown = set(payload) - known
         if unknown:
@@ -232,18 +246,34 @@ def _demo_output(
 # --------------------------------------------------------------------------
 # Prompt assembly
 
-def _turn(frags: dict[str, str], config: PromptConfig, input_text: str, output_text: str | None) -> list[str]:
-    """One Input/Output exchange; output_text None leaves the slot open."""
+# A prompt is rendered for one scope: (config, entity_type, language).
+# Each of its parts is built by a function build(scope, arg) that returns
+# the part's lines, and runs only when the part's memo key is new.
+
+def _fill(scope: tuple, key: str, **values: str) -> str:
+    """The scope's fragment named key with its fields filled; values are
+    what only a turn knows (its sentence and mention)."""
+    config, entity_type, language = scope
+    frags = fragments_for(language)
+    fields = {
+        "plural": entity_type.plural(language),
+        "singular": entity_type.singular(language),
+        "open": config.tag_pair.open,
+        "close": config.tag_pair.close,
+        "separator": frags["separator_" + config.listing_separator],
+        "specialist": frags["specialist_" + entity_type.domain],
+    }
+    return frags[key].format(**fields, **values)
+
+
+def _turn(scope: tuple, input_text: str, output_text: str | None) -> list[str]:
+    """One Input/Output exchange; an empty or None output leaves the slot open."""
+    config, _, language = scope
     if config.dialogue_template:
-        lines = [f"- {input_text}"]
-        lines.append("-" if output_text is None else (f"- {output_text}" if output_text else "-"))
-        return lines
-    lines = [f"{frags['input_label']} {input_text}"]
-    if output_text is None or output_text == "":
-        lines.append(frags["output_label"])
-    else:
-        lines.append(f"{frags['output_label']} {output_text}")
-    return lines
+        return [f"- {input_text}", f"- {output_text}" if output_text else "-"]
+    frags = fragments_for(language)
+    output = f"{frags['output_label']} {output_text}" if output_text else frags["output_label"]
+    return [f"{frags['input_label']} {input_text}", output]
 
 
 def stop_sequences_for(config: PromptConfig, prompt_language: str) -> tuple[str, ...]:
@@ -252,54 +282,74 @@ def stop_sequences_for(config: PromptConfig, prompt_language: str) -> tuple[str,
     return ("\n" + fragments_for(prompt_language)["input_label"],)
 
 
-def _header(frags: dict[str, str], config: PromptConfig, entity_type: EntityType, language: str) -> str:
-    plural = entity_type.plural(language)
-    if config.specialist_persona:
-        key = "specialist_clinical" if entity_type.domain == "clinical" else "specialist_general"
-        return frags["persona"].format(specialist=frags[key], plural=plural)
-    if config.mode == "tagging":
-        return frags["task_tagging"].format(
-            plural=plural, open=config.tag_pair.open, close=config.tag_pair.close
-        )
-    separator = frags["separator_comma" if config.listing_separator == "comma" else "separator_newline"]
-    return frags["task_listing"].format(plural=plural, separator=separator)
+def _counted(memo: dict, scope: tuple, key: tuple, build, arg) -> tuple[tuple[str, ...], int]:
+    """The lines build(scope, arg) returns and their token count,
+    memoized under key."""
+    part = memo.get(key)
+    if part is None:
+        lines = tuple(build(scope, arg))
+        part = memo[key] = (lines, estimate_tokens("\n".join(lines)))
+    return part
 
 
-def _intro(frags: dict[str, str], config: PromptConfig, entity_type: EntityType, language: str) -> str:
-    plural = entity_type.plural(language)
-    if config.mode == "tagging":
-        return frags["intro_tagging"].format(
-            plural=plural, open=config.tag_pair.open, close=config.tag_pair.close
-        )
-    separator = frags["separator_comma" if config.listing_separator == "comma" else "separator_newline"]
-    return frags["intro_listing"].format(plural=plural, separator=separator)
+def _assemble(
+    memo: dict | None, scope: tuple, kind: str, head: tuple, demos: tuple, tail: tuple,
+    demonstrations: tuple[str, ...],
+) -> RenderedPrompt:
+    """The prompt of a head part, a block of demo turns and a tail part.
 
-
-def _counted_turn(memo: dict, key: tuple, build) -> tuple[tuple[str, ...], int]:
-    """The lines build() returns and their token count, memoized under key.
-
-    A prompt part's key names what shapes its lines, so one entry serves
-    every configuration that agrees on those parts.
+    head and tail are (memo key, build, arg) triples.  demos is (block key,
+    turn kind, args, build) with block key (block kind, ids, shape): one
+    turn per arg, memoized under (turn kind, id, shape), and the whole
+    block under its key, so a prompt costs one lookup instead of one per
+    demo.
+    A key names what shapes its part, so one entry serves every
+    configuration that agrees on it.  Lines are joined by "\\n" and no
+    token spans whitespace, so the prompt's count is the sum of its parts'.
     """
-    turn = memo.get(key)
-    if turn is None:
-        lines = tuple(build())
-        turn = memo[key] = (lines, estimate_tokens("\n".join(lines)))
-    return turn
-
-
-def _counted_block(memo: dict, key: tuple, turns) -> tuple[tuple[str, ...], int]:
-    """The lines of consecutive turns and their summed token count,
-    memoized under key; turns() yields each (lines, count) pair and runs
-    only when key is new."""
-    block = memo.get(key)
+    memo = {} if memo is None else memo
+    head_lines, head_tokens = _counted(memo, scope, *head)
+    tail_lines, tail_tokens = _counted(memo, scope, *tail)
+    block_key, turn_kind, args, build = demos
+    block = memo.get(block_key)
     if block is None:
-        parts = list(turns())
-        block = memo[key] = (
-            tuple(line for lines, _ in parts for line in lines),
-            sum(count for _, count in parts),
+        _, ids, shape = block_key
+        turns = [
+            _counted(memo, scope, (turn_kind, id_, shape), build, arg)
+            for id_, arg in zip(ids, args)
+        ]
+        block = memo[block_key] = (
+            tuple(line for lines, _ in turns for line in lines),
+            sum(count for _, count in turns),
         )
-    return block
+    config, entity_type, language = scope
+    return RenderedPrompt(
+        text="\n".join((*head_lines, *block[0], *tail_lines)),
+        entity_type=entity_type.id,
+        demonstrations=demonstrations,
+        stop_sequences=stop_sequences_for(config, language),
+        estimated_tokens=head_tokens + block[1] + tail_tokens,
+        kind=kind,
+    )
+
+
+def _main_head(scope: tuple, _) -> Iterable[str]:
+    config, entity_type, language = scope
+    yield _fill(scope, "persona" if config.specialist_persona else "task_" + config.mode)
+    if config.label_definitions:
+        yield entity_type.definition(language)
+
+
+def _main_demo(scope: tuple, demo: AnnotatedSentence) -> list[str]:
+    config, entity_type, _ = scope
+    return _turn(scope, demo.text, _demo_output(demo, entity_type, config))
+
+
+def _main_tail(scope: tuple, test_text: str) -> Iterable[str]:
+    config = scope[0]
+    if config.intro_sentence:
+        yield _fill(scope, "intro_" + config.mode)
+    yield from _turn(scope, test_text, None)
 
 
 def render_main_prompt(
@@ -318,73 +368,54 @@ def render_main_prompt(
     the test sentence with an open output slot.
 
     memo, when given, keeps the lines and token count of each part across
-    calls: the header with its definition, each demonstration (keyed by
-    sentence id), the whole demonstration block (keyed by the ordered ids),
-    and the intro with the test turn.  Share one only among calls whose
-    sentences of one id are the same sentence.
+    calls (see _assemble): the header with its definition, each
+    demonstration, the demonstration block and the intro with the test
+    turn.  Share one only among calls whose sentences of one id are the
+    same sentence.
     """
     if not demos and not allow_empty_demos:
         raise ConfigError("cannot render a prompt with an empty demonstration set")
-    memo = {} if memo is None else memo
-    frags = fragments_for(prompt_language)
     # What shapes every part but the demo sentence and the test turn;
     # alt_taggers stands for the tag pair, which it decides.
     variant = (
         entity_type.id, config.mode, config.alt_taggers, config.listing_separator, prompt_language,
     )
-
-    def head():
-        yield _header(frags, config, entity_type, prompt_language)
-        if config.label_definitions:
-            yield entity_type.definition(prompt_language)
-
-    def tail():
-        if config.intro_sentence:
-            yield _intro(frags, config, entity_type, prompt_language)
-        yield from _turn(frags, config, test_text, None)
-
-    # Lines are joined by "\n" and no token spans whitespace, so the
-    # prompt's count is the sum of the counts of its parts.
-    head_lines, head_tokens = _counted_turn(
-        memo, ("head", variant, config.specialist_persona, config.label_definitions), head
-    )
-    tail_lines, tail_tokens = _counted_turn(
-        memo, ("tail", variant, test_text, config.intro_sentence, config.dialogue_template), tail
-    )
-
-    def turns():
-        for demo in demos:
-            yield _counted_turn(
-                memo,
-                ("demo", demo.id, variant, config.dialogue_template),
-                lambda: _turn(frags, config, demo.text, _demo_output(demo, entity_type, config)),
-            )
-
     demo_ids = tuple(d.id for d in demos)
-    block_lines, block_tokens = _counted_block(
-        memo, ("demo_block", demo_ids, variant, config.dialogue_template), turns
-    )
-    return RenderedPrompt(
-        text="\n".join((*head_lines, *block_lines, *tail_lines)),
-        entity_type=entity_type.id,
-        demonstrations=demo_ids,
-        stop_sequences=stop_sequences_for(config, prompt_language),
-        estimated_tokens=head_tokens + block_tokens + tail_tokens,
-        kind="main",
+    return _assemble(
+        memo, (config, entity_type, prompt_language), "main",
+        (("head", variant, config.specialist_persona, config.label_definitions), _main_head, None),
+        (("demo_block", demo_ids, (variant, config.dialogue_template)), "demo", demos, _main_demo),
+        (
+            ("tail", variant, test_text, config.intro_sentence, config.dialogue_template),
+            _main_tail, test_text,
+        ),
+        demo_ids,
     )
 
 
 VerificationDemo = tuple[AnnotatedSentence, str, bool]
 
 
-def _verification_answer(
-    frags: dict[str, str], config: PromptConfig, entity_type: EntityType,
-    language: str, mention: str, is_positive: bool,
-) -> str:
-    if config.long_verification_answer:
-        key = "long_answer_yes" if is_positive else "long_answer_no"
-        return frags[key].format(mention=mention, singular=entity_type.singular(language))
-    return frags["answer_yes" if is_positive else "answer_no"]
+def _verification_head(scope: tuple, _) -> list[str]:
+    return [_fill(scope, "verification_task")]
+
+
+def _verification_demo(scope: tuple, demo: VerificationDemo) -> list[str]:
+    sentence, mention, is_positive = demo
+    answer = "long_answer_" if scope[0].long_verification_answer else "answer_"
+    answer += "yes" if is_positive else "no"
+    return _turn(
+        scope,
+        _fill(scope, "verification_question", sentence=sentence.text, mention=mention),
+        _fill(scope, answer, mention=mention),
+    )
+
+
+def _verification_tail(scope: tuple, candidate: tuple[str, str]) -> list[str]:
+    sentence, mention = candidate
+    return _turn(
+        scope, _fill(scope, "verification_question", sentence=sentence, mention=mention), None
+    )
 
 
 def render_verification_prompt(
@@ -400,7 +431,9 @@ def render_verification_prompt(
 
     demos are (sentence, mention, is_positive) triples; at least one positive
     and one negative example are required so both answers are demonstrated.
-    memo is as in render_main_prompt.
+    memo is as in render_main_prompt: it keeps the task line, each demo
+    turn, the block of demo turns (keyed by the ordered triples) and the
+    final question.
     """
     if not config.self_verification:
         raise ConfigError("verification prompts require the self_verification feature")
@@ -409,61 +442,23 @@ def render_verification_prompt(
         raise ConfigError(
             "verification demos must include at least one positive and one negative"
         )
-    memo = {} if memo is None else memo
-    frags = fragments_for(prompt_language)
-    singular = entity_type.singular(prompt_language)
-    head_lines, head_tokens = _counted_turn(
-        memo,
-        ("verify_head", entity_type.id, prompt_language),
-        lambda: [frags["verification_task"].format(singular=singular)],
-    )
-    tail_lines, tail_tokens = _counted_turn(
-        memo,
-        (
-            "verify_tail", entity_type.id, prompt_language, context_sentence,
-            candidate_mention, config.dialogue_template,
-        ),
-        lambda: _turn(
-            frags,
-            config,
-            frags["verification_question"].format(
-                sentence=context_sentence, mention=candidate_mention, singular=singular
-            ),
-            None,
-        ),
-    )
     shape = (
         entity_type.id, config.long_verification_answer, config.dialogue_template,
         prompt_language,
     )
-
-    def turns():
-        for sentence, mention, is_positive in demos:
-            yield _counted_turn(
-                memo,
-                ("verify", sentence.id, mention, is_positive, *shape),
-                lambda: _turn(
-                    frags,
-                    config,
-                    frags["verification_question"].format(
-                        sentence=sentence.text, mention=mention, singular=singular
-                    ),
-                    _verification_answer(
-                        frags, config, entity_type, prompt_language, mention, is_positive
-                    ),
-                ),
-            )
-
-    block_lines, block_tokens = _counted_block(
-        memo, ("verify_block", tuple((s.id, m, pos) for s, m, pos in demos), shape), turns
-    )
-    return RenderedPrompt(
-        text="\n".join((*head_lines, *block_lines, *tail_lines)),
-        entity_type=entity_type.id,
-        demonstrations=tuple(s.id for s, _, _ in demos),
-        stop_sequences=stop_sequences_for(config, prompt_language),
-        estimated_tokens=head_tokens + block_tokens + tail_tokens,
-        kind="self_verification",
+    triples = tuple((s.id, m, pos) for s, m, pos in demos)
+    return _assemble(
+        memo, (config, entity_type, prompt_language), "self_verification",
+        (("verify_head", entity_type.id, prompt_language), _verification_head, None),
+        (("verify_block", triples, shape), "verify", demos, _verification_demo),
+        (
+            (
+                "verify_tail", entity_type.id, prompt_language, context_sentence,
+                candidate_mention, config.dialogue_template,
+            ),
+            _verification_tail, (context_sentence, candidate_mention),
+        ),
+        tuple(s.id for s, _, _ in demos),
     )
 
 

@@ -295,6 +295,9 @@ def test_optimize_config_file_merges_with_defaults(splits, tmp_path):
         ["--set", "pipeline.max_new_tokens=0"],
         ["--set", "pipeline.seed=true"],
         ["--set", "pipeline.model_name=7"],
+        ["--set", "prompt.base_demo_count=true"],
+        ["--set", "prompt.alt_taggers=1"],
+        ["--set", "prompt=5"],
     ],
 )
 def test_optimize_config_errors_exit_1(splits, tmp_path, capsys, extra):
@@ -433,7 +436,13 @@ def test_predict_best_config_changes_the_prompts(splits, tmp_path):
     assert score(predictions, gold, ["DISO"]).micro_f1 == 1.0
 
 
-@pytest.mark.parametrize("content", [None, "{not json", "[1]", '{"bitmask": 0}'])
+@pytest.mark.parametrize(
+    "content",
+    [
+        None, "{not json", "[1]", '{"bitmask": 0}',
+        '{"prompt": {"base_demo_count": "x"}}', '{"prompt": {"alt_taggers": "yes"}}',
+    ],
+)
 def test_predict_bad_best_config_file_exits_1(splits, tmp_path, capsys, content):
     sample_path, test_path, _ = splits
     best = tmp_path / "best_config.json"
@@ -449,7 +458,15 @@ def test_predict_bad_best_config_file_exits_1(splits, tmp_path, capsys, content)
     assert capsys.readouterr().err.startswith("error:")
 
 
-@pytest.mark.parametrize("content", [None, "{not json", "[]"])
+@pytest.mark.parametrize(
+    "content",
+    [
+        None, "{not json", "[]", '{"sentences": []}',
+        '{"sentences": {"syn-en-0006": {"DISO": [{"start": 0, "type": "DISO", "mention": "x"}]}}}',
+        '{"sentences": {"syn-en-0006": {"DISO": [{"start": [], "end": 1, "type": "DISO", '
+        '"mention": "x"}]}}}',
+    ],
+)
 def test_evaluate_bad_predictions_file_exits_2(splits, tmp_path, capsys, content):
     _, test_path, _ = splits
     predictions = tmp_path / "predictions.json"

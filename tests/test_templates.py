@@ -88,6 +88,16 @@ def test_config_rejects_bad_mode_separator_and_count():
         PromptConfig(base_demo_count=0)
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [{"alt_taggers": 1}, {"dialogue_template": "yes"}, {"base_demo_count": True},
+     {"base_demo_count": "5"}, {"base_demo_count": 5.0}, {"mode": ["tagging"]}],
+)
+def test_config_rejects_values_of_the_wrong_type(fields):
+    with pytest.raises(ConfigError, match="prompt"):
+        PromptConfig(**fields)
+
+
 def test_config_feature_accessors():
     config = PromptConfig(alt_taggers=True)
     assert config.feature("alt_taggers") is True
