@@ -27,7 +27,7 @@ import re
 import secrets
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from json.encoder import encode_basestring as _encode_string
 from math import isfinite
 from pathlib import Path
@@ -48,11 +48,20 @@ _WORD = re.compile(r"[^\W_]+", re.UNICODE)
 
 @dataclass(frozen=True)
 class GenerationRequest:
+    """One completion request: the prompt and how to complete it.
+
+    digest, when not empty, must equal request_digest of the other five
+    fields; only the pipeline sets one, from its memo of the requests it
+    has hashed.  CachedBackend keys by it, so a request repeated across
+    configurations is hashed once.  It takes no part in equality or repr.
+    """
+
     prompt: str
     max_new_tokens: int
     temperature: float = 0.0
     stop_sequences: tuple[str, ...] = ()
     model_name: str = ""
+    digest: str = field(default="", compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -72,7 +81,8 @@ _CANONICAL_REQUEST = (
 
 
 def request_digest(request: GenerationRequest) -> str:
-    """Stable cache key: sha256 over the canonical JSON of all request fields.
+    """Stable cache key: sha256 over the canonical JSON of the five content
+    fields; a carried digest is not read.
 
     The JSON is what json.dumps(..., sort_keys=True, ensure_ascii=False)
     writes.  It is built by hand when every field has its plain type (an
@@ -547,7 +557,8 @@ class DiskCache:
 
 
 class CachedBackend:
-    """Memoizes completions by request digest.
+    """Memoizes completions by request digest: the one the request carries,
+    else request_digest of its fields.
 
     A hit takes no lock: the store is read right after the digest.  A miss
     enters a per-key lock and reads the store again before calling the
@@ -565,7 +576,7 @@ class CachedBackend:
         self._master = threading.Lock()
 
     def generate(self, request: GenerationRequest) -> str:
-        key = request_digest(request)
+        key = request.digest or request_digest(request)
         record = self.cache.get(key)
         if record is not None:
             return record.completion

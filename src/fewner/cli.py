@@ -110,12 +110,15 @@ def apply_overrides(config: dict, assignments: list[str]) -> list[dict]:
 
 def _read_json_object(path: str, what: str, error: type[FewnerError] = ConfigError) -> dict:
     """The JSON object that the input file at path holds; raises error,
-    naming the file as what, when it is missing, not JSON or not an object."""
+    naming the file as what, when it is missing, unreadable, not UTF-8,
+    not JSON or not an object."""
     path = Path(path)
     if not path.exists():
         raise error(f"{what} not found: {path}")
     try:
         loaded = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"cannot read {what} {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise error(f"{what} {path} is not valid JSON: {exc}") from exc
     if not isinstance(loaded, dict):

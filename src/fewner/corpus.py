@@ -157,11 +157,15 @@ def has_overlapping_spans(sentence: AnnotatedSentence) -> bool:
 # Entity type registry
 
 def load_entity_types(path: str | Path | None = None) -> dict[str, EntityType]:
-    """Load an entity type registry; the bundled registry when path is None."""
+    """Load an entity type registry; the bundled registry when path is None.
+    A path that cannot be read, or is not UTF-8, raises DataError naming it."""
     if path is None:
         raw = resources.files("fewner").joinpath("data/entity_types.json").read_text("utf-8")
     else:
-        raw = Path(path).read_text("utf-8")
+        try:
+            raw = Path(path).read_text("utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise DataError(f"cannot read entity type registry {path}: {exc}") from exc
     try:
         data = json.loads(raw)
     except json.JSONDecodeError as exc:
@@ -448,18 +452,22 @@ def _save_jsonl(sentences: Sequence[AnnotatedSentence], path: Path) -> None:
 # Public I/O entry points
 
 def load_corpus(path: str | Path, format: str, language: str = "en") -> list[AnnotatedSentence]:
-    """Load and validate a corpus file (or BRAT directory)."""
+    """Load and validate a corpus file (or BRAT directory); a path that
+    cannot be read, or is not UTF-8, raises DataError naming it."""
     path = Path(path)
     if format not in CORPUS_FORMATS:
         raise ConfigError(f"unknown corpus format {format!r}; expected one of {CORPUS_FORMATS}")
     if not path.exists():
         raise DataError(f"corpus path does not exist: {path}")
-    if format == "conll":
-        sentences = _load_conll(path, language)
-    elif format == "brat":
-        sentences = _load_brat(path, language)
-    else:
-        sentences = _load_jsonl(path, language)
+    try:
+        if format == "conll":
+            sentences = _load_conll(path, language)
+        elif format == "brat":
+            sentences = _load_brat(path, language)
+        else:
+            sentences = _load_jsonl(path, language)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read corpus {path}: {exc}") from exc
     validate_corpus(sentences)
     return sentences
 

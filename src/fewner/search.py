@@ -22,7 +22,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
-from . import rng, selection
+from . import backend, rng, selection
 from .backend import CompletionBackend, GenerationRequest
 from .corpus import AnnotatedSentence, EntityType
 from .decode import (
@@ -56,6 +56,8 @@ MAX_IN_FLIGHT = 8
 PREDICT_WAVE = 64
 # Off-CPU seconds inline calls must have spent before the pool may start.
 _MIN_WAIT_S = 0.02
+# Inline wall seconds between two readings of the thread clock.
+_CLOCK_WINDOW_S = _MIN_WAIT_S / 4
 
 
 @dataclass(frozen=True)
@@ -144,6 +146,10 @@ class _Item(NamedTuple):
     max_new_tokens: int  # room for the answer
 
 
+# Ranked demonstrations and the tuple of their ids, built together once.
+_Ranked = tuple[tuple[AnnotatedSentence, ...], tuple[str, ...]]
+
+
 class PromptingPipeline:
     """Select demos, render prompts, call the backend, decode spans.
 
@@ -164,8 +170,10 @@ class PromptingPipeline:
 
     The LOOCV items are made once, with the pipeline.  Planning work that
     depends on the item and not on the feature flags is memoized: ranked
-    demos, shuffled orders, verification demos, and the prompt parts and
-    demo blocks with their token counts; so is each decoded completion.
+    demos with their ids, shuffled orders, verification demos, and the
+    prompt parts and demo blocks with their token counts; so is each
+    request's digest, keyed by the prompt's parts, and each decoded
+    completion.
     LOOCV keeps one memo for the pipeline's lifetime, since its folds are
     the same for every configuration; any other wave gets a fresh memo that
     ends with it.  So planning entries stay bounded by k x types x the few
@@ -229,16 +237,24 @@ class PromptingPipeline:
             for t in entity_types
         ]
 
-    def _request(self, prompt: RenderedPrompt, item: _Item) -> GenerationRequest:
+    def _request(self, prompt: RenderedPrompt, item: _Item, memo: dict) -> GenerationRequest:
+        """The request for prompt, carrying its digest, which is hashed
+        once per memo and then found under the prompt's parts.
+
+        The key opens with a memo entry, not a kind name, so it cannot meet
+        another memo key.  A prompt without parts (not built by the
+        assembler) carries no digest, and the cache hashes it.
+        """
         if self.observer is not None:
             self.observer(prompt, item.held_out_id)
-        return GenerationRequest(
-            prompt=prompt.text,
-            max_new_tokens=item.max_new_tokens,
-            temperature=0.0,
-            stop_sequences=prompt.stop_sequences,
-            model_name=self.settings.model_name,
+        content = (
+            prompt.text, item.max_new_tokens, 0.0, prompt.stop_sequences, self.settings.model_name,
         )
+        key = (*prompt.parts, prompt.stop_sequences, item.max_new_tokens)
+        digest = memo.get(key) if prompt.parts else ""
+        if digest is None:
+            digest = memo[key] = backend.request_digest(GenerationRequest(*content))
+        return GenerationRequest(*content, digest=digest)
 
     def _backend_waits(self) -> bool:
         """Whether inline calls spent more than half their wall time off
@@ -251,10 +267,16 @@ class PromptingPipeline:
         """Completions in request order.
 
         Calls run inline, timed, until the backend is seen waiting; the
-        remaining requests then go to the pool, created on first use.
+        remaining requests then go to the pool, created on first use.  The
+        thread clock is read at the start of the inline run, after each
+        call that ends over _CLOCK_WINDOW_S of wall time past its last
+        reading, and after the last call; the totals grow only at those
+        readings, so wall and CPU time always cover the same calls.
         """
         self.backend_calls += len(requests)
         completions: list[str] = []
+        wall, cpu = time.perf_counter(), time.thread_time()
+        last = len(requests) - 1
         for i, request in enumerate(requests):
             if self._backend_waits():
                 if self._threads is None:
@@ -263,17 +285,20 @@ class PromptingPipeline:
                     )
                 completions.extend(self._threads.map(self.backend.generate, requests[i:]))
                 break
-            wall, cpu = time.perf_counter(), time.thread_time()
             completions.append(self.backend.generate(request))
-            self._inline_wall_s += time.perf_counter() - wall
-            self._inline_cpu_s += time.thread_time() - cpu
+            now = time.perf_counter()
+            if now - wall > _CLOCK_WINDOW_S or i == last:
+                now_cpu = time.thread_time()
+                self._inline_wall_s += now - wall
+                self._inline_cpu_s += now_cpu - cpu
+                wall, cpu = now, now_cpu
         return completions
 
     def _demos(
         self, config: PromptConfig, item: _Item, memo: dict
-    ) -> tuple[AnnotatedSentence, ...]:
-        """Ranked demos: entity-rich for the type under self_verification,
-        else TF-IDF nearest to the text."""
+    ) -> _Ranked:
+        """Ranked demos and their ids: entity-rich for the type under
+        self_verification, else TF-IDF nearest to the text."""
         rich = config.self_verification
         key = (
             "demos", item.held_out_id, None if rich else item.text,
@@ -287,7 +312,9 @@ class PromptingPipeline:
                 demo_ids = selection.select_entity_rich(pool, item.entity_type.id, n)
             else:
                 demo_ids = selection.select_nearest(self._index(item.held_out_id), item.text, n)
-            demos = memo[key] = tuple(self.corpus_by_id[sid] for sid in demo_ids)
+            demos = memo[key] = (
+                tuple(self.corpus_by_id[sid] for sid in demo_ids), tuple(demo_ids)
+            )
         return demos
 
     def _verification_demos(
@@ -334,7 +361,7 @@ class PromptingPipeline:
         self,
         config: PromptConfig,
         items: list[_Item],
-        demos: list[tuple[AnnotatedSentence, ...]],
+        demos: list[_Ranked],
         results: list[DecodeResult],
         memo: dict,
     ) -> list[DecodeResult]:
@@ -347,10 +374,10 @@ class PromptingPipeline:
         language = self._language(config)
         requests: list[GenerationRequest] = []
         asked: list[list[bool]] = []  # per item, whether each span was asked
-        for item, item_demos, result in zip(items, demos, results):
+        for item, (item_demos, demo_ids), result in zip(items, demos, results):
             item_asked = []
             if result.spans:
-                key = ("verification", tuple(d.id for d in item_demos), item.entity_type.id)
+                key = ("verification", demo_ids, item.entity_type.id)
                 if key not in memo:
                     memo[key] = self._verification_demos(item_demos, item.entity_type)
                 vdemos = memo[key]
@@ -359,7 +386,7 @@ class PromptingPipeline:
                         config, item, span.mention, vdemos, language, memo
                     )
                     if prompt is not None:
-                        requests.append(self._request(prompt, item))
+                        requests.append(self._request(prompt, item, memo))
                     item_asked.append(prompt is not None)
             asked.append(item_asked)
         verdicts = iter(
@@ -406,22 +433,23 @@ class PromptingPipeline:
         result, keyed by all the decoder reads."""
         memo = {} if memo is None else memo
         language = self._language(config)
-        demos: list[tuple[AnnotatedSentence, ...]] = []
+        demos: list[_Ranked] = []
         requests: list[GenerationRequest] = []
         for item in items:
-            item_demos = self._demos(config, item, memo)
+            ranked = self._demos(config, item, memo)
             prompt = fit_to_budget(
                 config,
                 item.entity_type,
-                item_demos,
+                ranked[0],
                 item.text,
                 language,
                 self.settings.token_budget,
                 shuffle_seed=item.shuffle_seed,
                 memo=memo,
+                ranked_ids=ranked[1],
             )
-            demos.append(item_demos)
-            requests.append(self._request(prompt, item))
+            demos.append(ranked)
+            requests.append(self._request(prompt, item, memo))
         tagging = config.mode == "tagging"
         # What picks the decoder and shapes its output, besides the item.
         decoder = (

@@ -34,7 +34,7 @@ from __future__ import annotations
 import json
 import logging
 import re
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from functools import lru_cache
 from importlib import resources
 from typing import Iterable, Sequence
@@ -184,6 +184,14 @@ class PromptConfig:
 
 @dataclass(frozen=True)
 class RenderedPrompt:
+    """A prompt and what it was built from.
+
+    parts holds the (head, demo block, tail) memo entries whose lines the
+    text joins, so equal parts mean equal text; prompts rendered from one
+    memo share the entry objects, so comparing their parts is cheap.  It
+    takes no part in equality or repr.
+    """
+
     text: str
     entity_type: str
     demonstrations: tuple[str, ...]
@@ -191,6 +199,7 @@ class RenderedPrompt:
     estimated_tokens: int
     kind: str  # "main" or "self_verification"
     dropped_demos: int = 0
+    parts: tuple = field(default=(), compare=False, repr=False)
 
 
 # --------------------------------------------------------------------------
@@ -306,10 +315,11 @@ def _assemble(
     A key names what shapes its part, so one entry serves every
     configuration that agrees on it.  Lines are joined by "\\n" and no
     token spans whitespace, so the prompt's count is the sum of its parts'.
+    The prompt keeps the three entries it joined as its parts.
     """
     memo = {} if memo is None else memo
-    head_lines, head_tokens = _counted(memo, scope, *head)
-    tail_lines, tail_tokens = _counted(memo, scope, *tail)
+    head_lines, head_tokens = head_part = _counted(memo, scope, *head)
+    tail_lines, tail_tokens = tail_part = _counted(memo, scope, *tail)
     block_key, turn_kind, args, build = demos
     block = memo.get(block_key)
     if block is None:
@@ -330,6 +340,7 @@ def _assemble(
         stop_sequences=stop_sequences_for(config, language),
         estimated_tokens=head_tokens + block[1] + tail_tokens,
         kind=kind,
+        parts=(head_part, block, tail_part),
     )
 
 
@@ -360,6 +371,7 @@ def render_main_prompt(
     prompt_language: str,
     allow_empty_demos: bool = False,
     memo: dict | None = None,
+    demo_ids: tuple[str, ...] | None = None,
 ) -> RenderedPrompt:
     """Assemble the main prompt for one test sentence and one entity type.
 
@@ -371,7 +383,7 @@ def render_main_prompt(
     calls (see _assemble): the header with its definition, each
     demonstration, the demonstration block and the intro with the test
     turn.  Share one only among calls whose sentences of one id are the
-    same sentence.
+    same sentence.  demo_ids, when given, are the ids of demos in order.
     """
     if not demos and not allow_empty_demos:
         raise ConfigError("cannot render a prompt with an empty demonstration set")
@@ -380,7 +392,8 @@ def render_main_prompt(
     variant = (
         entity_type.id, config.mode, config.alt_taggers, config.listing_separator, prompt_language,
     )
-    demo_ids = tuple(d.id for d in demos)
+    if demo_ids is None:
+        demo_ids = tuple(d.id for d in demos)
     return _assemble(
         memo, (config, entity_type, prompt_language), "main",
         (("head", variant, config.specialist_persona, config.label_definitions), _main_head, None),
@@ -471,6 +484,7 @@ def fit_to_budget(
     budget: int,
     shuffle_seed: int | None = None,
     memo: dict | None = None,
+    ranked_ids: tuple[str, ...] | None = None,
 ) -> RenderedPrompt:
     """Render the main prompt, dropping demos until it fits the token budget.
 
@@ -478,21 +492,26 @@ def fit_to_budget(
     kept demos are then shuffled (when a seed is given) to fix prompt order.
     Raises ConfigError when even the scaffold without demonstrations exceeds
     the budget.  memo, as in render_main_prompt, also keeps each shuffled
-    order.
+    order with its ids.  ranked_ids, when given, are the ids of
+    ranked_demos in order.
     """
     if budget < 1:
         raise ConfigError(f"token budget must be positive, got {budget}")
     memo = {} if memo is None else memo
+    if ranked_ids is None:
+        ranked_ids = tuple(d.id for d in ranked_demos)
     for keep in range(len(ranked_demos), -1, -1):
-        kept = tuple(ranked_demos[:keep])
+        kept, ids = tuple(ranked_demos[:keep]), ranked_ids[:keep]
         if shuffle_seed is not None:
-            key = ("order", tuple(d.id for d in kept), shuffle_seed)
-            if key not in memo:
-                memo[key] = tuple(rng.shuffled(kept, shuffle_seed))
-            kept = memo[key]
+            key = ("order", ids, shuffle_seed)
+            order = memo.get(key)
+            if order is None:
+                shuffled = tuple(rng.shuffled(kept, shuffle_seed))
+                order = memo[key] = (shuffled, tuple(d.id for d in shuffled))
+            kept, ids = order
         prompt = render_main_prompt(
             config, entity_type, kept, test_text, prompt_language,
-            allow_empty_demos=True, memo=memo,
+            allow_empty_demos=True, memo=memo, demo_ids=ids,
         )
         if prompt.estimated_tokens <= budget:
             dropped = len(ranked_demos) - keep

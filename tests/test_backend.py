@@ -152,6 +152,14 @@ def test_request_digest_covers_every_field():
         seen.add(digest)
 
 
+def test_request_digest_ignores_a_carried_digest():
+    request = GenerationRequest("p", 32, 0.0, ("s",), "m")
+    carrying = dataclasses.replace(request, digest="0" * 64)
+    assert request_digest(carrying) == request_digest(request) == json_digest(request)
+    assert carrying == request and hash(carrying) == hash(request)
+    assert "0" * 64 not in repr(carrying)
+
+
 def test_truncate_at_stop_cuts_earliest():
     assert truncate_at_stop("a\nInput: b\n- c", ("\n-", "\nInput:")) == "a"
     assert truncate_at_stop("clean", ("\nInput:",)) == "clean"
@@ -748,6 +756,27 @@ def test_cached_backend_records_metadata():
     assert record.backend_id == "echo"
     assert record.completion == "a."
     assert record.latency_s >= 0.0
+
+
+def test_cached_backend_hashes_only_a_request_without_a_digest(monkeypatch):
+    hashed = []
+
+    def counting_digest(request):
+        hashed.append(request)
+        return request_digest(request)
+
+    monkeypatch.setattr("fewner.backend.request_digest", counting_digest)
+    cache = MemoryCache()
+    cached = CachedBackend(EchoBackend(), cache)
+    bare = req("Input: a.\nOutput:")
+    assert cached.generate(bare) == "a."
+    assert hashed == [bare]
+    assert cache.get(request_digest(bare)).completion == "a."
+    # A carried digest is the key as it stands: nothing is hashed.
+    carrying = req("Input: b.\nOutput:", digest="f" * 64)
+    assert cached.generate(carrying) == "b."
+    assert hashed == [bare]
+    assert cache.get("f" * 64).request_hash == "f" * 64
 
 
 def test_disk_cache_round_trip(tmp_path):

@@ -46,6 +46,23 @@ def read_json(path: Path):
     return json.loads(path.read_text(encoding="utf-8"))
 
 
+# Inputs that exist but cannot be read as UTF-8 text.
+DIRECTORY = "<directory>"
+NOT_UTF8 = b"\xff\xfe{\x00}\x00"  # UTF-16 with its byte-order mark
+UNREADABLE = [pytest.param(DIRECTORY, id="directory"), pytest.param(NOT_UTF8, id="not-utf8")]
+
+
+def write_input(path: Path, content) -> None:
+    """Put content at path: text, raw bytes, DIRECTORY for an empty
+    directory, or nothing for None."""
+    if content == DIRECTORY:
+        path.mkdir()
+    elif isinstance(content, bytes):
+        path.write_bytes(content)
+    elif content is not None:
+        path.write_text(content, encoding="utf-8")
+
+
 # ---------------------------------------------------------------------------
 # convert / sample
 
@@ -100,6 +117,22 @@ def test_sample_writes_subset_and_manifest(tmp_path, capsys):
     # The CLI must agree with the library sampler it wraps.
     expected = sample_fewshot(load_corpus(src, "jsonl"), 5, 13)
     assert tuple(manifest["sentence_ids"]) == expected.sentence_ids
+
+
+@pytest.mark.parametrize("format", ["jsonl", "conll"])
+@pytest.mark.parametrize("content", UNREADABLE)
+def test_sample_unreadable_corpus_exits_2(tmp_path, capsys, format, content):
+    corpus = tmp_path / f"corpus.{format}"
+    write_input(corpus, content)
+    rc = main(
+        [
+            "sample", "--corpus", str(corpus), "--format", format, "--k", "2", "--seed", "1",
+            "--output", str(tmp_path / "s.jsonl"),
+        ]
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(corpus) in err
 
 
 def test_sample_honours_explicit_manifest_path(tmp_path):
@@ -312,6 +345,38 @@ def test_optimize_config_errors_exit_1(splits, tmp_path, capsys, extra):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("content", UNREADABLE)
+def test_optimize_unreadable_config_file_exits_1(splits, tmp_path, capsys, content):
+    sample_path, _, _ = splits
+    config = tmp_path / "config.json"
+    write_input(config, content)
+    rc = main(
+        [
+            "optimize", "--sample", str(sample_path), "--run-dir", str(tmp_path / "run"),
+            "--types", "DISO", "--config", str(config),
+        ]
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(config) in err
+
+
+@pytest.mark.parametrize("content", [None, *UNREADABLE])
+def test_optimize_unreadable_registry_exits_2(splits, tmp_path, capsys, content):
+    sample_path, _, _ = splits
+    registry = tmp_path / "types.json"
+    write_input(registry, content)
+    rc = main(
+        [
+            "optimize", "--sample", str(sample_path), "--run-dir", str(tmp_path / "run"),
+            "--types", "DISO", "--registry", str(registry),
+        ]
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(registry) in err
+
+
 def test_optimize_rejects_malformed_config_file(splits, tmp_path, capsys):
     sample_path, _, _ = splits
     bad = tmp_path / "bad.json"
@@ -441,13 +506,13 @@ def test_predict_best_config_changes_the_prompts(splits, tmp_path):
     [
         None, "{not json", "[1]", '{"bitmask": 0}',
         '{"prompt": {"base_demo_count": "x"}}', '{"prompt": {"alt_taggers": "yes"}}',
+        *UNREADABLE,
     ],
 )
 def test_predict_bad_best_config_file_exits_1(splits, tmp_path, capsys, content):
     sample_path, test_path, _ = splits
     best = tmp_path / "best_config.json"
-    if content is not None:
-        best.write_text(content, encoding="utf-8")
+    write_input(best, content)
     rc = main(
         [
             "predict", "--sample", str(sample_path), "--test", str(test_path),
@@ -465,13 +530,13 @@ def test_predict_bad_best_config_file_exits_1(splits, tmp_path, capsys, content)
         '{"sentences": {"syn-en-0006": {"DISO": [{"start": 0, "type": "DISO", "mention": "x"}]}}}',
         '{"sentences": {"syn-en-0006": {"DISO": [{"start": [], "end": 1, "type": "DISO", '
         '"mention": "x"}]}}}',
+        *UNREADABLE,
     ],
 )
 def test_evaluate_bad_predictions_file_exits_2(splits, tmp_path, capsys, content):
     _, test_path, _ = splits
     predictions = tmp_path / "predictions.json"
-    if content is not None:
-        predictions.write_text(content, encoding="utf-8")
+    write_input(predictions, content)
     rc = main(
         [
             "evaluate", "--predictions", str(predictions), "--gold", str(test_path),

@@ -142,3 +142,16 @@ def test_failing_request_raises_its_own_error(delay_s, pooled):
     with pytest.raises(ProtocolError, match="rejected"):
         pipeline.evaluate_loocv(PromptConfig())
     assert [name.startswith("fewner-request") for name in slow.failed_in] == [pooled]
+
+
+def test_inline_calls_do_not_read_the_thread_clock_per_call(monkeypatch):
+    reads = []
+    thread_time = time.thread_time
+    monkeypatch.setattr(time, "thread_time", lambda: reads.append(1) or thread_time())
+    pipeline = oracle_pipeline()
+    pipeline.evaluate_loocv(PromptConfig())
+    # One wave of a main request per fold and type, answered in process:
+    # the clock is read at its start and end, and once more only after a
+    # call ends 5 ms past the last reading, which a loaded host may cause.
+    assert pipeline.backend_calls == 6 * len(pipeline.entity_types)
+    assert 2 <= len(reads) < pipeline.backend_calls

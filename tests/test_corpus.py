@@ -113,6 +113,24 @@ def test_load_corpus_rejects_missing_file(tmp_path):
         load_corpus(tmp_path / "absent.jsonl", "jsonl")
 
 
+@pytest.mark.parametrize("format", ["jsonl", "conll"])
+def test_load_corpus_rejects_a_directory_naming_it(tmp_path, format):
+    folder = tmp_path / f"corpus.{format}"
+    folder.mkdir()
+    with pytest.raises(DataError, match="cannot read corpus") as err:
+        load_corpus(folder, format)
+    assert str(folder) in str(err.value)
+
+
+@pytest.mark.parametrize("format", ["jsonl", "conll", "brat"])
+def test_load_corpus_rejects_text_that_is_not_utf8_naming_it(tmp_path, format):
+    path = tmp_path / "corpus.txt"
+    path.write_bytes(b"\xff\xfef\x00e\x00v\x00e\x00r\x00")  # UTF-16 with its byte-order mark
+    with pytest.raises(DataError, match="cannot read corpus") as err:
+        load_corpus(path, format)
+    assert str(path) in str(err.value)
+
+
 # ---------------------------------------------------------------------------
 # CoNLL
 
@@ -264,6 +282,14 @@ def test_brat_rejects_surface_mismatch(tmp_path):
     doc.with_suffix(".ann").write_text("T1\tDISO 0 5\tchill\n", encoding="utf-8")
     with pytest.raises(DataError):
         load_corpus(doc, "brat")
+
+
+def test_brat_directory_with_a_document_that_is_not_utf8_is_a_data_error(tmp_path):
+    (tmp_path / "a.txt").write_text("fever", encoding="utf-8")
+    (tmp_path / "b.txt").write_bytes(b"\xff\xfef\x00")
+    with pytest.raises(DataError, match="cannot read corpus") as err:
+        load_corpus(tmp_path, "brat")
+    assert str(tmp_path) in str(err.value)
 
 
 def test_brat_rejects_empty_directory(tmp_path):

@@ -5,8 +5,16 @@ from dataclasses import replace
 
 import pytest
 
+import test_golden_prompts as golden
 from conftest import additive_scorer, nine_weights, sent, span
-from fewner.backend import EchoBackend, GenerationRequest, OracleBackend, make_noisy_oracle
+from reference_digest import json_digest
+from fewner.backend import (
+    EchoBackend,
+    GenerationRequest,
+    OracleBackend,
+    make_noisy_oracle,
+    request_digest,
+)
 from fewner.decode import decode_listing, decode_tagged
 from fewner.errors import ConfigError
 from fewner.evaluation import score
@@ -398,6 +406,70 @@ class StreamRecorder:
     def generate(self, request):
         self.stream.append((request.prompt, request.max_new_tokens, request.stop_sequences))
         return self.inner.generate(request)
+
+
+class _CheckedDigests(golden._Digests):
+    """The golden run's backend wrapper, checking first that each request
+    carries the digest the JSON reference computes from its fields."""
+
+    def generate(self, request):
+        assert request.digest == json_digest(request), request
+        return super().generate(request)
+
+
+@pytest.mark.parametrize("language", ["en", "fr", "es"])
+@pytest.mark.parametrize("mode, separator", golden.FORMATS)
+def test_every_grid_and_predict_request_carries_its_digest(monkeypatch, language, mode, separator):
+    monkeypatch.setattr(golden, "_Digests", _CheckedDigests)
+    digest, dropped = golden._grid_digest(language, mode, separator)
+    assert any(dropped)
+    assert digest == golden.GOLDEN[language, mode, separator]
+
+
+@pytest.mark.parametrize("language", ["en", "fr", "es"])
+def test_every_annotate_request_carries_its_digest(language):
+    sentences, types = synthetic_corpus(7, seed=29, language=language)
+    sample = sentences[:5]
+    checked = []
+
+    class Checked(StreamRecorder):
+        def generate(self, request):
+            assert request.digest == json_digest(request), request
+            checked.append(request.digest)
+            return super().generate(request)
+
+    oracle = make_noisy_oracle(sentences, types, seed=29, drop_prob=0.2, spurious_prob=0.3)
+    settings = PipelineSettings(prompt_language=language, seed=29, token_budget=190)
+    dropped = []
+    pipeline = PromptingPipeline(
+        sample, types, Checked(oracle), settings,
+        observer=lambda prompt, _: dropped.append(prompt.dropped_demos),
+    )
+    for mask in range(0, 1 << len(FEATURE_NAMES), 37):
+        for mode, separator in golden.FORMATS:
+            config = PromptConfig.from_bitmask(mask, mode=mode, listing_separator=separator)
+            for s in sentences:
+                held_out = s.id if s in sample else None
+                for t in types:
+                    pipeline.annotate(config, t, s.text, s.id, held_out_id=held_out)
+    assert checked and any(dropped)
+
+
+def test_loocv_hashes_each_distinct_request_once(monkeypatch):
+    hashed = []
+
+    def counting_digest(request):
+        hashed.append(request)
+        return request_digest(request)
+
+    monkeypatch.setattr("fewner.backend.request_digest", counting_digest)
+    sentences, types = synthetic_corpus(6, seed=11)
+    oracle = make_noisy_oracle(sentences, types, seed=11, drop_prob=0.2, spurious_prob=0.3)
+    recorder = StreamRecorder(oracle)
+    pipeline = PromptingPipeline(sentences, types, recorder)
+    for mask in range(1 << len(FEATURE_NAMES)):
+        pipeline.evaluate_loocv(PromptConfig.from_bitmask(mask))
+    assert len(hashed) == len(set(recorder.stream)) < len(recorder.stream)
 
 
 # Every sentence has one mention of each type, so both types rank the same
