@@ -158,7 +158,8 @@ def has_overlapping_spans(sentence: AnnotatedSentence) -> bool:
 
 def load_entity_types(path: str | Path | None = None) -> dict[str, EntityType]:
     """Load an entity type registry; the bundled registry when path is None.
-    A path that cannot be read, or is not UTF-8, raises DataError naming it."""
+    A path that cannot be read, or is not UTF-8, raises DataError naming it;
+    so does a registry of another shape, naming the entry too."""
     if path is None:
         raw = resources.files("fewner").joinpath("data/entity_types.json").read_text("utf-8")
     else:
@@ -170,15 +171,47 @@ def load_entity_types(path: str | Path | None = None) -> dict[str, EntityType]:
         data = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise ParseError(f"entity type registry is not valid JSON: {exc}", path=str(path))
+    if not isinstance(data, dict):
+        raise DataError(
+            f"entity type registry {path}: the top level must be an object, "
+            f"got {type(data).__name__}"
+        )
     registry = {}
     for type_id, entry in data.items():
-        registry[type_id] = EntityType(
-            id=type_id,
-            names=entry["names"],
-            definitions=entry.get("definitions", {}),
-            domain=entry.get("domain", "general"),
-        )
+        problem = _entry_problem(entry)
+        if problem is None:
+            try:
+                registry[type_id] = EntityType(
+                    type_id, entry["names"], entry.get("definitions", {}),
+                    entry.get("domain", "general"),
+                )
+                continue
+            except ConfigError as exc:
+                problem = str(exc)
+        raise DataError(f"entity type registry {path}: entry {type_id!r}: {problem}")
     return registry
+
+
+def _entry_problem(entry) -> str | None:
+    """What is wrong with the shape of one registry entry, or None."""
+    if not isinstance(entry, dict) or "names" not in entry:
+        return "must be an object with names"
+    if not _object_of(
+        entry["names"], lambda n: _object_of(n, _is_str) and {"singular", "plural"} <= n.keys()
+    ):
+        return "names must map each language to its singular and plural strings"
+    if not _object_of(entry.get("definitions", {}), _is_str):
+        return "definitions must map each language to a string"
+    return None
+
+
+def _is_str(value) -> bool:
+    return isinstance(value, str)
+
+
+def _object_of(value, check) -> bool:
+    """Whether value is a JSON object whose every value passes check."""
+    return isinstance(value, dict) and all(check(v) for v in value.values())
 
 
 # --------------------------------------------------------------------------

@@ -150,6 +150,33 @@ class _Item(NamedTuple):
 _Ranked = tuple[tuple[AnnotatedSentence, ...], tuple[str, ...]]
 
 
+class _Step(NamedTuple):
+    """One send: its requests in order, each with the prompt and held-out
+    id the observer was shown, and the completions they received."""
+
+    observed: list[tuple[RenderedPrompt, str | None]]
+    requests: list[GenerationRequest]
+    completions: list[str]
+
+
+@dataclass
+class _Wave:
+    """What one wave planned, sent and decoded.
+
+    decoded holds the main results before verification, asked, per item,
+    whether each decoded span was sent a verification request, and
+    results the wave's answer; verification is None without
+    self_verification.
+    """
+
+    demos: list[_Ranked]
+    main: _Step
+    decoded: list[DecodeResult] = field(default_factory=list)
+    verification: _Step | None = None
+    asked: list[list[bool]] = field(default_factory=list)
+    results: list[DecodeResult] = field(default_factory=list)
+
+
 class PromptingPipeline:
     """Select demos, render prompts, call the backend, decode spans.
 
@@ -179,6 +206,13 @@ class PromptingPipeline:
     ends with it.  So planning entries stay bounded by k x types x the few
     selection and render variants, and decoded ones by the distinct main
     completions of the folds.
+
+    LOOCV also keeps its last evaluation: its canonical config (see
+    _canonical), prompts, requests, completions, results and score.  A
+    config of the same canonical form sends those requests again instead
+    of planning them, and takes the recorded score when every completion
+    comes back the same; otherwise it goes on from what it received.  The
+    requests, their order and backend_calls are the same either way.
     """
 
     def __init__(
@@ -208,6 +242,8 @@ class PromptingPipeline:
         for s in self.corpus:
             self._loocv += self._items(s.text, s.id, s.id, self.entity_types)
         self._folds: dict = {}
+        # The last LOOCV evaluation: (canonical config, wave, score).
+        self._last: tuple[PromptConfig | None, _Wave | None, float] = (None, None, 0.0)
         # Wall and CPU seconds of the backend calls made inline so far.
         self._inline_wall_s = 0.0
         self._inline_cpu_s = 0.0
@@ -237,9 +273,38 @@ class PromptingPipeline:
             for t in entity_types
         ]
 
-    def _request(self, prompt: RenderedPrompt, item: _Item, memo: dict) -> GenerationRequest:
-        """The request for prompt, carrying its digest, which is hashed
-        once per memo and then found under the prompt's parts.
+    def _canonical(self, config: PromptConfig) -> PromptConfig:
+        """config with every feature reset that this pipeline never reads
+        under it, so configs of one canonical form send the same requests.
+
+        - prompt_language_native, when settings.prompt_language is "en":
+          _language returns "en" either way.
+        - long_verification_answer without self_verification: only
+          templates._verification_demo reads it, and only _verify renders
+          verification prompts, under `if config.self_verification:` in
+          _annotate_wave.
+        - alt_taggers in listing mode: it only picks config.tag_pair, which
+          is read by decode_tagged, by the tagging branch of
+          templates._demo_output and by the {open} and {close} fields that
+          only the task_tagging and intro_tagging fragments name.
+        - listing_separator in tagging mode: likewise read only by
+          decode_listing, the listing branch of _demo_output and the
+          {separator} field of task_listing and intro_listing.
+        """
+        inert: dict = {}
+        if self.settings.prompt_language == "en":
+            inert["prompt_language_native"] = False
+        if not config.self_verification:
+            inert["long_verification_answer"] = False
+        if config.mode == "listing":
+            inert["alt_taggers"] = False
+        else:
+            inert["listing_separator"] = "comma"
+        return replace(config, **inert)
+
+    def _request(self, prompt: RenderedPrompt, item: _Item, memo: dict, step: _Step) -> None:
+        """Add to step the request for prompt, carrying its digest, which is
+        hashed once per memo and then found under the prompt's parts.
 
         The key opens with a memo entry, not a kind name, so it cannot meet
         another memo key.  A prompt without parts (not built by the
@@ -254,7 +319,16 @@ class PromptingPipeline:
         digest = memo.get(key) if prompt.parts else ""
         if digest is None:
             digest = memo[key] = backend.request_digest(GenerationRequest(*content))
-        return GenerationRequest(*content, digest=digest)
+        step.observed.append((prompt, item.held_out_id))
+        step.requests.append(GenerationRequest(*content, digest=digest))
+
+    def _again(self, step: _Step) -> _Step:
+        """step's requests to send once more, with no completions yet; the
+        observer is shown their prompts again, in order."""
+        if self.observer is not None:
+            for prompt, held_out_id in step.observed:
+                self.observer(prompt, held_out_id)
+        return _Step(step.observed, step.requests, [])
 
     def _backend_waits(self) -> bool:
         """Whether inline calls spent more than half their wall time off
@@ -357,24 +431,17 @@ class PromptingPipeline:
         out.extend(longer)
         return out[: max(2, len(demos))]
 
-    def _verify(
-        self,
-        config: PromptConfig,
-        items: list[_Item],
-        demos: list[_Ranked],
-        results: list[DecodeResult],
-        memo: dict,
-    ) -> list[DecodeResult]:
-        """The dependent wave: one yes/no request per decoded span.
+    def _verify(self, config: PromptConfig, items: list[_Item], wave: _Wave, memo: dict) -> None:
+        """Plan the dependent wave into wave: one yes/no request per
+        decoded span.
 
         A span with no verification demos, or whose prompt cannot fit the
         token budget, is kept unverified, counted as an unparseable answer
-        is.  results are never changed in place, since memos share them.
+        is.
         """
         language = self._language(config)
-        requests: list[GenerationRequest] = []
-        asked: list[list[bool]] = []  # per item, whether each span was asked
-        for item, (item_demos, demo_ids), result in zip(items, demos, results):
+        wave.verification = step = _Step([], [], [])
+        for item, (item_demos, demo_ids), result in zip(items, wave.demos, wave.decoded):
             item_asked = []
             if result.spans:
                 key = ("verification", demo_ids, item.entity_type.id)
@@ -386,18 +453,21 @@ class PromptingPipeline:
                         config, item, span.mention, vdemos, language, memo
                     )
                     if prompt is not None:
-                        requests.append(self._request(prompt, item, memo))
+                        self._request(prompt, item, memo, step)
                     item_asked.append(prompt is not None)
-            asked.append(item_asked)
-        verdicts = iter(
-            parse_verification(completion) for completion in self._send(requests)
-        )
+            wave.asked.append(item_asked)
+
+    @staticmethod
+    def _verdicts(wave: _Wave) -> list[DecodeResult]:
+        """The decoded results with the verification completions applied;
+        never changed in place, since memos share them."""
+        verdicts = iter(parse_verification(c) for c in wave.verification.completions)
         return [
             apply_verification(
                 result, [next(verdicts) if ask else VERDICT_UNPARSEABLE for ask in item_asked]
             )
             if item_asked else result
-            for result, item_asked in zip(results, asked)
+            for result, item_asked in zip(wave.decoded, wave.asked)
         ]
 
     def _fit_verification(
@@ -425,16 +495,53 @@ class PromptingPipeline:
         return None
 
     def _annotate_wave(
-        self, config: PromptConfig, items: list[_Item], memo: dict | None = None
-    ) -> list[DecodeResult]:
+        self,
+        config: PromptConfig,
+        items: list[_Item],
+        memo: dict | None = None,
+        last: _Wave | None = None,
+    ) -> _Wave:
         """Spans for each item: plan every main prompt in item order, send
         them, decode in item order, then verify as a second wave.  memo
         defaults to a fresh one for this wave; it also keeps each decoded
-        result, keyed by all the decoder reads."""
+        result, keyed by all the decoder reads.
+
+        last, when given, is a wave of the same items under a config of the
+        same canonical form.  Its requests are sent again instead of
+        planned, after the observer is shown their prompts, and its
+        results stand while each send's completions equal the ones it
+        received.  From the first send whose completions differ, the wave
+        goes on from them as a planned one does, so either way the same
+        requests go out once each, in the same order.
+        """
         memo = {} if memo is None else memo
+        if last is None:
+            wave = self._plan(config, items, memo)
+        else:
+            wave = _Wave(last.demos, self._again(last.main))
+        wave.main.completions.extend(self._send(wave.main.requests))
+        if last is not None and wave.main.completions == last.main.completions:
+            wave.decoded = last.decoded
+        else:
+            last = None
+            wave.decoded = self._decode(config, items, wave.main.completions, memo)
+        wave.results = wave.decoded
+        if config.self_verification:
+            if last is None:
+                self._verify(config, items, wave, memo)
+            else:
+                wave.verification, wave.asked = self._again(last.verification), last.asked
+            wave.verification.completions.extend(self._send(wave.verification.requests))
+            if last is not None and wave.verification.completions == last.verification.completions:
+                wave.results = last.results
+            else:
+                wave.results = self._verdicts(wave)
+        return wave
+
+    def _plan(self, config: PromptConfig, items: list[_Item], memo: dict) -> _Wave:
+        """A wave with the demos and main requests of items, in item order."""
         language = self._language(config)
-        demos: list[_Ranked] = []
-        requests: list[GenerationRequest] = []
+        wave = _Wave([], _Step([], [], []))
         for item in items:
             ranked = self._demos(config, item, memo)
             prompt = fit_to_budget(
@@ -448,8 +555,14 @@ class PromptingPipeline:
                 memo=memo,
                 ranked_ids=ranked[1],
             )
-            demos.append(ranked)
-            requests.append(self._request(prompt, item, memo))
+            wave.demos.append(ranked)
+            self._request(prompt, item, memo, wave.main)
+        return wave
+
+    def _decode(
+        self, config: PromptConfig, items: list[_Item], completions: list[str], memo: dict
+    ) -> list[DecodeResult]:
+        """The spans each item's main completion decodes to, memoized."""
         tagging = config.mode == "tagging"
         # What picks the decoder and shapes its output, besides the item.
         decoder = (
@@ -458,7 +571,7 @@ class PromptingPipeline:
             config.dialogue_template,
         )
         results = []
-        for item, completion in zip(items, self._send(requests)):
+        for item, completion in zip(items, completions):
             key = ("decoded", decoder, item.entity_type.id, item.text, completion)
             result = memo.get(key)
             if result is None:
@@ -474,8 +587,6 @@ class PromptingPipeline:
                     )
                 memo[key] = result
             results.append(result)
-        if config.self_verification:
-            results = self._verify(config, items, demos, results, memo)
         return results
 
     def annotate(
@@ -492,18 +603,35 @@ class PromptingPipeline:
         LOOCV case); the returned spans refer to offsets in test_text.
         """
         items = self._items(test_text, test_id, held_out_id, [entity_type])
-        return self._annotate_wave(config, items)[0]
+        return self._annotate_wave(config, items).results[0]
 
     def evaluate_loocv(self, config: PromptConfig) -> float:
-        """Micro-F1 of config under leave-one-out over the annotated sample."""
+        """Micro-F1 of config under leave-one-out over the annotated sample.
+
+        The last evaluation's wave is kept with its canonical config and
+        score.  When config has the same canonical form, that wave is
+        replayed (see _annotate_wave), and its score stands if every
+        completion came back the same.
+        """
         if len(self.corpus) < 2:
             raise ConfigError("leave-one-out needs at least two annotated sentences")
-        tp = fp = fn = 0
-        for item, result in zip(self._loocv, self._annotate_wave(config, self._loocv, self._folds)):
-            gold = self.corpus_by_id[item.test_id].spans_of(item.entity_type.id)
-            dtp, dfp, dfn = span_match_counts(result.spans, gold)
-            tp, fp, fn = tp + dtp, fp + dfp, fn + dfn
-        return f1_from_counts(tp, fp, fn)[2]
+        canonical = self._canonical(config)
+        last_config, last, score = self._last
+        # Dropped first, so that two planned waves are never held at once.
+        self._last = (None, None, 0.0)
+        if last_config != canonical:
+            last = None
+        wave = self._annotate_wave(config, self._loocv, self._folds, last)
+        # A replay keeps last's results only if every completion matched.
+        if last is None or wave.results is not last.results:
+            tp = fp = fn = 0
+            for item, result in zip(self._loocv, wave.results):
+                gold = self.corpus_by_id[item.test_id].spans_of(item.entity_type.id)
+                dtp, dfp, dfn = span_match_counts(result.spans, gold)
+                tp, fp, fn = tp + dtp, fp + dfp, fn + dfn
+            score = f1_from_counts(tp, fp, fn)[2]
+        self._last = (canonical, wave, score)
+        return score
 
     def predict(
         self, config: PromptConfig, test_sentences: list[AnnotatedSentence]
@@ -518,7 +646,7 @@ class PromptingPipeline:
             items += self._items(s.text, s.id, held_out, self.entity_types)
         for start in range(0, len(items), PREDICT_WAVE):
             wave = items[start : start + PREDICT_WAVE]
-            for item, result in zip(wave, self._annotate_wave(config, wave)):
+            for item, result in zip(wave, self._annotate_wave(config, wave).results):
                 predictions.add(item.test_id, item.entity_type.id, result)
         return predictions
 

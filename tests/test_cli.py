@@ -377,6 +377,22 @@ def test_optimize_unreadable_registry_exits_2(splits, tmp_path, capsys, content)
     assert err.startswith("error:") and str(registry) in err
 
 
+@pytest.mark.parametrize("content", ['[1]', '{"DISO": {}}'])
+def test_optimize_malformed_registry_exits_2(splits, tmp_path, capsys, content):
+    sample_path, _, _ = splits
+    registry = tmp_path / "types.json"
+    write_input(registry, content)
+    rc = main(
+        [
+            "optimize", "--sample", str(sample_path), "--run-dir", str(tmp_path / "run"),
+            "--types", "DISO", "--registry", str(registry),
+        ]
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(registry) in err
+
+
 def test_optimize_rejects_malformed_config_file(splits, tmp_path, capsys):
     sample_path, _, _ = splits
     bad = tmp_path / "bad.json"

@@ -69,6 +69,54 @@ def test_registry_language_errors():
         ncbi.singular("fr")
 
 
+_NAMES = {"en": {"singular": "a thing", "plural": "things"}}
+
+
+@pytest.mark.parametrize(
+    "payload, culprit",
+    [
+        pytest.param([1], "top level", id="top-level-list"),
+        pytest.param("X", "top level", id="top-level-string"),
+        pytest.param({"X": 1}, "'X'", id="entry-number"),
+        pytest.param({"X": ["names"]}, "'X'", id="entry-list"),
+        pytest.param({"X": {}}, "'X'", id="names-missing"),
+        pytest.param({"X": {"names": ["en"]}}, "'X'", id="names-list"),
+        pytest.param({"X": {"names": {"en": "a thing"}}}, "'X'", id="name-string"),
+        pytest.param(
+            {"X": {"names": {"en": {"singular": "a thing", "plural": 2}}}}, "'X'",
+            id="name-number",
+        ),
+        pytest.param({"X": {"names": {"en": {"singular": "a thing"}}}}, "'X'", id="no-plural"),
+        pytest.param({"X": {"names": _NAMES, "definitions": ["en"]}}, "'X'", id="definitions-list"),
+        pytest.param(
+            {"X": {"names": _NAMES, "definitions": {"en": "Things."}, "domain": "law"}}, "'X'",
+            id="unknown-domain",
+        ),
+        pytest.param(
+            {"X": {"names": _NAMES, "definitions": {"fr": "Des choses."}}}, "'X'",
+            id="languages-differ",
+        ),
+    ],
+)
+def test_malformed_registry_raises_a_data_error_naming_path_and_entry(
+    tmp_path, payload, culprit
+):
+    path = tmp_path / "types.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(DataError) as caught:
+        load_entity_types(path)
+    assert str(path) in str(caught.value) and culprit in str(caught.value)
+
+
+def test_registry_entry_with_names_and_definitions_loads(tmp_path):
+    path = tmp_path / "types.json"
+    payload = {"X": {"names": _NAMES, "definitions": {"en": "Things."}, "domain": "clinical"}}
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    (thing,) = load_entity_types(path).values()
+    assert (thing.id, thing.plural("en"), thing.definition("en")) == ("X", "things", "Things.")
+    assert thing.domain == "clinical"
+
+
 # ---------------------------------------------------------------------------
 # JSONL
 

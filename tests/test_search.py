@@ -543,10 +543,10 @@ def decoded(monkeypatch):
     seen = defaultdict(list)
     real = PromptingPipeline._annotate_wave
 
-    def wave(self, config, items, memo=None):
-        results = real(self, config, items, memo)
-        seen[self.backend].extend((r.spans, r.diagnostics.to_dict()) for r in results)
-        return results
+    def wave(self, *args):
+        done = real(self, *args)
+        seen[self.backend].extend((r.spans, r.diagnostics.to_dict()) for r in done.results)
+        return done
 
     monkeypatch.setattr(PromptingPipeline, "_annotate_wave", wave)
     return seen
@@ -633,6 +633,116 @@ def test_spans_without_verification_demos_count_as_unverified_every_time(decoded
     first, second = decoded[backend][:3], decoded[backend][3:]
     assert first == second
     assert [diagnostics["unverified_kept"] for _, diagnostics in first] == [1, 1, 1]
+
+
+# --------------------------------------------------------------------------
+# Canonical configurations and the replay of the last LOOCV evaluation
+
+# Distinct canonical configs over the 512 masks, by English prompts and mode.
+_CANONICAL_COUNTS = {
+    (True, "tagging"): 192, (True, "listing"): 96,
+    (False, "tagging"): 384, (False, "listing"): 192,
+}
+
+
+@pytest.mark.parametrize("language", ["en", "fr", "es"])
+@pytest.mark.parametrize("mode, separator", golden.FORMATS)
+def test_masks_of_one_canonical_config_send_the_same_requests(language, mode, separator):
+    sentences, types = synthetic_corpus(4, seed=31, language=language)
+    oracle = make_noisy_oracle(sentences, types, seed=31, drop_prob=0.2, spurious_prob=0.3)
+    backend = golden._Digests(oracle)
+    pipeline = PromptingPipeline(
+        sentences, types, backend, PipelineSettings(prompt_language=language, seed=31)
+    )
+    # Consecutive masks differ in self_verification, which is never inert,
+    # so every evaluation is planned and none replays the one before.
+    verification = 1 << FEATURE_NAMES.index("self_verification")
+    masks = [m | v for m in range(512) if not m & verification for v in (0, verification)]
+    sent = defaultdict(set)
+    for mask in masks:
+        config = PromptConfig.from_bitmask(mask, mode=mode, listing_separator=separator)
+        start = len(backend.digests)
+        pipeline.evaluate_loocv(config)
+        sent[pipeline._canonical(config)].add(tuple(backend.digests[start:]))
+    assert len(sent) == _CANONICAL_COUNTS[language == "en", mode]
+    assert all(len(sequences) == 1 for sequences in sent.values())
+
+
+class Fickle:
+    """Answers as the wrapped backend does, except for the request with
+    digest target, answered changed from its from_call-th call on; keeps
+    (digest, prompt, completion) of every request it answers."""
+
+    backend_id = "fickle"
+
+    def __init__(self, inner, target="", changed="", from_call=2):
+        self.inner, self.target, self.changed, self.from_call = inner, target, changed, from_call
+        self.sent: list[tuple[str, str, str]] = []
+
+    def generate(self, request):
+        digest = request_digest(request)
+        calls = 1 + sum(d == digest for d, _, _ in self.sent)
+        if digest == self.target and calls >= self.from_call:
+            completion = self.changed
+        else:
+            completion = self.inner.generate(request)
+        self.sent.append((digest, request.prompt, completion))
+        return completion
+
+
+@pytest.mark.parametrize(
+    "mask, changes",
+    [(0, "main"), (4, "main"), (4, "verification")],  # 4: self_verification
+)
+def test_replay_goes_on_from_a_completion_that_changed(mask, changes):
+    sentences, types = synthetic_corpus(6, seed=11)
+    # Mask | 1 adds prompt_language_native, inert for English prompts.
+    first, second = PromptConfig.from_bitmask(mask), PromptConfig.from_bitmask(mask | 1)
+    oracle = OracleBackend(sentences, types)
+    answers = Fickle(oracle)
+    PromptingPipeline(sentences, types, answers).evaluate_loocv(first)
+    # A tagged main answer loses its spans, or an accepted span is rejected.
+    target = next(
+        digest for digest, prompt, completion in answers.sent
+        if prompt.startswith("The task is to verify") == (changes == "verification")
+        and ("@@" in completion or completion == "Yes")
+    )
+    changed = "No" if changes == "verification" else ""
+    fickle = Fickle(oracle, target, changed)
+    pipeline = PromptingPipeline(sentences, types, fickle)
+    unchanged = pipeline.evaluate_loocv(first)
+    start = len(fickle.sent)
+    got = pipeline.evaluate_loocv(second)
+    fresh_backend = Fickle(oracle, target, changed, from_call=1)
+    fresh = PromptingPipeline(sentences, types, fresh_backend)
+    assert got == fresh.evaluate_loocv(second) < unchanged
+    assert fickle.sent[start:] == fresh_backend.sent
+    assert pipeline.backend_calls - start == fresh.backend_calls
+
+
+def test_replay_plans_nothing_and_shows_the_observer_every_prompt(monkeypatch):
+    sentences, types = synthetic_corpus(6, seed=11)
+    oracle = make_noisy_oracle(sentences, types, seed=11, drop_prob=0.2, spurious_prob=0.3)
+    config = PromptConfig(self_verification=True)
+    native = config.with_features(prompt_language_native=True)
+    seen, fresh_seen = [], []
+    fresh = PromptingPipeline(
+        sentences, types, Fickle(oracle), observer=lambda *args: fresh_seen.append(args)
+    )
+    expected = fresh.evaluate_loocv(native)
+    backend = Fickle(oracle)
+    pipeline = PromptingPipeline(
+        sentences, types, backend, observer=lambda *args: seen.append(args)
+    )
+    pipeline.evaluate_loocv(config)
+    start, seen_start = len(backend.sent), len(seen)
+    plans = []
+    monkeypatch.setattr("fewner.search.fit_to_budget", lambda *a, **kw: plans.append(a))
+    assert pipeline.evaluate_loocv(native) == expected
+    assert plans == []
+    assert backend.sent[start:] == fresh.backend.sent
+    assert seen[seen_start:] == fresh_seen
+    assert any(prompt.kind == "self_verification" for prompt, _ in fresh_seen)
 
 
 @pytest.fixture(scope="module", params=["en", "fr", "es"])
