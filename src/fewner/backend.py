@@ -25,7 +25,6 @@ import logging
 import os
 import re
 import secrets
-import threading
 import time
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring as _encode_string
@@ -560,41 +559,22 @@ class CachedBackend:
     """Memoizes completions by request digest: the one the request carries,
     else request_digest of its fields.
 
-    A hit takes no lock: the store is read right after the digest.  A miss
-    enters a per-key lock and reads the store again before calling the
-    wrapped backend, so identical concurrent requests reach it at most
-    once per cache lifetime, even when a put lands between the two reads.
-    A key's lock lives only while some caller holds or awaits it: each
-    entry counts its users, and the last to leave removes it.
+    A read-through cache with no lock: each call reads the store once,
+    and on a miss calls the wrapped backend and puts the record.  Callers
+    that send equal requests at once from several threads may each reach
+    the wrapped backend and each put the same record; that costs calls,
+    never changes output, and is also true of processes sharing one disk
+    cache.  The pipeline sends each distinct request of a pooled send
+    once, so its own requests reach the model once per cache lifetime.
     """
 
     def __init__(self, inner: CompletionBackend, cache):
         self.inner = inner
         self.cache = cache
         self.backend_id = f"cached:{inner.backend_id}"
-        self._locks: dict[str, list] = {}  # key -> [lock, users]
-        self._master = threading.Lock()
 
     def generate(self, request: GenerationRequest) -> str:
         key = request.digest or request_digest(request)
-        record = self.cache.get(key)
-        if record is not None:
-            return record.completion
-        with self._master:
-            entry = self._locks.get(key)
-            if entry is None:
-                entry = self._locks[key] = [threading.Lock(), 0]
-            entry[1] += 1
-        try:
-            with entry[0]:
-                return self._generate(key, request)
-        finally:
-            with self._master:
-                entry[1] -= 1
-                if not entry[1]:
-                    del self._locks[key]
-
-    def _generate(self, key: str, request: GenerationRequest) -> str:
         record = self.cache.get(key)
         if record is not None:
             return record.completion

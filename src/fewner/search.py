@@ -54,10 +54,9 @@ _WORD = re.compile(r"[^\W_]+", re.UNICODE)
 MAX_IN_FLIGHT = 8
 # (sentence, type) items that predict plans and sends together.
 PREDICT_WAVE = 64
-# Off-CPU seconds inline calls must have spent before the pool may start.
-_MIN_WAIT_S = 0.02
-# Inline wall seconds between two readings of the thread clock.
-_CLOCK_WINDOW_S = _MIN_WAIT_S / 4
+# Inline wall seconds between two readings of the thread clock, and the
+# least a reading must cover to find the backend waiting.
+_CLOCK_WINDOW_S = 0.005
 
 
 @dataclass(frozen=True)
@@ -182,14 +181,18 @@ class PromptingPipeline:
 
     corpus is the k-sentence annotated sample; every prompt for a held-out
     or unseen sentence draws its demonstrations from it.  backend_calls
-    counts the requests sent to the backend, so searches can report how
-    many they issued (a cache in the backend still sees all of them).
+    counts every request the pipeline issued, equal ones included, so
+    searches can report them.
 
     Requests go out in waves: every prompt of a wave is planned first, on
     the calling thread, then the wave is sent and decoded in item order.
     Calls run inline until the backend is seen waiting rather than
     computing; from then on requests go through a thread pool of
-    MAX_IN_FLIGHT workers.  Outputs do not depend on which path ran.
+    MAX_IN_FLIGHT workers, the only place where requests are in flight at
+    once.  The pool passes each distinct request of a send to the backend
+    once and gives its completion to every equal one, so a cache behind it
+    needs no lock; inline, a repeated request comes after the first has
+    been answered.  Outputs do not depend on which path ran.
 
     observer, when set, is called as observer(rendered_prompt, held_out_id)
     for every prompt before it is sent; tests use it to check that held-out
@@ -244,9 +247,11 @@ class PromptingPipeline:
         self._folds: dict = {}
         # The last LOOCV evaluation: (canonical config, wave, score).
         self._last: tuple[PromptConfig | None, _Wave | None, float] = (None, None, 0.0)
-        # Wall and CPU seconds of the backend calls made inline so far.
+        # Wall and CPU seconds of the backend calls made inline so far, and
+        # the thread-clock readings in a row that found the backend waiting.
         self._inline_wall_s = 0.0
         self._inline_cpu_s = 0.0
+        self._waiting_windows = 0
         self._threads: ThreadPoolExecutor | None = None
 
     def _language(self, config: PromptConfig) -> str:
@@ -330,34 +335,38 @@ class PromptingPipeline:
                 self.observer(prompt, held_out_id)
         return _Step(step.observed, step.requests, [])
 
-    def _backend_waits(self) -> bool:
-        """Whether inline calls spent more than half their wall time off
-        the CPU, and over _MIN_WAIT_S in total, so that one preemption of
-        an in-process backend cannot decide."""
-        off_cpu = self._inline_wall_s - self._inline_cpu_s
-        return off_cpu > _MIN_WAIT_S and 2 * off_cpu > self._inline_wall_s
-
     def _send(self, requests: list[GenerationRequest]) -> list[str]:
         """Completions in request order.
 
-        Calls run inline, timed, until the backend is seen waiting; the
-        remaining requests then go to the pool, created on first use.  The
-        thread clock is read at the start of the inline run, after each
-        call that ends over _CLOCK_WINDOW_S of wall time past its last
-        reading, and after the last call; the totals grow only at those
-        readings, so wall and CPU time always cover the same calls.
+        Calls run inline until the backend is seen waiting: the last two
+        thread-clock readings each found over _CLOCK_WINDOW_S of wall time
+        since the one before, more than half of it off the CPU, and so did
+        all inline calls so far.  So neither one stall of an in-process
+        backend nor a burst of preemptions late in a long run starts the
+        pool.  The clock is read at the start of the inline run, after each
+        call that ends over _CLOCK_WINDOW_S past its last reading, and after
+        the last call; the totals grow only at readings, so wall and CPU
+        time cover the same calls.
+
+        The remaining requests then go to the pool, created on first use,
+        each distinct one once; its completion is given to every equal
+        request.  Inline calls run one after another, so a cache already
+        answers a repeated one.
         """
         self.backend_calls += len(requests)
         completions: list[str] = []
         wall, cpu = time.perf_counter(), time.thread_time()
         last = len(requests) - 1
         for i, request in enumerate(requests):
-            if self._backend_waits():
+            if self._waiting_windows >= 2 and 2 * self._inline_cpu_s < self._inline_wall_s:
                 if self._threads is None:
                     self._threads = ThreadPoolExecutor(
                         MAX_IN_FLIGHT, thread_name_prefix="fewner-request"
                     )
-                completions.extend(self._threads.map(self.backend.generate, requests[i:]))
+                rest = requests[i:]
+                distinct = list(dict.fromkeys(rest))
+                sent = dict(zip(distinct, self._threads.map(self.backend.generate, distinct)))
+                completions.extend(sent[r] for r in rest)
                 break
             completions.append(self.backend.generate(request))
             now = time.perf_counter()
@@ -365,6 +374,8 @@ class PromptingPipeline:
                 now_cpu = time.thread_time()
                 self._inline_wall_s += now - wall
                 self._inline_cpu_s += now_cpu - cpu
+                waited = now - wall > _CLOCK_WINDOW_S and 2 * (now_cpu - cpu) < now - wall
+                self._waiting_windows = self._waiting_windows + 1 if waited else 0
                 wall, cpu = now, now_cpu
         return completions
 

@@ -1,13 +1,21 @@
-"""The locks that concurrent requests rely on, and the pipeline's pool."""
+"""The pipeline's pool, the one place where requests run at once, and
+CachedBackend under threads."""
 
 import sys
 import threading
 import time
+from dataclasses import replace
 
 import pytest
 
 from conftest import MemoryCache
-from fewner.backend import CachedBackend, EchoBackend, GenerationRequest, make_noisy_oracle
+from fewner.backend import (
+    CachedBackend,
+    EchoBackend,
+    GenerationRequest,
+    make_noisy_oracle,
+    request_digest,
+)
 from fewner.errors import ProtocolError
 from fewner.search import MAX_IN_FLIGHT, PipelineSettings, PromptingPipeline, greedy_search
 from fewner.synthetic import synthetic_corpus
@@ -46,6 +54,20 @@ class SlowBackend:
         finally:
             with self._lock:
                 self._in_flight -= 1
+
+
+class StallOnce:
+    """Answers from the inner backend, after a sleep on the first call only."""
+
+    def __init__(self, inner, delay_s):
+        self.inner = inner
+        self.backend_id = inner.backend_id
+        self.delay_s = delay_s
+
+    def generate(self, request):
+        delay_s, self.delay_s = self.delay_s, 0.0
+        time.sleep(delay_s)
+        return self.inner.generate(request)
 
 
 def run_threads(target):
@@ -87,32 +109,21 @@ def oracle_pipeline(wrap=lambda oracle: oracle):
 
 
 def test_cached_backend_sends_one_request_once_under_threads():
-    slow = SlowBackend(EchoBackend(), delay_s=0.05)
-    cached = CachedBackend(slow, MemoryCache())
+    """Equal requests at once from several threads may each reach the
+    model, but every thread gets the completion and the store one record."""
+    slow = SlowBackend(EchoBackend(), delay_s=0.002)
+    cache = MemoryCache()
+    cached = CachedBackend(slow, cache)
     request = GenerationRequest(prompt="Input: a b.\nOutput:", max_new_tokens=8)
     assert run_threads(lambda: cached.generate(request)) == ["a b."] * THREADS
-    assert slow.calls == 1
-
-
-def test_cached_backend_keeps_no_lock_once_its_requests_end():
-    slow = SlowBackend(EchoBackend(), delay_s=0.002, fail_on={2})
-    cached = CachedBackend(slow, MemoryCache())
-    request = GenerationRequest(prompt="Input: a b.\nOutput:", max_new_tokens=8)
-    assert run_threads(lambda: cached.generate(request)) == ["a b."] * THREADS
-    assert slow.calls == 1 and cached._locks == {}
-    with pytest.raises(ProtocolError):  # the second call fails
-        cached.generate(GenerationRequest(prompt="Input: c d.\nOutput:", max_new_tokens=8))
+    assert 1 <= slow.calls <= THREADS
+    assert len(cache) == 1 and cache.get(request_digest(request)).completion == "a b."
+    slow.fail_on = {slow.calls + 1}
+    failing = GenerationRequest(prompt="Input: c d.\nOutput:", max_new_tokens=8)
+    with pytest.raises(ProtocolError):  # the next call fails
+        cached.generate(failing)
     assert cached.generate(request) == "a b."
-    assert cached._locks == {}
-    sequential = oracle_pipeline(lambda oracle: CachedBackend(oracle, MemoryCache()))
-    greedy_search(sequential, PromptConfig(self_verification=True))
-    assert sequential.backend._locks == {}
-    pooled = oracle_pipeline(
-        lambda oracle: CachedBackend(SlowBackend(oracle, delay_s=0.005), MemoryCache())
-    )
-    greedy_search(pooled, PromptConfig(self_verification=True))
-    assert pooled.backend.inner.peak_in_flight > 1
-    assert pooled.backend._locks == {}
+    assert len(cache) == 1 and cache.get(request_digest(failing)) is None
 
 
 def test_waiting_backend_overlaps_calls_without_changing_the_trace():
@@ -132,6 +143,31 @@ def test_instant_backend_never_starts_a_pool_thread():
     sample, _ = synthetic_corpus(6, seed=11)
     pipeline.predict(PromptConfig(), sample)
     assert pool_threads() - before == set()
+
+
+def test_one_stall_of_an_in_process_backend_starts_no_pool_thread():
+    before = pool_threads()
+    pipeline = oracle_pipeline(lambda oracle: StallOnce(oracle, delay_s=0.03))
+    pipeline.evaluate_loocv(PromptConfig(self_verification=True))
+    assert pipeline.backend.delay_s == 0.0
+    assert pool_threads() - before == set()
+
+
+def test_pool_sends_each_distinct_request_of_a_send_once():
+    sentences, types = synthetic_corpus(10, seed=11)
+    # One annotated sentence, so every prompt of a text and type is the
+    # same; the copies come after the calls that start the pool.
+    sample = sentences[:1]
+    tests = sentences[3:7] + [replace(sentences[7], id=f"copy-{i}") for i in range(5)]
+    oracle = make_noisy_oracle(sentences, types, seed=5)
+    slow = SlowBackend(oracle, delay_s=0.005)
+    pooled = PromptingPipeline(sample, types, slow)
+    got = pooled.predict(PromptConfig(), tests)
+    assert pooled._threads is not None
+    assert pooled.backend_calls == len(tests) * len(types)
+    assert slow.calls == (4 + 1) * len(types)
+    expected = PromptingPipeline(sample, types, oracle).predict(PromptConfig(), tests)
+    assert got.total_spans() > 0 and got.to_json() == expected.to_json()
 
 
 @pytest.mark.parametrize("delay_s, pooled", [(0.0, False), (0.005, True)])
