@@ -564,8 +564,8 @@ class CachedBackend:
     that send equal requests at once from several threads may each reach
     the wrapped backend and each put the same record; that costs calls,
     never changes output, and is also true of processes sharing one disk
-    cache.  The pipeline sends each distinct request of a pooled send
-    once, so its own requests reach the model once per cache lifetime.
+    cache.  The pipeline sends each distinct request of a send once, so
+    its own requests reach the model once per cache lifetime.
     """
 
     def __init__(self, inner: CompletionBackend, cache):

@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import logging
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -55,9 +55,6 @@ class EntityType:
                 f"and definitions {sorted(self.definitions)} differ"
             )
 
-    def languages(self) -> set[str]:
-        return set(self.names)
-
     def singular(self, language: str) -> str:
         return self._name(language)["singular"]
 
@@ -88,6 +85,20 @@ class EntitySpan:
 
     def key(self) -> tuple[int, int, str]:
         return (self.start, self.end, self.type)
+
+    def to_row(self) -> dict:
+        return {"start": self.start, "end": self.end, "type": self.type, "mention": self.mention}
+
+    @classmethod
+    def from_row(cls, row) -> EntitySpan:
+        """The span to_row's object describes; DataError naming the first
+        field that is missing or not of its exact type (a bool is no int)."""
+        if not isinstance(row, dict):
+            raise DataError(f"span {row!r} is not an object")
+        for name, kind in (("start", int), ("end", int), ("type", str), ("mention", str)):
+            if type(row.get(name)) is not kind:
+                raise DataError(f"span {row!r} needs {name!r} of type {kind.__name__}")
+        return cls(row["start"], row["end"], row["type"], row["mention"])
 
 
 @dataclass(frozen=True)
@@ -444,17 +455,11 @@ def _load_jsonl(path: Path, language: str) -> list[AnnotatedSentence]:
                 continue
             try:
                 record = json.loads(line)
+                spans = _record_spans(record)
             except json.JSONDecodeError as exc:
                 raise ParseError(f"invalid JSON: {exc}", path=str(path), line=line_no)
-            if "text" not in record:
-                raise ParseError("record has no 'text' field", path=str(path), line=line_no)
-            spans = tuple(
-                EntitySpan(
-                    start=raw["start"], end=raw["end"],
-                    type=raw["type"], mention=raw["mention"],
-                )
-                for raw in record.get("spans", [])
-            )
+            except DataError as exc:
+                raise ParseError(str(exc), path=str(path), line=line_no) from exc
             sentences.append(
                 AnnotatedSentence(
                     id=str(record.get("id", f"{path.name}:{len(sentences)}")),
@@ -466,6 +471,18 @@ def _load_jsonl(path: Path, language: str) -> list[AnnotatedSentence]:
     return sentences
 
 
+def _record_spans(record) -> tuple[EntitySpan, ...]:
+    """A jsonl record's spans; DataError naming its first malformed field."""
+    if not isinstance(record, dict) or not _is_str(record.get("text")):
+        raise DataError("a record must be an object with 'text' of type str")
+    if not _is_str(record.get("language", "")):
+        raise DataError("'language' must be of type str")
+    spans = record.get("spans", [])
+    if not isinstance(spans, list):
+        raise DataError("'spans' must be a list")
+    return tuple(map(EntitySpan.from_row, spans))
+
+
 def _save_jsonl(sentences: Sequence[AnnotatedSentence], path: Path) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         for sentence in sentences:
@@ -473,10 +490,7 @@ def _save_jsonl(sentences: Sequence[AnnotatedSentence], path: Path) -> None:
                 "id": sentence.id,
                 "language": sentence.language,
                 "text": sentence.text,
-                "spans": [
-                    {"start": s.start, "end": s.end, "type": s.type, "mention": s.mention}
-                    for s in sentence.spans
-                ],
+                "spans": [s.to_row() for s in sentence.spans],
             }
             handle.write(json.dumps(record, ensure_ascii=False) + "\n")
 

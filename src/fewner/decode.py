@@ -281,10 +281,7 @@ class PredictionSet:
             "diagnostics": self.diagnostics.to_dict(),
             "sentences": {
                 sid: {
-                    type_id: [
-                        {"start": s.start, "end": s.end, "type": s.type, "mention": s.mention}
-                        for s in spans
-                    ]
+                    type_id: [s.to_row() for s in spans]
                     for type_id, spans in sorted(per_type.items())
                 }
                 for sid, per_type in sorted(self.spans.items())
@@ -301,21 +298,11 @@ class PredictionSet:
             out.diagnostics = DecodeDiagnostics(**payload.get("diagnostics", {}))
             for sid, per_type in payload.get("sentences", {}).items():
                 out.spans[sid] = {
-                    type_id: tuple(_span_from_row(row) for row in rows)
+                    type_id: tuple(EntitySpan.from_row(row) for row in rows)
                     for type_id, rows in per_type.items()
                 }
-        except (AttributeError, KeyError, TypeError) as exc:
+        except (AttributeError, TypeError) as exc:
             raise DataError(
                 f"predictions are not shaped as predict writes them ({type(exc).__name__}: {exc})"
             ) from exc
         return out
-
-
-def _span_from_row(row: dict) -> EntitySpan:
-    span = EntitySpan(row["start"], row["end"], row["type"], row["mention"])
-    offsets = (span.start, span.end)
-    if not all(isinstance(o, int) and not isinstance(o, bool) for o in offsets) or not (
-        isinstance(span.type, str) and isinstance(span.mention, str)
-    ):
-        raise DataError(f"predicted span {row!r} needs integer offsets, a string type and mention")
-    return span

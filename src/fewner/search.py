@@ -189,10 +189,9 @@ class PromptingPipeline:
     Calls run inline until the backend is seen waiting rather than
     computing; from then on requests go through a thread pool of
     MAX_IN_FLIGHT workers, the only place where requests are in flight at
-    once.  The pool passes each distinct request of a send to the backend
-    once and gives its completion to every equal one, so a cache behind it
-    needs no lock; inline, a repeated request comes after the first has
-    been answered.  Outputs do not depend on which path ran.
+    once.  Either way each distinct request of a send goes to the backend
+    once and its completion to every copy (see _send), so a cache behind
+    the pool needs no lock.  Outputs do not depend on which path ran.
 
     observer, when set, is called as observer(rendered_prompt, held_out_id)
     for every prompt before it is sent; tests use it to check that held-out
@@ -312,8 +311,8 @@ class PromptingPipeline:
         hashed once per memo and then found under the prompt's parts.
 
         The key opens with a memo entry, not a kind name, so it cannot meet
-        another memo key.  A prompt without parts (not built by the
-        assembler) carries no digest, and the cache hashes it.
+        another memo key.  Every prompt the pipeline sends is built by
+        templates._assemble, which sets its parts.
         """
         if self.observer is not None:
             self.observer(prompt, item.held_out_id)
@@ -321,7 +320,7 @@ class PromptingPipeline:
             prompt.text, item.max_new_tokens, 0.0, prompt.stop_sequences, self.settings.model_name,
         )
         key = (*prompt.parts, prompt.stop_sequences, item.max_new_tokens)
-        digest = memo.get(key) if prompt.parts else ""
+        digest = memo.get(key)
         if digest is None:
             digest = memo[key] = backend.request_digest(GenerationRequest(*content))
         step.observed.append((prompt, item.held_out_id))
@@ -336,7 +335,11 @@ class PromptingPipeline:
         return _Step(step.observed, step.requests, [])
 
     def _send(self, requests: list[GenerationRequest]) -> list[str]:
-        """Completions in request order.
+        """Completions in request order.  Each distinct request, by digest,
+        goes to the backend once, in the order first seen, and its
+        completion to every copy.  The merge covers this send only: one
+        evaluation's main or verification requests, or one predict wave's;
+        equal requests of two sends are each sent.
 
         Calls run inline until the backend is seen waiting: the last two
         thread-clock readings each found over _CLOCK_WINDOW_S of wall time
@@ -346,27 +349,22 @@ class PromptingPipeline:
         pool.  The clock is read at the start of the inline run, after each
         call that ends over _CLOCK_WINDOW_S past its last reading, and after
         the last call; the totals grow only at readings, so wall and CPU
-        time cover the same calls.
-
-        The remaining requests then go to the pool, created on first use,
-        each distinct one once; its completion is given to every equal
-        request.  Inline calls run one after another, so a cache already
-        answers a repeated one.
+        time cover the same calls.  The remaining distinct requests then go
+        to the pool, created on first use.
         """
         self.backend_calls += len(requests)
+        distinct = {r.digest: r for r in requests}
         completions: list[str] = []
         wall, cpu = time.perf_counter(), time.thread_time()
-        last = len(requests) - 1
-        for i, request in enumerate(requests):
+        last = len(distinct) - 1
+        for i, request in enumerate(distinct.values()):
             if self._waiting_windows >= 2 and 2 * self._inline_cpu_s < self._inline_wall_s:
                 if self._threads is None:
                     self._threads = ThreadPoolExecutor(
                         MAX_IN_FLIGHT, thread_name_prefix="fewner-request"
                     )
-                rest = requests[i:]
-                distinct = list(dict.fromkeys(rest))
-                sent = dict(zip(distinct, self._threads.map(self.backend.generate, distinct)))
-                completions.extend(sent[r] for r in rest)
+                rest = list(distinct.values())[i:]
+                completions.extend(self._threads.map(self.backend.generate, rest))
                 break
             completions.append(self.backend.generate(request))
             now = time.perf_counter()
@@ -377,7 +375,8 @@ class PromptingPipeline:
                 waited = now - wall > _CLOCK_WINDOW_S and 2 * (now_cpu - cpu) < now - wall
                 self._waiting_windows = self._waiting_windows + 1 if waited else 0
                 wall, cpu = now, now_cpu
-        return completions
+        sent = dict(zip(distinct, completions))
+        return [sent[r.digest] for r in requests]
 
     def _demos(
         self, config: PromptConfig, item: _Item, memo: dict

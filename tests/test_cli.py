@@ -416,6 +416,18 @@ def test_optimize_rejects_malformed_config_file(splits, tmp_path, capsys):
     assert "not valid JSON" in capsys.readouterr().err
 
 
+def test_convert_malformed_jsonl_record_exits_2(tmp_path, capsys):
+    src = tmp_path / "corpus.jsonl"
+    src.write_text('{"text": "fever", "spans": [{"start": 0, "type": "DISO"}]}\n', encoding="utf-8")
+    rc = main(
+        ["convert", "--input", str(src), "--output", str(tmp_path / "out.conll"),
+         "--from", "jsonl", "--to", "conll"]
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'end'" in err and f"{src}:1" in err
+
+
 def test_corrupt_corpus_exits_2(tmp_path, capsys):
     src = tmp_path / "broken.jsonl"
     src.write_text('{"id": "a"\n', encoding="utf-8")

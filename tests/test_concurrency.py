@@ -153,18 +153,19 @@ def test_one_stall_of_an_in_process_backend_starts_no_pool_thread():
     assert pool_threads() - before == set()
 
 
-def test_pool_sends_each_distinct_request_of_a_send_once():
+@pytest.mark.parametrize("delay_s, pooled", [(0.0, False), (0.005, True)])
+def test_pool_sends_each_distinct_request_of_a_send_once(delay_s, pooled):
     sentences, types = synthetic_corpus(10, seed=11)
     # One annotated sentence, so every prompt of a text and type is the
-    # same; the copies come after the calls that start the pool.
+    # same; pooled, the copies come after the calls that start the pool.
     sample = sentences[:1]
     tests = sentences[3:7] + [replace(sentences[7], id=f"copy-{i}") for i in range(5)]
     oracle = make_noisy_oracle(sentences, types, seed=5)
-    slow = SlowBackend(oracle, delay_s=0.005)
-    pooled = PromptingPipeline(sample, types, slow)
-    got = pooled.predict(PromptConfig(), tests)
-    assert pooled._threads is not None
-    assert pooled.backend_calls == len(tests) * len(types)
+    slow = SlowBackend(oracle, delay_s)
+    pipeline = PromptingPipeline(sample, types, slow)
+    got = pipeline.predict(PromptConfig(), tests)
+    assert (pipeline._threads is not None) == pooled
+    assert pipeline.backend_calls == len(tests) * len(types)
     assert slow.calls == (4 + 1) * len(types)
     expected = PromptingPipeline(sample, types, oracle).predict(PromptConfig(), tests)
     assert got.total_spans() > 0 and got.to_json() == expected.to_json()

@@ -59,7 +59,7 @@ def test_registry_has_forty_types_with_names():
     assert diso.singular("en") == "a disorder"
     assert diso.plural("en") == "disorders"
     assert diso.domain == "clinical"
-    assert "en" in diso.languages()
+    assert "en" in diso.names
 
 
 def test_registry_language_errors():
@@ -149,6 +149,37 @@ def test_jsonl_rejects_bad_json(tmp_path):
     with pytest.raises(ParseError) as err:
         load_corpus(path, "jsonl")
     assert err.value.line == 2
+
+
+GOOD_SPAN = {"start": 0, "end": 5, "type": "DISO", "mention": "fever"}
+
+
+@pytest.mark.parametrize(
+    "record, field",
+    [
+        ({"text": 5}, "text"),
+        ({"text": "fever", "spans": 5}, "spans"),
+        (["text"], "object"),
+        ({"text": "fever", "language": ["en"]}, "language"),
+        ({"text": "fever", "spans": [["a"]]}, "object"),
+        ({"text": "fever", "spans": [{k: v for k, v in GOOD_SPAN.items() if k != "end"}]}, "end"),
+        ({"text": "fever", "spans": [{**GOOD_SPAN, "start": "0"}]}, "start"),
+        ({"text": "fever", "spans": [{**GOOD_SPAN, "end": True}]}, "end"),
+        ({"text": "fever", "spans": [{**GOOD_SPAN, "type": 1}]}, "type"),
+        ({"text": "fever", "spans": [{**GOOD_SPAN, "mention": None}]}, "mention"),
+    ],
+    ids=[
+        "text-int", "spans-int", "record-list", "language-list", "span-list",
+        "end-missing", "start-str", "end-bool", "type-int", "mention-null",
+    ],
+)
+def test_jsonl_rejects_a_record_of_another_shape(tmp_path, record, field):
+    path = tmp_path / "bad.jsonl"
+    good = {"id": "a", "text": "fever", "spans": [GOOD_SPAN]}
+    path.write_text(json.dumps(good) + "\n" + json.dumps(record) + "\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=field) as err:
+        load_corpus(path, "jsonl")
+    assert err.value.path == str(path) and err.value.line == 2
 
 
 def test_load_corpus_rejects_unknown_format(tmp_path):
