@@ -65,11 +65,13 @@ class GenerationRequest:
 
 @dataclass(frozen=True)
 class GenerationRecord:
+    """A stored completion: the digest of the request it answers, the
+    completion, and the backend_id of the backend that wrote it.  Stores
+    keep records as given; only CachedBackend decides what one answers."""
+
     request_hash: str
     completion: str
-    latency_s: float
     backend_id: str
-    timestamp: float
 
 
 # What json.dumps(payload, sort_keys=True, ensure_ascii=False) writes.
@@ -482,18 +484,17 @@ def make_noisy_oracle(
 
 
 class DiskCache:
-    """One JSON file per request digest.
+    """One JSON file per request digest, holding a GenerationRecord.
 
-    Corrupt entries, including a record filed under another request's
-    digest and one whose completion is not a string, are logged and
-    treated as misses, then overwritten by the fresh result; they never
-    poison a run.  Each put writes a temp file of its own and renames it
-    into place, so threads and processes sharing the directory never see
-    or clobber a half-written entry.  Entries are
-    written as compact JSON; get reads any layout, such as the indented
-    one of older caches.  Entries are ASCII, with every other character
-    escaped, so any completion string can be stored, a lone surrogate
-    included.
+    get only reads and parses: a missing entry is None, an unparseable one
+    is logged and None; CachedBackend judges what a record holds, and
+    overwrites an entry that does not answer.  Each put writes a temp file
+    of its own and renames it into place, so threads and processes sharing
+    the directory never see or clobber a half-written entry.  Entries are
+    written as compact JSON of the three record fields; get reads any
+    layout, such as the indented, five-field one of older caches.  Entries
+    are ASCII, with every other character escaped, so any completion string
+    can be stored, a lone surrogate included.
     """
 
     def __init__(self, directory: str | Path):
@@ -507,42 +508,21 @@ class DiskCache:
         path = self._path(key)
         try:
             payload = json.loads(path.read_text(encoding="utf-8"))
-            record = GenerationRecord(
-                request_hash=payload["request_hash"],
-                completion=payload["completion"],
-                latency_s=payload["latency_s"],
-                backend_id=payload["backend_id"],
-                timestamp=payload["timestamp"],
+            return GenerationRecord(
+                payload["request_hash"], payload["completion"], payload["backend_id"]
             )
         except FileNotFoundError:  # never written, or removed by another process
             return None
         except (json.JSONDecodeError, KeyError, TypeError, UnicodeDecodeError) as exc:
             logger.warning("ignoring corrupt cache entry %s: %s", path, exc)
             return None
-        if record.request_hash != key:
-            logger.warning(
-                "ignoring corrupt cache entry %s: it holds request %s",
-                path,
-                record.request_hash,
-            )
-            return None
-        if not isinstance(record.completion, str):
-            logger.warning(
-                "ignoring corrupt cache entry %s: its completion %r is not a string",
-                path,
-                record.completion,
-            )
-            return None
-        return record
 
     def put(self, key: str, record: GenerationRecord) -> None:
         path = self._path(key)
         payload = {
             "request_hash": record.request_hash,
             "completion": record.completion,
-            "latency_s": record.latency_s,
             "backend_id": record.backend_id,
-            "timestamp": record.timestamp,
         }
         tmp = path.with_name(f"{key}.{secrets.token_hex(8)}.tmp")
         blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
@@ -558,6 +538,13 @@ class DiskCache:
 class CachedBackend:
     """Memoizes completions by request digest: the one the request carries,
     else request_digest of its fields.
+
+    A stored record answers a request only when it is filed under the
+    request's digest, holds a string completion, and was written by the
+    wrapped backend (its backend_id).  Anything else is a miss whose put
+    overwrites the entry; a record of another digest or with a non-string
+    completion is logged as corrupt.  So two backends sharing a store
+    overwrite each other's entries: that costs calls, never changes output.
 
     A read-through cache with no lock: each call reads the store once,
     and on a miss calls the wrapped backend and puts the record.  Callers
@@ -575,17 +562,20 @@ class CachedBackend:
 
     def generate(self, request: GenerationRequest) -> str:
         key = request.digest or request_digest(request)
+        inner_id = self.inner.backend_id
         record = self.cache.get(key)
         if record is not None:
-            return record.completion
-        started = time.monotonic()
+            if record.request_hash != key:
+                logger.warning(
+                    "ignoring corrupt cache entry %s: it holds request %s", key, record.request_hash
+                )
+            elif not isinstance(record.completion, str):
+                logger.warning(
+                    "ignoring corrupt cache entry %s: its completion %r is not a string",
+                    key, record.completion,
+                )
+            elif record.backend_id == inner_id:
+                return record.completion
         completion = self.inner.generate(request)
-        record = GenerationRecord(
-            request_hash=key,
-            completion=completion,
-            latency_s=time.monotonic() - started,
-            backend_id=self.inner.backend_id,
-            timestamp=time.time(),
-        )
-        self.cache.put(key, record)
+        self.cache.put(key, GenerationRecord(key, completion, inner_id))
         return completion

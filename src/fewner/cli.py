@@ -157,6 +157,9 @@ def _resolve_types(spec: str, registry_path: str | None):
     missing = [t for t in type_ids if t not in registry]
     if missing:
         raise ConfigError(f"unknown entity types {missing}; registry has {len(registry)}")
+    repeated = sorted({t for t in type_ids if type_ids.count(t) > 1})
+    if repeated:
+        raise ConfigError(f"--types repeats {repeated}")
     return [registry[t] for t in type_ids]
 
 

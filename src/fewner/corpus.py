@@ -123,10 +123,15 @@ class FewShotSample:
 
 
 def validate_sentence(sentence: AnnotatedSentence) -> None:
-    """Check span offsets against the sentence; raise SpanValidationError."""
+    """Check span types and offsets against the sentence; raise SpanValidationError."""
     n = len(sentence.text)
     seen: set[tuple[int, int, str]] = set()
     for span in sentence.spans:
+        if span.type.split() != [span.type]:  # empty, or holds whitespace
+            raise SpanValidationError(
+                f"sentence {sentence.id!r}: span {span.start}..{span.end} has type "
+                f"{span.type!r}; a type must be non-empty and hold no whitespace"
+            )
         if not (0 <= span.start < span.end <= n):
             raise SpanValidationError(
                 f"sentence {sentence.id!r}: span {span.start}..{span.end} "

@@ -741,7 +741,6 @@ def test_cached_backend_records_metadata():
     assert record.request_hash == request_digest(request)
     assert record.backend_id == "echo"
     assert record.completion == "a."
-    assert record.latency_s >= 0.0
 
 
 def test_cached_backend_hashes_only_a_request_without_a_digest(monkeypatch):
@@ -783,9 +782,7 @@ def test_disk_cache_treats_an_entry_removed_before_its_read_as_a_miss(
 ):
     cache = DiskCache(tmp_path)
     key = "c" * 64
-    record = GenerationRecord(
-        request_hash=key, completion="x", latency_s=0.1, backend_id="echo", timestamp=1.0
-    )
+    record = GenerationRecord(request_hash=key, completion="x", backend_id="echo")
     cache.put(key, record)
     entry = tmp_path / f"{key}.json"
     real = getattr(Path, probe)
@@ -819,9 +816,7 @@ def test_disk_cache_stores_a_lone_surrogate(tmp_path):
 
 
 def test_disk_cache_put_that_fails_leaves_no_temp_file(tmp_path, monkeypatch):
-    record = GenerationRecord(
-        request_hash="d" * 64, completion="x", latency_s=0.1, backend_id="echo", timestamp=1.0
-    )
+    record = GenerationRecord(request_hash="d" * 64, completion="x", backend_id="echo")
 
     def replace(src, dst):
         raise OSError("disk full")
@@ -845,9 +840,7 @@ def test_disk_cache_ignores_corrupt_entries(tmp_path, caplog):
     (tmp_path / f"{key}.json").write_text("[]", encoding="utf-8")
     assert cache.get(key) is None
     # A put then repairs the slot.
-    record = GenerationRecord(
-        request_hash=key, completion="x", latency_s=0.1, backend_id="echo", timestamp=1.0
-    )
+    record = GenerationRecord(request_hash=key, completion="x", backend_id="echo")
     cache.put(key, record)
     assert cache.get(key) == record
 
@@ -857,43 +850,41 @@ def test_disk_cache_treats_a_non_string_completion_as_corrupt(tmp_path, caplog, 
     request = req("Input: stored.\nOutput:")
     key = request_digest(request)
     (tmp_path / f"{key}.json").write_text(
-        json.dumps({
-            "request_hash": key, "completion": completion, "latency_s": 0.1,
-            "backend_id": "echo", "timestamp": 1.0,
-        }),
+        json.dumps({"request_hash": key, "completion": completion, "backend_id": "echo"}),
         encoding="utf-8",
     )
     cache = DiskCache(tmp_path)
+    # The store parses the entry as it stands; the cached backend judges it.
+    assert cache.get(key) == GenerationRecord(key, completion, "echo")
+    counting = CallCounter(EchoBackend())
     with caplog.at_level(logging.WARNING):
-        assert cache.get(key) is None
+        # The miss reaches the model, and its answer overwrites the entry.
+        assert CachedBackend(counting, cache).generate(request) == "stored."
     assert "corrupt cache entry" in caplog.text
-    # The miss reaches the model, and its answer overwrites the entry.
-    assert CachedBackend(EchoBackend(), cache).generate(request) == "stored."
+    assert counting.calls == 1
     assert cache.get(key).completion == "stored."
 
 
 def test_disk_cache_rejects_a_record_filed_under_another_key(tmp_path, caplog):
     request = req("Input: filed.\nOutput:")
     key = request_digest(request)
-    foreign = GenerationRecord(
-        request_hash="1" * 64, completion="wrong", latency_s=0.1, backend_id="echo", timestamp=1.0
-    )
+    foreign = GenerationRecord(request_hash="1" * 64, completion="wrong", backend_id="echo")
     cache = DiskCache(tmp_path)
     cache.put(key, foreign)
+    assert cache.get(key) == foreign
+    counting = CallCounter(EchoBackend())
     with caplog.at_level(logging.WARNING):
-        assert cache.get(key) is None
+        # The miss reaches the model, and its answer overwrites the slot.
+        assert CachedBackend(counting, cache).generate(request) == "filed."
     assert "corrupt cache entry" in caplog.text
-    # The miss reaches the model, and its answer overwrites the slot.
-    assert CachedBackend(EchoBackend(), cache).generate(request) == "filed."
+    assert counting.calls == 1
     assert cache.get(key).request_hash == key
 
 
 def test_disk_cache_writers_do_not_share_a_temp_file(tmp_path, monkeypatch):
     key = "a" * 64
     mine, theirs = (
-        GenerationRecord(
-            request_hash=key, completion=text, latency_s=0.1, backend_id="echo", timestamp=1.0
-        )
+        GenerationRecord(request_hash=key, completion=text, backend_id="echo")
         for text in ("mine", "theirs")
     )
     other = DiskCache(tmp_path)  # another process sharing the directory
@@ -917,6 +908,7 @@ def test_disk_cache_writers_do_not_share_a_temp_file(tmp_path, monkeypatch):
 def test_disk_cache_reads_an_entry_in_the_old_indented_layout(tmp_path):
     request = req("Input: kept.\nOutput:")
     key = request_digest(request)
+    # Older caches wrote five fields, indented; the two extra ones are unread.
     payload = {
         "request_hash": key, "completion": "old.", "latency_s": 0.5,
         "backend_id": "echo", "timestamp": 2.0,
@@ -924,16 +916,40 @@ def test_disk_cache_reads_an_entry_in_the_old_indented_layout(tmp_path):
     (tmp_path / f"{key}.json").write_text(
         json.dumps(payload, sort_keys=True, ensure_ascii=False, indent=2), encoding="utf-8"
     )
-    assert DiskCache(tmp_path).get(key) == GenerationRecord(**payload)
+    assert DiskCache(tmp_path).get(key) == GenerationRecord(key, "old.", "echo")
     counting = CallCounter(EchoBackend())
     assert CachedBackend(counting, DiskCache(tmp_path)).generate(request) == "old."
     assert counting.calls == 0
 
 
+class Fixed:
+    """A backend that gives one answer to every request."""
+
+    def __init__(self, backend_id, answer):
+        self.backend_id = backend_id
+        self.answer = answer
+
+    def generate(self, request):
+        return self.answer
+
+
+def test_backends_sharing_a_disk_cache_answer_only_for_themselves(tmp_path, caplog):
+    request = req("Input: shared.\nOutput:")
+    key = request_digest(request)
+    first, second = CallCounter(Fixed("one", "1")), CallCounter(Fixed("two", "2"))
+    with caplog.at_level(logging.WARNING):
+        assert CachedBackend(first, DiskCache(tmp_path)).generate(request) == "1"
+        # Another backend's record is a silent miss, and its put replaces it.
+        assert CachedBackend(second, DiskCache(tmp_path)).generate(request) == "2"
+        assert DiskCache(tmp_path).get(key) == GenerationRecord(key, "2", "two")
+        assert CachedBackend(second, DiskCache(tmp_path)).generate(request) == "2"
+        assert CachedBackend(first, DiskCache(tmp_path)).generate(request) == "1"
+    assert (first.calls, second.calls) == (2, 1)
+    assert caplog.text == ""
+
+
 def test_disk_cache_writes_compact_json(tmp_path):
-    record = GenerationRecord(
-        request_hash="b" * 64, completion="é\n", latency_s=0.1, backend_id="echo", timestamp=1.0
-    )
+    record = GenerationRecord(request_hash="b" * 64, completion="é\n", backend_id="echo")
     DiskCache(tmp_path).put(record.request_hash, record)
     text = (tmp_path / f"{record.request_hash}.json").read_text(encoding="utf-8")
     assert "\n" not in text and ": " not in text

@@ -331,6 +331,7 @@ def test_optimize_config_file_merges_with_defaults(splits, tmp_path):
         ["--set", "prompt.base_demo_count=true"],
         ["--set", "prompt.alt_taggers=1"],
         ["--set", "prompt=5"],
+        ["--types", "DISO,DISO"],
     ],
 )
 def test_optimize_config_errors_exit_1(splits, tmp_path, capsys, extra):
@@ -428,6 +429,21 @@ def test_convert_malformed_jsonl_record_exits_2(tmp_path, capsys):
     assert err.startswith("error:") and "'end'" in err and f"{src}:1" in err
 
 
+@pytest.mark.parametrize("type_", ["", "DI SO"])
+def test_convert_span_type_that_no_bio_tag_can_carry_exits_2(tmp_path, capsys, type_):
+    src = tmp_path / "corpus.jsonl"
+    span = {"start": 0, "end": 5, "type": type_, "mention": "fever"}
+    src.write_text(json.dumps({"text": "fever", "spans": [span]}) + "\n", encoding="utf-8")
+    out = tmp_path / "out.conll"
+    rc = main(
+        ["convert", "--input", str(src), "--output", str(out), "--from", "jsonl", "--to", "conll"]
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and repr(type_) in err and "sentence" in err
+    assert not out.exists()
+
+
 def test_corrupt_corpus_exits_2(tmp_path, capsys):
     src = tmp_path / "broken.jsonl"
     src.write_text('{"id": "a"\n', encoding="utf-8")
@@ -470,6 +486,27 @@ def test_predict_then_evaluate_is_perfect_with_the_oracle(splits, tmp_path, caps
     assert read_json(run_dir / "report.json")["micro"]["f1"] == 1.0
     assert (run_dir / "report.csv").read_text(encoding="utf-8").startswith("type,tp,fp,fn")
     assert "micro" in (run_dir / "report.md").read_text(encoding="utf-8")
+
+
+def test_predict_with_a_cache_filled_by_another_noise_seed(splits, tmp_path):
+    sample_path, test_path, _ = splits
+    shared = tmp_path / "cache"
+
+    def predict(seed, run, cache):
+        argv = [
+            "predict", "--sample", str(sample_path), "--test", str(test_path),
+            "--run-dir", str(tmp_path / run), "--types", "DISO,CHEM",
+            "--backend", "noisy-oracle", "--noise-seed", str(seed),
+            "--drop-prob", "0.5", "--spurious-prob", "0.5", *cache,
+        ]
+        assert main(argv) == 0
+        return (tmp_path / run / "predictions.json").read_bytes()
+
+    seed3 = predict(3, "seed3", ["--cache-dir", str(shared)])
+    seed4 = predict(4, "seed4", ["--cache-dir", str(shared)])
+    assert seed3 == predict(3, "seed3-none", ["--no-cache"])
+    assert seed4 == predict(4, "seed4-none", ["--no-cache"])
+    assert seed3 != seed4
 
 
 def test_predict_records_the_settings_it_ran_with(splits, tmp_path):
