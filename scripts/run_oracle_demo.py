@@ -1,4 +1,4 @@
-"""End-to-end demo against the offline oracle backends.
+"""End-to-end demo against the offline oracle backend.
 
 Generates a synthetic corpus, samples k sentences, runs the greedy feature
 search under leave-one-out, predicts on held-out sentences and prints the
@@ -10,7 +10,7 @@ deterministic in (--seed, --k).
 
 import argparse
 
-from fewner.backend import OracleBackend, make_noisy_oracle
+from fewner.backend import make_noisy_oracle
 from fewner.corpus import sample_fewshot
 from fewner.evaluation import estimate_carbon, score
 from fewner.search import PipelineSettings, PromptingPipeline, greedy_search
@@ -35,13 +35,9 @@ def main():
     annotated = [by_id[sid] for sid in sample.sentence_ids]
     held_out = [s for s in corpus if s.id not in set(sample.sentence_ids)]
 
-    if args.drop_prob or args.spurious_prob:
-        backend = make_noisy_oracle(
-            corpus, types, seed=args.seed,
-            drop_prob=args.drop_prob, spurious_prob=args.spurious_prob,
-        )
-    else:
-        backend = OracleBackend(corpus, types)
+    backend = make_noisy_oracle(
+        corpus, types, seed=args.seed, drop_prob=args.drop_prob, spurious_prob=args.spurious_prob
+    )
 
     settings = PipelineSettings(prompt_language=args.language, seed=args.seed)
     pipeline = PromptingPipeline(annotated, types, backend, settings)

@@ -33,9 +33,9 @@ from pathlib import Path
 from typing import Callable, Protocol
 
 from . import rng
-from .corpus import AnnotatedSentence, EntitySpan, EntityType
+from .corpus import AnnotatedSentence, EntitySpan, EntityType, outermost_spans
 from .errors import ConfigError, ProtocolError, TransportError
-from .templates import ALT_TAGS, DEFAULT_TAGS, TagPair, fragments, outermost_spans, tag_sentence
+from .templates import ALT_TAGS, DEFAULT_TAGS, TagPair, fragments, tag_sentence
 
 logger = logging.getLogger(__name__)
 
@@ -289,28 +289,59 @@ _INTROS = ("intro_tagging", "intro_listing")
 
 class OracleBackend:
     """Answers prompts from gold annotations, inferring the task from the
-    prompt text alone.
+    prompt text alone, with optional seeded noise.
 
-    Tagging prompts get the test sentence with gold outermost spans tagged,
-    listing prompts the separator-joined gold mentions, verification prompts
-    Yes or No (in the prompt's language) by gold membership of the candidate
-    mention.  The task is read by matching lines against the template
-    fragments that wrote them.  Subclasses can perturb the answered span set
-    by overriding _spans_for_answer, which must be a pure function of the
-    sentence and the type: the oracle keeps its outermost spans per
-    (sentence id, type).
+    Tagging prompts get the test sentence with its answered spans tagged,
+    listing prompts the separator-joined answered mentions, verification
+    prompts Yes or No (in the prompt's language) by gold membership of the
+    candidate mention.  The task is read by matching lines against the
+    template fragments that wrote them.
+
+    A main answer gives the outermost of these spans: each gold span of the
+    sentence and type, kept with probability 1 - drop_prob, and, with
+    probability spurious_prob, one word outside every gold span of the type.
+    Every draw is a pure function of (seed, sentence id, type, span), so
+    answers are identical regardless of request order or caching; a rate
+    of 0 draws nothing, so the oracle then answers gold.  Verification
+    answers stay truthful to gold.
+
+    backend_id names the seed, the two rates and a digest (16 hex digits)
+    of every sentence's id, text and spans, so a cache entry answers only
+    an oracle of the same noise over the same annotations.
     """
 
-    backend_id = "oracle"
-
-    def __init__(self, sentences: list[AnnotatedSentence], entity_types: list[EntityType]):
+    def __init__(
+        self,
+        sentences: list[AnnotatedSentence],
+        entity_types: list[EntityType],
+        seed: int = 0,
+        drop_prob: float = 0.0,
+        spurious_prob: float = 0.0,
+    ):
+        if not 0.0 <= drop_prob <= 1.0 or not 0.0 <= spurious_prob <= 1.0:
+            raise ConfigError("noise probabilities must be within [0, 1]")
+        self._seed = seed
+        self._drop_prob = drop_prob
+        self._spurious_prob = spurious_prob
         self._by_text: dict[str, AnnotatedSentence] = {}
+        # A line for each sentence, then one for each of its spans, hashed a
+        # sentence at a time; JSON-quoted strings keep the lines unambiguous.
+        gold = hashlib.sha256()
         for s in sentences:
             if s.text in self._by_text:
                 raise ConfigError(
                     f"oracle backend needs unique sentence texts; {s.id!r} duplicates one"
                 )
             self._by_text[s.text] = s
+            lines = [_encode_string(s.id) + _encode_string(s.text)]
+            for sp in s.spans:
+                lines.append(
+                    "%d %d %s %s"
+                    % (sp.start, sp.end, _encode_string(sp.type), _encode_string(sp.mention))
+                )
+            gold.update(("\n".join(lines) + "\n").encode("utf-8", "surrogatepass"))
+        # 64 bits of digest: every cache entry stores the id.
+        self.backend_id = f"oracle:{seed}:{drop_prob}:{spurious_prob}:{gold.hexdigest()[:16]}"
         # (language, "singular" or "plural", name) -> type id
         self._type_ids = {
             (lang, form, name): t.id
@@ -329,11 +360,34 @@ class OracleBackend:
         # per sentence and type of the corpus above.
         self._answered: dict[tuple[str, str], tuple[EntitySpan, ...]] = {}
 
-    # Overridden by noisy variants.
-    def _spans_for_answer(
-        self, sentence: AnnotatedSentence, type_id: str
-    ) -> list[EntitySpan]:
-        return sorted(sentence.spans_of(type_id), key=lambda s: (s.start, s.end))
+    def _answer_spans(self, sentence: AnnotatedSentence, type_id: str) -> tuple[EntitySpan, ...]:
+        """The spans main answers give for sentence and type: see the class
+        docstring."""
+        gold = sentence.spans_of(type_id)
+        kept = [
+            sp for sp in gold
+            if self._drop_prob == 0.0
+            or rng.unit_uniform(self._seed, "drop", sentence.id, type_id, sp.start, sp.end)
+            >= self._drop_prob
+        ]
+        if (
+            self._spurious_prob > 0.0
+            and rng.unit_uniform(self._seed, "spur", sentence.id, type_id)
+            < self._spurious_prob
+        ):
+            candidates = [
+                (m.start(), m.end(), m.group())
+                for m in _WORD.finditer(sentence.text)
+                if not any(sp.start < m.end() and m.start() < sp.end for sp in gold)
+            ]
+            if candidates:
+                pick = int(
+                    rng.unit_uniform(self._seed, "spurpick", sentence.id, type_id)
+                    * len(candidates)
+                )
+                start, end, surface = candidates[min(pick, len(candidates) - 1)]
+                kept.append(EntitySpan(start, end, type_id, surface))
+        return outermost_spans(kept)
 
     def _sentence(self, text: str) -> AnnotatedSentence:
         try:
@@ -377,9 +431,7 @@ class OracleBackend:
         sentence = self._sentence(text)
         spans = self._answered.get((sentence.id, type_id))
         if spans is None:
-            spans = self._answered[sentence.id, type_id] = outermost_spans(
-                self._spans_for_answer(sentence, type_id)
-            )
+            spans = self._answered[sentence.id, type_id] = self._answer_spans(sentence, type_id)
         if isinstance(answer_format, TagPair):
             return tag_sentence(sentence.text, spans, answer_format)
         return answer_format.join(sp.mention for sp in spans)
@@ -414,69 +466,14 @@ def _demo_format(prompt: str, frags: dict[str, str]) -> TagPair | str:
     return DEFAULT_TAGS
 
 
-class NoisyOracleBackend(OracleBackend):
-    """Oracle whose main answers drop gold spans and add spurious ones with
-    fixed probabilities.
-
-    Every decision is a pure function of (seed, sentence id, type, span), so
-    answers are identical regardless of request order or caching.
-    Verification answers stay truthful to gold.
-    """
-
-    def __init__(
-        self,
-        sentences: list[AnnotatedSentence],
-        entity_types: list[EntityType],
-        seed: int,
-        drop_prob: float = 0.0,
-        spurious_prob: float = 0.0,
-    ):
-        super().__init__(sentences, entity_types)
-        if not 0.0 <= drop_prob <= 1.0 or not 0.0 <= spurious_prob <= 1.0:
-            raise ConfigError("noise probabilities must be within [0, 1]")
-        self.backend_id = f"noisy-oracle:{seed}:{drop_prob}:{spurious_prob}"
-        self._seed = seed
-        self._drop_prob = drop_prob
-        self._spurious_prob = spurious_prob
-
-    def _spans_for_answer(
-        self, sentence: AnnotatedSentence, type_id: str
-    ) -> list[EntitySpan]:
-        kept = [
-            sp
-            for sp in super()._spans_for_answer(sentence, type_id)
-            if rng.unit_uniform(self._seed, "drop", sentence.id, type_id, sp.start, sp.end)
-            >= self._drop_prob
-        ]
-        if (
-            self._spurious_prob > 0.0
-            and rng.unit_uniform(self._seed, "spur", sentence.id, type_id)
-            < self._spurious_prob
-        ):
-            gold = sentence.spans_of(type_id)
-            candidates = [
-                (m.start(), m.end(), m.group())
-                for m in _WORD.finditer(sentence.text)
-                if not any(sp.start < m.end() and m.start() < sp.end for sp in gold)
-            ]
-            if candidates:
-                pick = int(
-                    rng.unit_uniform(self._seed, "spurpick", sentence.id, type_id)
-                    * len(candidates)
-                )
-                start, end, surface = candidates[min(pick, len(candidates) - 1)]
-                kept.append(EntitySpan(start, end, type_id, surface))
-        return sorted(kept, key=lambda s: (s.start, s.end))
-
-
 def make_noisy_oracle(
     sentences: list[AnnotatedSentence],
     entity_types: list[EntityType],
     seed: int,
     drop_prob: float = 0.0,
     spurious_prob: float = 0.0,
-) -> NoisyOracleBackend:
-    return NoisyOracleBackend(sentences, entity_types, seed, drop_prob, spurious_prob)
+) -> OracleBackend:
+    return OracleBackend(sentences, entity_types, seed, drop_prob, spurious_prob)
 
 
 # ---------------------------------------------------------------------------

@@ -159,14 +159,19 @@ def validate_corpus(sentences: Iterable[AnnotatedSentence]) -> None:
         validate_sentence(sentence)
 
 
-def has_overlapping_spans(sentence: AnnotatedSentence) -> bool:
-    ordered = sorted(sentence.spans, key=lambda s: (s.start, s.end))
+def outermost_spans(spans: Iterable[EntitySpan]) -> tuple[EntitySpan, ...]:
+    """Drop spans nested in (or overlapping) an earlier-starting span.
+
+    Sorting by (start, -end) and sweeping keeps, for each overlap cluster,
+    the span that starts first and extends furthest.
+    """
+    kept: list[EntitySpan] = []
     last_end = -1
-    for span in ordered:
-        if span.start < last_end:
-            return True
-        last_end = max(last_end, span.end)
-    return False
+    for span in sorted(spans, key=lambda s: (s.start, -s.end)):
+        if span.start >= last_end:
+            kept.append(span)
+            last_end = span.end
+    return tuple(kept)
 
 
 # --------------------------------------------------------------------------
@@ -333,7 +338,7 @@ def _conll_token_offsets(sentence: AnnotatedSentence) -> list[tuple[int, int]]:
 def _save_conll(sentences: Sequence[AnnotatedSentence], path: Path) -> None:
     lines: list[str] = []
     for sentence in sentences:
-        if has_overlapping_spans(sentence):
+        if len(outermost_spans(sentence.spans)) < len(sentence.spans):
             raise DataError(
                 f"sentence {sentence.id!r} has overlapping or nested spans, "
                 "which the CoNLL format cannot represent"

@@ -9,19 +9,26 @@ a line starting with the input label of any prompt language, or, for
 dialogue prompts, a later line starting a "- " turn), which guards against
 servers that ignore stop sequences and hallucinate further exchanges.
 
-Each extracted mention is located in the original sentence starting one
-character past the previous successful match's start, so repeated surface
-forms map to successive occurrences.  Localization has three stages of
-increasing leniency: (a) exact substring search, (b) case-insensitive search
-on casefolded text, with offsets mapped back to the original characters,
-(c) whitespace-normalized case-insensitive search via an escaped-token
-regex.  The recorded mention is always the original text between the found
-offsets, so span invariants hold by construction.
+A tagged completion that echoes the sentence (its tags balance, and its
+decodable prefix with the tags removed is the sentence) is decoded by
+position: each span is where its mention sits in the untagged text, so a
+tagged later occurrence of a repeated word lands on that occurrence.
 
-A consequence of surface matching: when a completion tags a later occurrence
-of a word whose earlier occurrences are untagged, the span lands on the
-first occurrence.  This is inherent to decoding rewritten text and mirrors
-the behavior of tag-based NER prompting generally.
+Every other completion, and every listing-mode one, is decoded by surface
+matching.  Each extracted mention is located in the original sentence
+starting one character past the previous successful match's start, so
+repeated surface forms map to successive occurrences.  Localization has
+three stages of increasing leniency: (a) exact substring search, (b)
+case-insensitive search on casefolded text, with offsets mapped back to the
+original characters, (c) whitespace-normalized case-insensitive search via
+an escaped-token regex.  The recorded mention is always the original text
+between the found offsets, so span invariants hold by construction.
+
+A consequence of surface matching: when a completion that rewrites the
+sentence, or lists mentions, names a later occurrence of a word whose
+earlier occurrences it does not name, the span lands on the first
+occurrence.  Such a completion gives no other evidence of which occurrence
+it meant.
 """
 
 from __future__ import annotations
@@ -163,11 +170,19 @@ def decode_tagged(
 ) -> DecodeResult:
     """Extract tag-wrapped mentions from a completion and map them to spans.
 
+    A completion that echoes the sentence is decoded by position, any other
+    by surface matching (see the module docstring).
+
     dialogue says the prompt used the dash-turn layout (see decodable_prefix).
     """
     diagnostics = DecodeDiagnostics()
     text = decodable_prefix(completion, dialogue)
     mentions: list[str] = []
+    # The text with each extracted mention's tags removed, and the offsets
+    # of each mention in it; both hold only while no tag was unbalanced.
+    untagged: list[str] = []
+    places: list[tuple[int, int]] = []
+    at = 0
     cursor = 0
     while True:
         i = text.find(tags.open, cursor)
@@ -184,9 +199,23 @@ def decode_tagged(
             diagnostics.unbalanced_tags += 1
             cursor = next_open
             continue
-        mentions.append(text[after:close_at])
+        mention = text[after:close_at]
+        mentions.append(mention)
+        untagged += (text[cursor:i], mention)
+        at += i - cursor
+        places.append((at, at + len(mention)))
+        at += len(mention)
         cursor = close_at + len(tags.close)
-    spans = _localize_all(mentions, original, entity_type, diagnostics)
+    untagged.append(text[cursor:])
+    if diagnostics.unbalanced_tags or "".join(untagged) != original:
+        spans = _localize_all(mentions, original, entity_type, diagnostics)
+    else:
+        spans = [
+            EntitySpan(start, end, entity_type, mention)
+            for mention, (start, end) in zip(mentions, places)
+            if mention.strip()
+        ]
+        diagnostics.unmatched_mentions += len(mentions) - len(spans)
     return DecodeResult(spans=tuple(spans), diagnostics=diagnostics)
 
 

@@ -43,6 +43,7 @@ from .templates import (
     RenderedPrompt,
     VerificationDemo,
     estimate_tokens,
+    fit_demos,
     fit_to_budget,
     render_verification_prompt,
 )
@@ -459,8 +460,14 @@ class PromptingPipeline:
                     memo[key] = self._verification_demos(item_demos, item.entity_type)
                 vdemos = memo[key]
                 for span in result.spans:
-                    prompt = None if vdemos is None else self._fit_verification(
-                        config, item, span.mention, vdemos, language, memo
+                    # vdemos open with a positive and a negative, so every
+                    # prefix of two or more shows both answers.
+                    prompt = None if vdemos is None else fit_demos(
+                        lambda keep: render_verification_prompt(
+                            config, item.entity_type, span.mention, item.text, vdemos[:keep],
+                            language, memo,
+                        ),
+                        len(vdemos), 2, self.settings.token_budget,
                     )
                     if prompt is not None:
                         self._request(prompt, item, memo, step)
@@ -479,30 +486,6 @@ class PromptingPipeline:
             if item_asked else result
             for result, item_asked in zip(wave.decoded, wave.asked)
         ]
-
-    def _fit_verification(
-        self,
-        config: PromptConfig,
-        item: _Item,
-        mention: str,
-        vdemos: list[VerificationDemo],
-        language: str,
-        memo: dict,
-    ) -> RenderedPrompt | None:
-        """The verification prompt for mention, dropping demos from the end
-        until it fits the token budget; None when it does not fit with two.
-
-        vdemos open with a positive and a negative, so every kept prefix
-        still shows both answers.
-        """
-        for keep in range(len(vdemos), 1, -1):
-            prompt = render_verification_prompt(
-                config, item.entity_type, mention, item.text, vdemos[:keep], language, memo
-            )
-            if prompt.estimated_tokens <= self.settings.token_budget:
-                dropped = len(vdemos) - keep
-                return replace(prompt, dropped_demos=dropped) if dropped else prompt
-        return None
 
     def _annotate_wave(
         self,

@@ -24,7 +24,8 @@ Nested or overlapping same-type gold spans cannot be expressed with flat
 tag pairs, so demonstrations show outermost spans only.
 
 Main and verification prompts are built by one assembler from a head, a
-block of demonstration turns and a tail.  Each part is memoized with its
+block of demonstration turns and a tail, and fit the token budget through
+one loop, fit_demos.  Each part is memoized with its
 token count, and its template fragments are filled, from the one table of
 fields a fragment may name, only when its memo key is new.
 """
@@ -40,7 +41,7 @@ from importlib import resources
 from typing import Iterable, Sequence
 
 from . import rng
-from .corpus import AnnotatedSentence, EntitySpan, EntityType
+from .corpus import AnnotatedSentence, EntitySpan, EntityType, outermost_spans
 from .errors import ConfigError
 
 logger = logging.getLogger(__name__)
@@ -215,21 +216,6 @@ def estimate_tokens(text: str) -> int:
 
 # --------------------------------------------------------------------------
 # Span tagging helpers
-
-def outermost_spans(spans: Iterable[EntitySpan]) -> tuple[EntitySpan, ...]:
-    """Drop spans nested in (or overlapping) an earlier-starting span.
-
-    Sorting by (start, -end) and sweeping keeps, for each overlap cluster,
-    the span that starts first and extends furthest.
-    """
-    kept: list[EntitySpan] = []
-    last_end = -1
-    for span in sorted(spans, key=lambda s: (s.start, -s.end)):
-        if span.start >= last_end:
-            kept.append(span)
-            last_end = span.end
-    return tuple(kept)
-
 
 def tag_sentence(text: str, spans: Iterable[EntitySpan], tags: TagPair) -> str:
     """Wrap the given (non-overlapping) spans of the text in the tag pair."""
@@ -475,6 +461,22 @@ def render_verification_prompt(
     )
 
 
+def fit_demos(render, count: int, least: int, budget: int) -> RenderedPrompt | None:
+    """The first of render(count), render(count - 1), ..., render(least)
+    whose estimated tokens fit the budget, with dropped_demos set to the
+    demos it left out; None when none fits.
+
+    render(keep) is the prompt with the first keep demos, so demos drop
+    from the end.  Main and verification prompts both fit through here.
+    """
+    for keep in range(count, least - 1, -1):
+        prompt = render(keep)
+        if prompt.estimated_tokens <= budget:
+            dropped = count - keep
+            return replace(prompt, dropped_demos=dropped) if dropped else prompt
+    return None
+
+
 def fit_to_budget(
     config: PromptConfig,
     entity_type: EntityType,
@@ -500,7 +502,8 @@ def fit_to_budget(
     memo = {} if memo is None else memo
     if ranked_ids is None:
         ranked_ids = tuple(d.id for d in ranked_demos)
-    for keep in range(len(ranked_demos), -1, -1):
+
+    def render(keep: int) -> RenderedPrompt:
         kept, ids = tuple(ranked_demos[:keep]), ranked_ids[:keep]
         if shuffle_seed is not None:
             key = ("order", ids, shuffle_seed)
@@ -509,21 +512,20 @@ def fit_to_budget(
                 shuffled = tuple(rng.shuffled(kept, shuffle_seed))
                 order = memo[key] = (shuffled, tuple(d.id for d in shuffled))
             kept, ids = order
-        prompt = render_main_prompt(
+        return render_main_prompt(
             config, entity_type, kept, test_text, prompt_language,
             allow_empty_demos=True, memo=memo, demo_ids=ids,
         )
-        if prompt.estimated_tokens <= budget:
-            dropped = len(ranked_demos) - keep
-            if keep == 0:
-                logger.warning(
-                    "token budget %d leaves no room for demonstrations (entity type %s)",
-                    budget, entity_type.id,
-                )
-            if dropped:
-                return replace(prompt, dropped_demos=dropped)
-            return prompt
-    raise ConfigError(
-        f"token budget {budget} is too small even for the prompt scaffold "
-        f"(entity type {entity_type.id})"
-    )
+
+    prompt = fit_demos(render, len(ranked_demos), 0, budget)
+    if prompt is None:
+        raise ConfigError(
+            f"token budget {budget} is too small even for the prompt scaffold "
+            f"(entity type {entity_type.id})"
+        )
+    if prompt.dropped_demos == len(ranked_demos):
+        logger.warning(
+            "token budget %d leaves no room for demonstrations (entity type %s)",
+            budget, entity_type.id,
+        )
+    return prompt

@@ -16,6 +16,11 @@ Contract being implemented:
 * An open tag with no close before the next open counts as unbalanced and
   is skipped.  A trailing open with no close at all is unbalanced too.
 * Extracted mentions that are empty or whitespace-only are unmatched.
+* When no tag was unbalanced and the decoded text with every extracted
+  mention's tag pair removed equals the original sentence, the span of each
+  mention that is not empty or whitespace-only is its offsets in that
+  untagged text, and nothing counts as a duplicate.  Otherwise the rules
+  below apply.
 * Each mention is located in the original sentence searching from one past
   the previous successful match's start: (a) exact substring, then
   (b) the first substring whose casefold equals the mention's, then
@@ -48,10 +53,13 @@ def _decodable_prefix(completion: str, dialogue: bool) -> str:
     return "\n".join(lines)
 
 
-def _extract_mentions(text: str, open_tag: str, close_tag: str) -> tuple[list[str], int]:
+def _extract_mentions(
+    text: str, open_tag: str, close_tag: str
+) -> tuple[list[tuple[int, str]], int]:
+    """(open tag position, mention) pairs in order, and the unbalanced count."""
     opens = _all_positions(text, open_tag)
     closes = _all_positions(text, close_tag)
-    mentions: list[str] = []
+    mentions: list[tuple[int, str]] = []
     unbalanced = 0
     cursor = 0
     while True:
@@ -72,9 +80,28 @@ def _extract_mentions(text: str, open_tag: str, close_tag: str) -> tuple[list[st
             unbalanced += 1
             cursor = next_open
             continue
-        mentions.append(text[after:close_at])
+        mentions.append((start, text[after:close_at]))
         cursor = close_at + len(close_tag)
     return mentions, unbalanced
+
+
+def _echo_places(
+    text: str, found: list[tuple[int, str]], open_tag: str, close_tag: str, original: str
+) -> list[tuple[int, int]] | None:
+    """Each mention's offsets in text with the found tag pairs cut out, or
+    None when that untagged text is not the original."""
+    untagged = text
+    for position, mention in reversed(found):
+        after_close = position + len(open_tag) + len(mention) + len(close_tag)
+        untagged = untagged[:position] + mention + untagged[after_close:]
+    if untagged != original:
+        return None
+    # The k-th mention follows k complete tag pairs and its own open tag.
+    pair = len(open_tag) + len(close_tag)
+    return [
+        (position - k * pair, position - k * pair + len(mention))
+        for k, (position, mention) in enumerate(found)
+    ]
 
 
 def _locate(original: str, mention: str, search_from: int) -> tuple[int, int] | None:
@@ -103,7 +130,17 @@ def reference_decode_tagged(
     """Returns {"spans": [(start, end)], "unbalanced": n, "unmatched": n,
     "duplicates": n} for comparison against the production decoder."""
     text = _decodable_prefix(completion, dialogue)
-    mentions, unbalanced = _extract_mentions(text, open_tag, close_tag)
+    found, unbalanced = _extract_mentions(text, open_tag, close_tag)
+    mentions = [mention for _, mention in found]
+    places = None if unbalanced else _echo_places(text, found, open_tag, close_tag, original)
+    if places is not None:
+        kept = [place for place, mention in zip(places, mentions) if mention.strip() != ""]
+        return {
+            "spans": kept,
+            "unbalanced": 0,
+            "unmatched": len(mentions) - len(kept),
+            "duplicates": 0,
+        }
     spans: list[tuple[int, int]] = []
     located_surfaces: set[str] = set()
     unmatched = 0

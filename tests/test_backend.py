@@ -18,7 +18,6 @@ from fewner.backend import (
     GenerationRecord,
     GenerationRequest,
     HttpCompletionBackend,
-    NoisyOracleBackend,
     OracleBackend,
     make_noisy_oracle,
     request_digest,
@@ -588,9 +587,9 @@ def _tagging_answer(oracle, registry, sentences, target, lang="en"):
 def test_noisy_oracle_validates_probabilities(corpora):
     sentences, types = corpora["en"]
     with pytest.raises(ConfigError):
-        NoisyOracleBackend(sentences, types, seed=1, drop_prob=1.5)
+        OracleBackend(sentences, types, seed=1, drop_prob=1.5)
     with pytest.raises(ConfigError):
-        NoisyOracleBackend(sentences, types, seed=1, spurious_prob=-0.1)
+        OracleBackend(sentences, types, seed=1, spurious_prob=-0.1)
 
 
 def test_noisy_oracle_extremes(corpora, registry):

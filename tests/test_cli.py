@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import pytest
@@ -40,6 +40,11 @@ def splits(tmp_path_factory):
     save_corpus(sentences[:6], sample_path, "jsonl")
     save_corpus(sentences[6:], test_path, "jsonl")
     return sample_path, test_path, sentences
+
+
+# The id of the noiseless oracle over the sample of splits: seed, rates and
+# the digest of its sentences' ids, texts and spans.
+SAMPLE_ORACLE_ID = "oracle:0:0.0:0.0:819b6f85c4dba3d2"
 
 
 def read_json(path: Path):
@@ -188,7 +193,7 @@ def test_optimize_greedy_writes_artifacts(splits, tmp_path, capsys):
     meta = read_json(run_dir / "run_meta.json")
     assert meta["strategy"] == "greedy"
     assert meta["evaluations"] == 10
-    assert meta["backend_id"] == "cached:oracle"
+    assert meta["backend_id"] == "cached:" + SAMPLE_ORACLE_ID
     assert meta["backend_calls"] == trace["total_backend_calls"]
     assert meta["search_wall_clock_seconds"] > 0
     cache_dir = run_dir / "generations"
@@ -206,7 +211,7 @@ def test_optimize_no_cache_leaves_no_cache_dir(splits, tmp_path):
     )
     assert rc == 0
     assert not (run_dir / "generations").exists()
-    assert read_json(run_dir / "run_meta.json")["backend_id"] == "oracle"
+    assert read_json(run_dir / "run_meta.json")["backend_id"] == SAMPLE_ORACLE_ID
 
 
 def test_optimize_cache_dir_flag_redirects_the_cache(splits, tmp_path):
@@ -507,6 +512,33 @@ def test_predict_with_a_cache_filled_by_another_noise_seed(splits, tmp_path):
     assert seed3 == predict(3, "seed3-none", ["--no-cache"])
     assert seed4 == predict(4, "seed4-none", ["--no-cache"])
     assert seed3 != seed4
+
+
+def test_predict_with_a_cache_filled_from_other_gold(splits, tmp_path):
+    # The oracle answers from gold, so entries it wrote before a test
+    # sentence lost a gold span must not answer it afterwards.
+    sample_path, test_path, sentences = splits
+    test = list(sentences[6:])
+    at = next(i for i, s in enumerate(test) if s.spans)
+    test[at] = replace(test[at], spans=test[at].spans[1:])
+    edited_path = tmp_path / "edited.jsonl"
+    save_corpus(test, edited_path, "jsonl")
+    shared = tmp_path / "cache"
+
+    def predict(path, run, cache):
+        argv = [
+            "predict", "--sample", str(sample_path), "--test", str(path),
+            "--run-dir", str(tmp_path / run), "--types", "DISO,CHEM",
+            "--backend", "oracle", *cache,
+        ]
+        assert main(argv) == 0
+        return (tmp_path / run / "predictions.json").read_bytes()
+
+    predict(test_path, "original", ["--cache-dir", str(shared)])
+    edited = predict(edited_path, "edited", ["--cache-dir", str(shared)])
+    assert edited == predict(edited_path, "edited-none", ["--no-cache"])
+    predictions = PredictionSet.from_dict(json.loads(edited))
+    assert score(predictions, test, ["DISO", "CHEM"]).micro_f1 == 1.0
 
 
 def test_predict_records_the_settings_it_ran_with(splits, tmp_path):

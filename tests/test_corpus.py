@@ -287,12 +287,22 @@ def test_conll_rejects_single_column(tmp_path):
 
 
 def test_conll_save_refuses_overlap(tmp_path):
-    overlapping = sent(
-        "s", "acute renal failure",
-        [span(0, 19, "DISO", "acute renal failure"), span(6, 19, "DISO", "renal failure")],
-    )
-    with pytest.raises(DataError):
-        save_corpus([overlapping], tmp_path / "o.conll", "conll")
+    text = "acute renal failure"
+    refused = [
+        [span(0, 19, "DISO", text), span(6, 19, "DISO", "renal failure")],
+        # Across two types, a nested span, and one span under two types.
+        [span(0, 11, "DISO", "acute renal"), span(6, 19, "CHEM", "renal failure")],
+        [span(0, 19, "DISO", text), span(6, 11, "CHEM", "renal")],
+        [span(6, 11, "DISO", "renal"), span(6, 11, "CHEM", "renal")],
+    ]
+    for spans in refused:
+        with pytest.raises(DataError, match="overlapping or nested"):
+            save_corpus([sent("s", text, spans)], tmp_path / "o.conll", "conll")
+    # Spans that only touch (one ends where the next starts) are written.
+    touching = sent("s", "overdose", [span(0, 4, "DISO", "over"), span(4, 8, "CHEM", "dose")])
+    save_corpus([touching], tmp_path / "t.conll", "conll")
+    (reloaded,) = load_corpus(tmp_path / "t.conll", "conll")
+    assert [(s.mention, s.type) for s in reloaded.spans] == [("over", "DISO"), ("dose", "CHEM")]
 
 
 def test_conll_save_splits_tokens_at_span_boundaries(tmp_path):

@@ -18,7 +18,8 @@ from fewner.decode import (
     decode_tagged,
     parse_verification,
 )
-from fewner.templates import ALT_TAGS, DEFAULT_TAGS, TagPair
+from fewner.corpus import EntitySpan
+from fewner.templates import ALT_TAGS, DEFAULT_TAGS, TagPair, fragments, tag_sentence
 from reference_decoder import reference_decode_tagged
 
 
@@ -103,10 +104,50 @@ def test_tagged_repeated_surface_maps_to_successive_occurrences():
 
 
 def test_tagged_later_occurrence_lands_on_first():
-    # Surface matching cannot tell occurrences apart: tagging only the later
-    # "pain" still resolves to the earliest one.
-    result = decode_tagged("pain, more @@pain##", "pain, more pain", DEFAULT_TAGS, "DISO")
+    # Surface matching cannot tell occurrences apart: a completion that does
+    # not echo the sentence and tags only the later "pain" still resolves to
+    # the earliest one.
+    result = decode_tagged("more @@pain##", "pain, more pain", DEFAULT_TAGS, "DISO")
     assert starts_ends(result) == [(0, 4)]
+
+
+def test_tagged_echo_decodes_by_position():
+    # A completion that is the sentence with tags added says which
+    # occurrence it tags.
+    result = decode_tagged("aspirin and @@aspirin##", "aspirin and aspirin", DEFAULT_TAGS, "CHEM")
+    assert starts_ends(result) == [(12, 19)]
+    result = decode_tagged("<<chest pain>> <<pain>>", "chest pain pain", ALT_TAGS, "DISO")
+    assert starts_ends(result) == [(0, 10), (11, 15)]
+    assert result.diagnostics == DecodeDiagnostics()
+    # An empty tag pair in an echo is an unmatched mention.
+    result = decode_tagged("pain @@##and @@pain##", "pain and pain", DEFAULT_TAGS, "DISO")
+    assert starts_ends(result) == [(9, 13)]
+    assert result.diagnostics.unmatched_mentions == 1
+
+
+_INPUT_LABELS = tuple(frags["input_label"] for frags in fragments().values())
+
+
+@settings(max_examples=300)
+@given(
+    st.text(st.characters(exclude_characters="\n@#<>"), min_size=1, max_size=40),
+    st.sampled_from([DEFAULT_TAGS, ALT_TAGS]),
+    st.data(),
+)
+def test_tagged_echo_decodes_back_to_its_spans(text, tags, data):
+    # A single-line sentence that holds no tag string, tagged by
+    # tag_sentence, decodes to the spans it was tagged with.
+    assume(text.strip() and text == text.lstrip() and not text.startswith(_INPUT_LABELS))
+    cuts = sorted(data.draw(st.sets(st.integers(0, len(text)), min_size=2, max_size=8)))
+    picks = data.draw(st.lists(st.booleans(), min_size=len(cuts) - 1, max_size=len(cuts) - 1))
+    spans = [
+        EntitySpan(start, end, "DISO", text[start:end])
+        for (start, end), pick in zip(zip(cuts, cuts[1:]), picks)
+        if pick and text[start:end].strip()
+    ]
+    result = decode_tagged(tag_sentence(text, spans, tags), text, tags, "DISO")
+    assert list(result.spans) == spans
+    assert result.diagnostics == DecodeDiagnostics()
 
 
 def test_tagged_case_insensitive_localization_keeps_original_casing():
@@ -301,8 +342,6 @@ def test_diagnostics_addition():
 # PredictionSet
 
 def _result(*mention_spans):
-    from fewner.corpus import EntitySpan
-
     spans = tuple(EntitySpan(s, e, t, m) for s, e, t, m in mention_spans)
     return DecodeResult(spans=spans, diagnostics=DecodeDiagnostics(unmatched_mentions=1))
 
