@@ -33,7 +33,6 @@ from .backend import (
     DiskCache,
     EchoBackend,
     HttpCompletionBackend,
-    OracleBackend,
     make_noisy_oracle,
 )
 from .corpus import (
@@ -165,17 +164,23 @@ def _resolve_types(spec: str, registry_path: str | None):
 
 def _build_backend(args, run_dir: Path, oracle_sentences, entity_types):
     name = args.backend
+    noise = {
+        "--noise-seed": args.noise_seed,
+        "--drop-prob": args.drop_prob,
+        "--spurious-prob": args.spurious_prob,
+    }
+    given = [flag for flag, value in noise.items() if value is not None]
+    if given and name in ("echo", "http"):
+        raise ConfigError(f"--backend {name} takes no noise flags, got {', '.join(given)}")
     if name == "echo":
         inner = EchoBackend()
-    elif name == "oracle":
-        inner = OracleBackend(oracle_sentences, entity_types)
-    elif name == "noisy-oracle":
+    elif name in ("oracle", "noisy-oracle"):
         inner = make_noisy_oracle(
             oracle_sentences,
             entity_types,
-            seed=args.noise_seed,
-            drop_prob=args.drop_prob,
-            spurious_prob=args.spurious_prob,
+            seed=args.noise_seed or 0,
+            drop_prob=args.drop_prob or 0.0,
+            spurious_prob=args.spurious_prob or 0.0,
         )
     elif name == "http":
         inner = HttpCompletionBackend.from_env()
@@ -378,10 +383,12 @@ def _add_backend_args(p):
         choices=("echo", "oracle", "noisy-oracle", "http"),
         help="completion backend",
     )
-    p.add_argument("--noise-seed", type=int, default=0, help="noisy oracle seed")
-    p.add_argument("--drop-prob", type=float, default=0.0, help="noisy oracle miss rate")
+    # None when not given: the oracles read 0, other backends refuse them.
+    p.add_argument("--noise-seed", type=int, default=None, help="oracle noise seed (default 0)")
+    p.add_argument("--drop-prob", type=float, default=None, help="oracle miss rate (default 0)")
     p.add_argument(
-        "--spurious-prob", type=float, default=0.0, help="noisy oracle false-positive rate"
+        "--spurious-prob", type=float, default=None,
+        help="oracle false-positive rate (default 0)",
     )
     p.add_argument("--cache-dir", default=None, help="completion cache directory")
     p.add_argument("--no-cache", action="store_true", help="disable the completion cache")

@@ -19,7 +19,7 @@ import json
 import re
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from . import backend, rng, selection
@@ -58,6 +58,14 @@ PREDICT_WAVE = 64
 # Inline wall seconds between two readings of the thread clock, and the
 # least a reading must cover to find the backend waiting.
 _CLOCK_WINDOW_S = 0.005
+
+# The feature bits _canonical clears or reads.
+_NATIVE, _VERIFY, _ALT_TAGGERS, _LONG_ANSWER = (
+    1 << FEATURE_NAMES.index(name)
+    for name in (
+        "prompt_language_native", "self_verification", "alt_taggers", "long_verification_answer",
+    )
+)
 
 
 @dataclass(frozen=True)
@@ -210,12 +218,16 @@ class PromptingPipeline:
     selection and render variants, and decoded ones by the distinct main
     completions of the folds.
 
-    LOOCV also keeps its last evaluation: its canonical config (see
-    _canonical), prompts, requests, completions, results and score.  A
-    config of the same canonical form sends those requests again instead
-    of planning them, and takes the recorded score when every completion
-    comes back the same; otherwise it goes on from what it received.  The
+    LOOCV also keeps its last evaluation: its two keys (see _canonical),
+    prompts, requests, completions, results and score.  A config of the
+    same main key sends those main requests again instead of planning
+    them, and keeps the decoded results when every completion comes back
+    the same; otherwise it goes on from what it received.  A config of the
+    same canonical key does the same with the verification requests and
+    the score; one of the same main key only plans its verification.  The
     requests, their order and backend_calls are the same either way.
+    grid_search orders its masks so that configs of one key run back to
+    back.
     """
 
     def __init__(
@@ -245,8 +257,8 @@ class PromptingPipeline:
         for s in self.corpus:
             self._loocv += self._items(s.text, s.id, s.id, self.entity_types)
         self._folds: dict = {}
-        # The last LOOCV evaluation: (canonical config, wave, score).
-        self._last: tuple[PromptConfig | None, _Wave | None, float] = (None, None, 0.0)
+        # The last LOOCV evaluation: (its two _canonical keys, wave, score).
+        self._last: tuple[tuple, _Wave | None, float] = ((None, None), None, 0.0)
         # Wall and CPU seconds of the backend calls made inline so far, and
         # the thread-clock readings in a row that found the backend waiting.
         self._inline_wall_s = 0.0
@@ -278,16 +290,21 @@ class PromptingPipeline:
             for t in entity_types
         ]
 
-    def _canonical(self, config: PromptConfig) -> PromptConfig:
-        """config with every feature reset that this pipeline never reads
-        under it, so configs of one canonical form send the same requests.
+    def _canonical(self, config: PromptConfig) -> tuple[tuple, tuple]:
+        """Two keys of config: the canonical key, equal for configs that
+        send the same requests, and the main key, equal for configs that
+        send the same main requests.  Each holds the feature mask with
+        every feature cleared that this pipeline never reads under config,
+        then the mode, the separator (listing mode only) and
+        base_demo_count.
 
         - prompt_language_native, when settings.prompt_language is "en":
           _language returns "en" either way.
         - long_verification_answer without self_verification: only
           templates._verification_demo reads it, and only _verify renders
           verification prompts, under `if config.self_verification:` in
-          _annotate_wave.
+          _annotate_wave.  The main key clears it always: no main
+          prompt reads it.
         - alt_taggers in listing mode: it only picks config.tag_pair, which
           is read by decode_tagged, by the tagging branch of
           templates._demo_output and by the {open} and {close} fields that
@@ -296,16 +313,16 @@ class PromptingPipeline:
           decode_listing, the listing branch of _demo_output and the
           {separator} field of task_listing and intro_listing.
         """
-        inert: dict = {}
+        mask = config.bitmask
         if self.settings.prompt_language == "en":
-            inert["prompt_language_native"] = False
-        if not config.self_verification:
-            inert["long_verification_answer"] = False
+            mask &= ~_NATIVE
+        separator = None
         if config.mode == "listing":
-            inert["alt_taggers"] = False
-        else:
-            inert["listing_separator"] = "comma"
-        return replace(config, **inert)
+            mask &= ~_ALT_TAGGERS
+            separator = config.listing_separator
+        rest = (config.mode, separator, config.base_demo_count)
+        main = (mask & ~_LONG_ANSWER, *rest)
+        return (mask if mask & _VERIFY else main[0], *rest), main
 
     def _request(self, prompt: RenderedPrompt, item: _Item, memo: dict, step: _Step) -> None:
         """Add to step the request for prompt, carrying its digest, which is
@@ -493,6 +510,7 @@ class PromptingPipeline:
         items: list[_Item],
         memo: dict | None = None,
         last: _Wave | None = None,
+        whole: bool = False,
     ) -> _Wave:
         """Spans for each item: plan every main prompt in item order, send
         them, decode in item order, then verify as a second wave.  memo
@@ -500,12 +518,14 @@ class PromptingPipeline:
         result, keyed by all the decoder reads.
 
         last, when given, is a wave of the same items under a config of the
-        same canonical form.  Its requests are sent again instead of
-        planned, after the observer is shown their prompts, and its
-        results stand while each send's completions equal the ones it
-        received.  From the first send whose completions differ, the wave
-        goes on from them as a planned one does, so either way the same
-        requests go out once each, in the same order.
+        same main key (see _canonical); whole says the canonical keys are
+        equal too.  last's main requests are sent again instead of
+        planned, after the observer is shown their prompts, and its decoded
+        results stand if the completions equal the ones it received.  So,
+        with whole, do its verification requests and results.  From the
+        first send whose completions differ, and for verification without
+        whole, the wave goes on as a planned one does, so either way the
+        same requests go out once each, in the same order.
         """
         memo = {} if memo is None else memo
         if last is None:
@@ -513,19 +533,20 @@ class PromptingPipeline:
         else:
             wave = _Wave(last.demos, self._again(last.main))
         wave.main.completions.extend(self._send(wave.main.requests))
-        if last is not None and wave.main.completions == last.main.completions:
-            wave.decoded = last.decoded
-        else:
-            last = None
-            wave.decoded = self._decode(config, items, wave.main.completions, memo)
+        same = last is not None and wave.main.completions == last.main.completions
+        wave.decoded = (
+            last.decoded if same else self._decode(config, items, wave.main.completions, memo)
+        )
         wave.results = wave.decoded
         if config.self_verification:
-            if last is None:
-                self._verify(config, items, wave, memo)
-            else:
+            # last's verification serves only a config of its canonical key.
+            same = same and whole
+            if same:
                 wave.verification, wave.asked = self._again(last.verification), last.asked
+            else:
+                self._verify(config, items, wave, memo)
             wave.verification.completions.extend(self._send(wave.verification.requests))
-            if last is not None and wave.verification.completions == last.verification.completions:
+            if same and wave.verification.completions == last.verification.completions:
                 wave.results = last.results
             else:
                 wave.results = self._verdicts(wave)
@@ -601,20 +622,21 @@ class PromptingPipeline:
     def evaluate_loocv(self, config: PromptConfig) -> float:
         """Micro-F1 of config under leave-one-out over the annotated sample.
 
-        The last evaluation's wave is kept with its canonical config and
-        score.  When config has the same canonical form, that wave is
-        replayed (see _annotate_wave), and its score stands if every
-        completion came back the same.
+        The last evaluation's wave is kept with its two keys (see
+        _canonical) and score.  When config has the same main key, that
+        wave is replayed (see _annotate_wave): in whole if the canonical
+        key is the same too, and then its score stands if every completion
+        came back the same.
         """
         if len(self.corpus) < 2:
             raise ConfigError("leave-one-out needs at least two annotated sentences")
-        canonical = self._canonical(config)
-        last_config, last, score = self._last
+        keys = self._canonical(config)
+        last_keys, last, score = self._last
         # Dropped first, so that two planned waves are never held at once.
-        self._last = (None, None, 0.0)
-        if last_config != canonical:
+        self._last = ((None, None), None, 0.0)
+        if last_keys[1] != keys[1]:
             last = None
-        wave = self._annotate_wave(config, self._loocv, self._folds, last)
+        wave = self._annotate_wave(config, self._loocv, self._folds, last, last_keys == keys)
         # A replay keeps last's results only if every completion matched.
         if last is None or wave.results is not last.results:
             tp = fp = fn = 0
@@ -623,7 +645,7 @@ class PromptingPipeline:
                 dtp, dfp, dfn = span_match_counts(result.spans, gold)
                 tp, fp, fn = tp + dtp, fp + dfp, fn + dfn
             score = f1_from_counts(tp, fp, fn)[2]
-        self._last = (canonical, wave, score)
+        self._last = (keys, wave, score)
         return score
 
     def predict(
@@ -705,6 +727,20 @@ def greedy_search(
     return _run_search("greedy", pipeline, score_fn, climb)
 
 
+def _grouped(pipeline: PromptingPipeline, masks: range, rest: dict) -> list[int]:
+    """masks grouped by the main key, then by the canonical key (see
+    PromptingPipeline._canonical) of their configs, each group in the
+    place of its lowest mask.  No config outlives its keys: holding all
+    512 at once added about 0.3 MB to grid-b0's peak RSS."""
+    mains: dict = {}
+    canonicals: dict = {}
+    groups = []
+    for mask in masks:
+        canonical, main = pipeline._canonical(PromptConfig.from_bitmask(mask, **rest))
+        groups.append((mains.setdefault(main, mask), canonicals.setdefault(canonical, mask), mask))
+    return [mask for *_, mask in sorted(groups)]
+
+
 def grid_search(
     pipeline: PromptingPipeline | None,
     base: PromptConfig | None = None,
@@ -713,10 +749,17 @@ def grid_search(
 ) -> tuple[PromptConfig, SearchTrace]:
     """Exhaustive scan of all 512 feature combinations.
 
-    The bitmasks are visited in ascending order and only a strictly better
-    micro-F1 displaces the incumbent, so ties resolve to the smallest mask.
+    The trace lists the bitmasks in ascending order, and the best is the
+    first maximum in that order, so ties resolve to the smallest mask.
     The cost is 512 full leave-one-out evaluations; pass
     acknowledge_cost=True to confirm that is intended.
+
+    score_fn scores the masks in ascending order.  A pipeline scores them
+    grouped by main key, then by canonical key (see
+    PromptingPipeline._canonical), each group in the place of its lowest
+    mask, so that twins run back to back and replay one another's
+    requests (see evaluate_loocv).  The requests sent are the same either
+    way; only their order across evaluations differs.
     """
     if not acknowledge_cost:
         raise ConfigError(
@@ -731,14 +774,16 @@ def grid_search(
     }
 
     def scan(evaluate):
-        best_config: PromptConfig | None = None
-        best = -1.0
-        for mask in range(1 << len(FEATURE_NAMES)):
-            candidate = PromptConfig.from_bitmask(mask, **rest)
-            micro = evaluate(candidate)
-            if micro > best:
-                best_config, best = candidate, micro
-        assert best_config is not None
-        return best_config, best_config.enabled_features()
+        masks = range(1 << len(FEATURE_NAMES))
+        order = masks
+        if score_fn is None and pipeline is not None:
+            order = _grouped(pipeline, masks, rest)
+        scores = [0.0] * len(masks)
+        for mask in order:
+            scores[mask] = evaluate(PromptConfig.from_bitmask(mask, **rest))
+        best = PromptConfig.from_bitmask(scores.index(max(scores)), **rest)
+        return best, best.enabled_features()
 
-    return _run_search("grid", pipeline, score_fn, scan)
+    best, trace = _run_search("grid", pipeline, score_fn, scan)
+    trace.evaluations.sort(key=lambda entry: entry.bitmask)
+    return best, trace

@@ -17,10 +17,11 @@ Contract being implemented:
   is skipped.  A trailing open with no close at all is unbalanced too.
 * Extracted mentions that are empty or whitespace-only are unmatched.
 * When no tag was unbalanced and the decoded text with every extracted
-  mention's tag pair removed equals the original sentence, the span of each
-  mention that is not empty or whitespace-only is its offsets in that
-  untagged text, and nothing counts as a duplicate.  Otherwise the rules
-  below apply.
+  mention's tag pair removed equals the original sentence with its leading
+  whitespace stripped, the span of each mention that is not empty or
+  whitespace-only is its offsets in that untagged text plus the length of
+  the stripped whitespace, and nothing counts as a duplicate.  Otherwise
+  the rules below apply.
 * Each mention is located in the original sentence searching from one past
   the previous successful match's start: (a) exact substring, then
   (b) the first substring whose casefold equals the mention's, then
@@ -94,12 +95,14 @@ def _echo_places(
     for position, mention in reversed(found):
         after_close = position + len(open_tag) + len(mention) + len(close_tag)
         untagged = untagged[:position] + mention + untagged[after_close:]
-    if untagged != original:
+    indent = re.match(r"\s*", original).end()
+    if untagged != original[indent:]:
         return None
-    # The k-th mention follows k complete tag pairs and its own open tag.
+    # The k-th mention follows k complete tag pairs and its own open tag,
+    # and the untagged text starts after the sentence's indent.
     pair = len(open_tag) + len(close_tag)
     return [
-        (position - k * pair, position - k * pair + len(mention))
+        (indent + position - k * pair, indent + position - k * pair + len(mention))
         for k, (position, mention) in enumerate(found)
     ]
 

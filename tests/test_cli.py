@@ -514,6 +514,44 @@ def test_predict_with_a_cache_filled_by_another_noise_seed(splits, tmp_path):
     assert seed3 != seed4
 
 
+def test_predict_oracle_with_noise_flags_predicts_what_the_noisy_oracle_does(splits, tmp_path):
+    sample_path, test_path, _ = splits
+
+    def predict(backend, run, *noise):
+        argv = [
+            "predict", "--sample", str(sample_path), "--test", str(test_path),
+            "--run-dir", str(tmp_path / run), "--types", "DISO,CHEM",
+            "--backend", backend, *noise, "--no-cache",
+        ]
+        assert main(argv) == 0
+        meta = read_json(tmp_path / run / "run_meta.json")
+        return (tmp_path / run / "predictions.json").read_bytes(), meta["backend_id"]
+
+    noise = ("--noise-seed", "5", "--drop-prob", "0.9", "--spurious-prob", "0.5")
+    noisy = predict("oracle", "oracle", *noise)
+    assert noisy == predict("noisy-oracle", "noisy-oracle", *noise)
+    assert noisy[1].startswith("oracle:5:0.9:0.5:")
+    assert noisy[0] != predict("oracle", "gold")[0]
+
+
+@pytest.mark.parametrize("backend", ["echo", "http"])
+@pytest.mark.parametrize(
+    "noise", [("--drop-prob", "0.5"), ("--noise-seed", "0"), ("--spurious-prob", "0.1")]
+)
+def test_predict_refuses_noise_flags_that_the_backend_would_ignore(
+    splits, tmp_path, capsys, backend, noise
+):
+    sample_path, test_path, _ = splits
+    argv = [
+        "predict", "--sample", str(sample_path), "--test", str(test_path),
+        "--run-dir", str(tmp_path / "run"), "--types", "DISO",
+        "--backend", backend, *noise, "--no-cache",
+    ]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and noise[0] in err
+
+
 def test_predict_with_a_cache_filled_from_other_gold(splits, tmp_path):
     # The oracle answers from gold, so entries it wrote before a test
     # sentence lost a gold span must not answer it afterwards.

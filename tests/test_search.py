@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import pytest
 
+import fewner.search
 import test_golden_prompts as golden
 from conftest import additive_scorer, nine_weights, sent, span
 from reference_digest import json_digest
@@ -638,10 +639,11 @@ def test_spans_without_verification_demos_count_as_unverified_every_time(decoded
 # --------------------------------------------------------------------------
 # Canonical configurations and the replay of the last LOOCV evaluation
 
-# Distinct canonical configs over the 512 masks, by English prompts and mode.
+# Distinct canonical and main keys over the 512 masks, by English prompts
+# and mode.
 _CANONICAL_COUNTS = {
-    (True, "tagging"): 192, (True, "listing"): 96,
-    (False, "tagging"): 384, (False, "listing"): 192,
+    (True, "tagging"): (192, 128), (True, "listing"): (96, 64),
+    (False, "tagging"): (384, 256), (False, "listing"): (192, 128),
 }
 
 
@@ -658,31 +660,35 @@ def test_masks_of_one_canonical_config_send_the_same_requests(language, mode, se
     # so every evaluation is planned and none replays the one before.
     verification = 1 << FEATURE_NAMES.index("self_verification")
     masks = [m | v for m in range(512) if not m & verification for v in (0, verification)]
-    sent = defaultdict(set)
+    sent, sent_main = defaultdict(set), defaultdict(set)
     for mask in masks:
         config = PromptConfig.from_bitmask(mask, mode=mode, listing_separator=separator)
         start = len(backend.digests)
         pipeline.evaluate_loocv(config)
-        sent[pipeline._canonical(config)].add(tuple(backend.digests[start:]))
-    assert len(sent) == _CANONICAL_COUNTS[language == "en", mode]
+        canonical, main = pipeline._canonical(config)
+        sent[canonical].add(tuple(backend.digests[start:]))
+        # The main requests come first, one per fold and type.
+        sent_main[main].add(tuple(backend.digests[start : start + len(sentences) * len(types)]))
+    assert (len(sent), len(sent_main)) == _CANONICAL_COUNTS[language == "en", mode]
     assert all(len(sequences) == 1 for sequences in sent.values())
+    assert all(len(sequences) == 1 for sequences in sent_main.values())
 
 
 class Fickle:
     """Answers as the wrapped backend does, except for the request with
-    digest target, answered changed from its from_call-th call on; keeps
-    (digest, prompt, completion) of every request it answers."""
+    digest target, answered changed while changing is set; keeps (digest,
+    prompt, completion) of every request it answers."""
 
     backend_id = "fickle"
 
-    def __init__(self, inner, target="", changed="", from_call=2):
-        self.inner, self.target, self.changed, self.from_call = inner, target, changed, from_call
+    def __init__(self, inner, target="", changed=""):
+        self.inner, self.target, self.changed = inner, target, changed
+        self.changing = True
         self.sent: list[tuple[str, str, str]] = []
 
     def generate(self, request):
         digest = request_digest(request)
-        calls = 1 + sum(d == digest for d, _, _ in self.sent)
-        if digest == self.target and calls >= self.from_call:
+        if digest == self.target and self.changing:
             completion = self.changed
         else:
             completion = self.inner.generate(request)
@@ -690,17 +696,26 @@ class Fickle:
         return completion
 
 
+# Masks 4 (self_verification) and 0, each with a twin: mask | 1 adds
+# prompt_language_native, inert for English prompts, so the twin has the
+# same canonical key; mask | 128 adds long_verification_answer, so it has
+# the same main key only.
 @pytest.mark.parametrize(
-    "mask, changes",
-    [(0, "main"), (4, "main"), (4, "verification")],  # 4: self_verification
+    "mask, twin, changes",
+    [
+        pytest.param(0, 1, "main", id="0-main"),
+        pytest.param(4, 1, "main", id="4-main"),
+        pytest.param(4, 1, "verification", id="4-verification"),
+        pytest.param(4, 128, "main", id="4-128-main"),
+        pytest.param(4, 128, "verification", id="4-128-verification"),
+    ],
 )
-def test_replay_goes_on_from_a_completion_that_changed(mask, changes):
+def test_replay_goes_on_from_a_completion_that_changed(monkeypatch, mask, twin, changes):
     sentences, types = synthetic_corpus(6, seed=11)
-    # Mask | 1 adds prompt_language_native, inert for English prompts.
-    first, second = PromptConfig.from_bitmask(mask), PromptConfig.from_bitmask(mask | 1)
+    first, second = PromptConfig.from_bitmask(mask), PromptConfig.from_bitmask(mask | twin)
     oracle = OracleBackend(sentences, types)
     answers = Fickle(oracle)
-    PromptingPipeline(sentences, types, answers).evaluate_loocv(first)
+    unchanged = PromptingPipeline(sentences, types, answers).evaluate_loocv(second)
     # A tagged main answer loses its spans, or an accepted span is rejected.
     target = next(
         digest for digest, prompt, completion in answers.sent
@@ -709,40 +724,119 @@ def test_replay_goes_on_from_a_completion_that_changed(mask, changes):
     )
     changed = "No" if changes == "verification" else ""
     fickle = Fickle(oracle, target, changed)
+    fickle.changing = False
     pipeline = PromptingPipeline(sentences, types, fickle)
-    unchanged = pipeline.evaluate_loocv(first)
+    pipeline.evaluate_loocv(first)
     start = len(fickle.sent)
+    fickle.changing = True
+    plans = []
+    real = fewner.search.fit_to_budget
+    monkeypatch.setattr(
+        "fewner.search.fit_to_budget", lambda *a, **kw: plans.append(a) or real(*a, **kw)
+    )
     got = pipeline.evaluate_loocv(second)
-    fresh_backend = Fickle(oracle, target, changed, from_call=1)
+    fresh_backend = Fickle(oracle, target, changed)
     fresh = PromptingPipeline(sentences, types, fresh_backend)
+    assert plans == []
     assert got == fresh.evaluate_loocv(second) < unchanged
     assert fickle.sent[start:] == fresh_backend.sent
     assert pipeline.backend_calls - start == fresh.backend_calls
 
 
-def test_replay_plans_nothing_and_shows_the_observer_every_prompt(monkeypatch):
+def _replay_twin(monkeypatch, twin):
+    """Evaluate a self_verification config, then its twin with feature
+    twin set, on one pipeline.  The twin must score, send and show the
+    observer what a fresh pipeline does, planning no main prompt; returns
+    the verification prompts it rendered."""
     sentences, types = synthetic_corpus(6, seed=11)
     oracle = make_noisy_oracle(sentences, types, seed=11, drop_prob=0.2, spurious_prob=0.3)
     config = PromptConfig(self_verification=True)
-    native = config.with_features(prompt_language_native=True)
+    other = config.with_features(**{twin: True})
     seen, fresh_seen = [], []
     fresh = PromptingPipeline(
         sentences, types, Fickle(oracle), observer=lambda *args: fresh_seen.append(args)
     )
-    expected = fresh.evaluate_loocv(native)
+    expected = fresh.evaluate_loocv(other)
     backend = Fickle(oracle)
     pipeline = PromptingPipeline(
         sentences, types, backend, observer=lambda *args: seen.append(args)
     )
     pipeline.evaluate_loocv(config)
     start, seen_start = len(backend.sent), len(seen)
-    plans = []
+    plans, verifications = [], []
     monkeypatch.setattr("fewner.search.fit_to_budget", lambda *a, **kw: plans.append(a))
-    assert pipeline.evaluate_loocv(native) == expected
+    render = fewner.search.render_verification_prompt
+    monkeypatch.setattr(
+        "fewner.search.render_verification_prompt",
+        lambda *a, **kw: verifications.append(a) or render(*a, **kw),
+    )
+    assert pipeline.evaluate_loocv(other) == expected
     assert plans == []
     assert backend.sent[start:] == fresh.backend.sent
     assert seen[seen_start:] == fresh_seen
     assert any(prompt.kind == "self_verification" for prompt, _ in fresh_seen)
+    return verifications
+
+
+def test_replay_plans_nothing_and_shows_the_observer_every_prompt(monkeypatch):
+    assert _replay_twin(monkeypatch, "prompt_language_native") == []
+
+
+def test_a_main_only_replay_plans_only_verification(monkeypatch):
+    assert _replay_twin(monkeypatch, "long_verification_answer") != []
+
+
+@pytest.mark.parametrize("language", ["en", "fr", "es"])
+def test_the_grid_plans_each_main_key_once(monkeypatch, language):
+    sentences, types = synthetic_corpus(4, seed=31, language=language)
+    oracle = make_noisy_oracle(sentences, types, seed=31, drop_prob=0.2, spurious_prob=0.3)
+    pipeline = PromptingPipeline(
+        sentences, types, oracle, PipelineSettings(prompt_language=language, seed=31)
+    )
+    planned = []
+    real = PromptingPipeline._plan
+
+    def plan(self, config, *args):
+        planned.append(self._canonical(config)[1])
+        return real(self, config, *args)
+
+    monkeypatch.setattr(PromptingPipeline, "_plan", plan)
+    grid_search(pipeline, acknowledge_cost=True)
+    assert len(planned) == len(set(planned)) == (128 if language == "en" else 256)
+
+
+@pytest.mark.parametrize("language", ["en", "fr", "es"])
+def test_the_grid_scores_each_mask_as_a_fresh_pipeline_does(language):
+    sentences, types = synthetic_corpus(5, seed=17, language=language)
+    oracle = make_noisy_oracle(sentences, types, seed=17, drop_prob=0.2, spurious_prob=0.3)
+    # Tight enough that the longest prompts drop demonstrations.
+    settings = PipelineSettings(prompt_language=language, seed=17, token_budget=190)
+    shared, fresh = StreamRecorder(oracle), StreamRecorder(oracle)
+    pipeline = PromptingPipeline(sentences, types, shared, settings)
+    order = []
+    loocv = pipeline.evaluate_loocv
+    pipeline.evaluate_loocv = lambda config: order.append(config.bitmask) or loocv(config)
+    dropped, calls = [], []
+
+    def fresh_loocv(config):
+        one = PromptingPipeline(
+            sentences, types, fresh, settings,
+            observer=lambda prompt, _: dropped.append(prompt.dropped_demos),
+        )
+        micro = one.evaluate_loocv(config)
+        calls.append(one.backend_calls)
+        return micro
+
+    best, trace = grid_search(pipeline, acknowledge_cost=True)
+    fresh_best, fresh_trace = grid_search(None, score_fn=fresh_loocv, acknowledge_cost=True)
+    assert (best, trace.evaluations) == (fresh_best, fresh_trace.evaluations)
+    assert trace.total_backend_calls == sum(calls)
+    assert Counter(shared.stream) == Counter(fresh.stream)
+    assert any(dropped) and not all(dropped)
+    # The pipeline scored the twins of each main key back to back.
+    mains = [pipeline._canonical(PromptConfig.from_bitmask(mask))[1] for mask in order]
+    assert sorted(order) == list(range(512))
+    assert len(list(itertools.groupby(mains))) == len(set(mains)) < 512
 
 
 @pytest.fixture(scope="module", params=["en", "fr", "es"])
