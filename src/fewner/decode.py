@@ -10,10 +10,11 @@ dialogue prompts, a later line starting a "- " turn), which guards against
 servers that ignore stop sequences and hallucinate further exchanges.
 
 A tagged completion that echoes the sentence (its tags balance, and its
-decodable prefix with the tags removed is the sentence without its leading
-whitespace, which the prefix strips) is decoded by position: each span is
-where its mention sits in the untagged text, shifted past that whitespace,
-so a tagged later occurrence of a repeated word lands on that occurrence.
+decodable prefix with the tags removed is the sentence, less any part of
+its leading whitespace, which the prefix strips) is decoded by position:
+each span is where its mention sits in the untagged text, shifted past the
+whitespace that was stripped, so a tagged later occurrence of a repeated
+word lands on that occurrence.
 
 Every other completion, and every listing-mode one, is decoded by surface
 matching.  Each extracted mention is located in the original sentence
@@ -183,10 +184,7 @@ def decode_tagged(
     # of each mention in it; both hold only while no tag was unbalanced.
     untagged: list[str] = []
     places: list[tuple[int, int]] = []
-    # decodable_prefix strips leading whitespace, so an echo is of the
-    # sentence without its own, and its offsets start past it.
-    sentence = original.lstrip()
-    at = len(original) - len(sentence)
+    at = 0
     cursor = 0
     while True:
         i = text.find(tags.open, cursor)
@@ -211,11 +209,15 @@ def decode_tagged(
         at += len(mention)
         cursor = close_at + len(tags.close)
     untagged.append(text[cursor:])
-    if diagnostics.unbalanced_tags or "".join(untagged) != sentence:
+    joined = "".join(untagged)
+    # decodable_prefix strips the whitespace before the first tag, so an
+    # echo may lack some of the sentence's leading whitespace.
+    shift = len(original) - len(joined)
+    if diagnostics.unbalanced_tags or not original.endswith(joined) or original[:shift].strip():
         spans = _localize_all(mentions, original, entity_type, diagnostics)
     else:
         spans = [
-            EntitySpan(start, end, entity_type, mention)
+            EntitySpan(start + shift, end + shift, entity_type, mention)
             for mention, (start, end) in zip(mentions, places)
             if mention.strip()
         ]

@@ -727,20 +727,6 @@ def greedy_search(
     return _run_search("greedy", pipeline, score_fn, climb)
 
 
-def _grouped(pipeline: PromptingPipeline, masks: range, rest: dict) -> list[int]:
-    """masks grouped by the main key, then by the canonical key (see
-    PromptingPipeline._canonical) of their configs, each group in the
-    place of its lowest mask.  No config outlives its keys: holding all
-    512 at once added about 0.3 MB to grid-b0's peak RSS."""
-    mains: dict = {}
-    canonicals: dict = {}
-    groups = []
-    for mask in masks:
-        canonical, main = pipeline._canonical(PromptConfig.from_bitmask(mask, **rest))
-        groups.append((mains.setdefault(main, mask), canonicals.setdefault(canonical, mask), mask))
-    return [mask for *_, mask in sorted(groups)]
-
-
 def grid_search(
     pipeline: PromptingPipeline | None,
     base: PromptConfig | None = None,
@@ -754,12 +740,13 @@ def grid_search(
     The cost is 512 full leave-one-out evaluations; pass
     acknowledge_cost=True to confirm that is intended.
 
-    score_fn scores the masks in ascending order.  A pipeline scores them
-    grouped by main key, then by canonical key (see
-    PromptingPipeline._canonical), each group in the place of its lowest
-    mask, so that twins run back to back and replay one another's
-    requests (see evaluate_loocv).  The requests sent are the same either
-    way; only their order across evaluations differs.
+    Without a pipeline the masks are scored in ascending order.  With one
+    they are scored sorted by main key, then by canonical key (see
+    PromptingPipeline._canonical), so that twins run back to back and
+    replay one another's requests (see evaluate_loocv).  Each key's mask
+    is its group's lowest, so groups come in the order of their lowest
+    mask.  The requests sent are the same either way; only their order
+    across evaluations differs.
     """
     if not acknowledge_cost:
         raise ConfigError(
@@ -776,8 +763,13 @@ def grid_search(
     def scan(evaluate):
         masks = range(1 << len(FEATURE_NAMES))
         order = masks
-        if score_fn is None and pipeline is not None:
-            order = _grouped(pipeline, masks, rest)
+        if pipeline is not None:
+            # A config lives only while its keys are taken: holding all 512
+            # added about 0.3 MB to grid-b0's peak RSS.
+            order = sorted(
+                masks,
+                key=lambda m: pipeline._canonical(PromptConfig.from_bitmask(m, **rest))[::-1],
+            )
         scores = [0.0] * len(masks)
         for mask in order:
             scores[mask] = evaluate(PromptConfig.from_bitmask(mask, **rest))

@@ -17,11 +17,11 @@ Contract being implemented:
   is skipped.  A trailing open with no close at all is unbalanced too.
 * Extracted mentions that are empty or whitespace-only are unmatched.
 * When no tag was unbalanced and the decoded text with every extracted
-  mention's tag pair removed equals the original sentence with its leading
-  whitespace stripped, the span of each mention that is not empty or
-  whitespace-only is its offsets in that untagged text plus the length of
-  the stripped whitespace, and nothing counts as a duplicate.  Otherwise
-  the rules below apply.
+  mention's tag pair removed equals the original sentence less a prefix of
+  its leading whitespace (none, some or all of it), the span of each
+  mention that is not empty or whitespace-only is its offsets in that
+  untagged text plus the length of that prefix, and nothing counts as a
+  duplicate.  Otherwise the rules below apply.
 * Each mention is located in the original sentence searching from one past
   the previous successful match's start: (a) exact substring, then
   (b) the first substring whose casefold equals the mention's, then
@@ -96,13 +96,14 @@ def _echo_places(
         after_close = position + len(open_tag) + len(mention) + len(close_tag)
         untagged = untagged[:position] + mention + untagged[after_close:]
     indent = re.match(r"\s*", original).end()
-    if untagged != original[indent:]:
+    cut = next((n for n in range(indent + 1) if original[n:] == untagged), None)
+    if cut is None:
         return None
     # The k-th mention follows k complete tag pairs and its own open tag,
-    # and the untagged text starts after the sentence's indent.
+    # and the untagged text starts cut characters into the sentence.
     pair = len(open_tag) + len(close_tag)
     return [
-        (indent + position - k * pair, indent + position - k * pair + len(mention))
+        (cut + position - k * pair, cut + position - k * pair + len(mention))
         for k, (position, mention) in enumerate(found)
     ]
 

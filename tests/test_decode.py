@@ -125,14 +125,23 @@ def test_tagged_echo_decodes_by_position():
     assert result.diagnostics.unmatched_mentions == 1
 
 
-@pytest.mark.parametrize("completion", [" pain, more @@pain##", "pain, more @@pain##"])
-def test_tagged_echo_of_an_indented_sentence_decodes_by_position(completion):
-    # The decodable prefix drops leading whitespace, the sentence's too.
-    result = decode_tagged(completion, " pain, more pain", DEFAULT_TAGS, "DISO")
-    assert starts_ends(result) == [(12, 16)]
+@pytest.mark.parametrize(
+    "completion, original, spans",
+    [
+        (" pain, more @@pain##", " pain, more pain", [(12, 16)]),
+        ("pain, more @@pain##", " pain, more pain", [(12, 16)]),
+        # A first tag that takes in the leading whitespace keeps it.
+        ("@@ b## @@b##", " b b", [(0, 2), (3, 4)]),
+        (" @@ b## @@b##", "  b b", [(1, 3), (4, 5)]),
+    ],
+)
+def test_tagged_echo_of_an_indented_sentence_decodes_by_position(completion, original, spans):
+    # The decodable prefix drops the whitespace before the first tag,
+    # which may be all, some or none of the sentence's.
+    result = decode_tagged(completion, original, DEFAULT_TAGS, "DISO")
+    assert starts_ends(result) == spans
     assert result.diagnostics == DecodeDiagnostics()
-    want = reference_decode_tagged(completion, " pain, more pain", "@@", "##")
-    assert want["spans"] == [(12, 16)]
+    assert reference_decode_tagged(completion, original, "@@", "##")["spans"] == spans
 
 
 _INPUT_LABELS = tuple(frags["input_label"] for frags in fragments().values())
@@ -146,11 +155,9 @@ _INPUT_LABELS = tuple(frags["input_label"] for frags in fragments().values())
 )
 def test_tagged_echo_decodes_back_to_its_spans(text, tags, data):
     # A single-line sentence that holds no tag string, tagged by
-    # tag_sentence, decodes to the spans it was tagged with, when no span
-    # takes in the sentence's leading whitespace.
+    # tag_sentence, decodes to the spans it was tagged with.
     assume(text.strip() and not text.lstrip().startswith(_INPUT_LABELS))
-    indent = len(text) - len(text.lstrip())
-    cuts = sorted(data.draw(st.sets(st.integers(indent, len(text)), min_size=2, max_size=8)))
+    cuts = sorted(data.draw(st.sets(st.integers(0, len(text)), min_size=2, max_size=8)))
     picks = data.draw(st.lists(st.booleans(), min_size=len(cuts) - 1, max_size=len(cuts) - 1))
     spans = [
         EntitySpan(start, end, "DISO", text[start:end])
