@@ -210,13 +210,16 @@ class PromptingPipeline:
     depends on the item and not on the feature flags is memoized: ranked
     demos with their ids, shuffled orders, verification demos, and the
     prompt parts and demo blocks with their token counts; so is each
-    request's digest, keyed by the prompt's parts, and each decoded
-    completion.
+    request's digest, keyed by the prompt's parts, each decoded
+    completion, and each fitted verification prompt with its request,
+    keyed by what it reads (see _verify).  Main prompts are not memoized
+    whole: a grid has too many distinct ones.
     LOOCV keeps one memo for the pipeline's lifetime, since its folds are
     the same for every configuration; any other wave gets a fresh memo that
     ends with it.  So planning entries stay bounded by k x types x the few
-    selection and render variants, and decoded ones by the distinct main
-    completions of the folds.
+    selection and render variants, decoded ones by the distinct main
+    completions of the folds, and verification ones by the distinct
+    verification requests of the folds.
 
     LOOCV also keeps its last evaluation: its two keys (see _canonical),
     prompts, requests, completions, results and score.  A config of the
@@ -291,12 +294,21 @@ class PromptingPipeline:
         ]
 
     def _canonical(self, config: PromptConfig) -> tuple[tuple, tuple]:
-        """Two keys of config: the canonical key, equal for configs that
-        send the same requests, and the main key, equal for configs that
-        send the same main requests.  Each holds the feature mask with
-        every feature cleared that this pipeline never reads under config,
-        then the mode, the separator (listing mode only) and
-        base_demo_count.
+        """The two keys of config (see _keys)."""
+        return self._keys(
+            config.bitmask, config.mode, config.listing_separator, config.base_demo_count
+        )
+
+    def _keys(
+        self, mask: int, mode: str, listing_separator: str, base_demo_count: int
+    ) -> tuple[tuple, tuple]:
+        """Two keys of the config of these fields: the canonical key, equal
+        for configs that send the same requests, and the main key, equal
+        for configs that send the same main requests.  Each holds the
+        feature mask with every feature cleared that this pipeline never
+        reads under the config, then the mode, the separator (listing mode
+        only) and base_demo_count.  Taking fields, not a config, lets
+        grid_search order its masks without building their configs.
 
         - prompt_language_native, when settings.prompt_language is "en":
           _language returns "en" either way.
@@ -313,27 +325,24 @@ class PromptingPipeline:
           decode_listing, the listing branch of _demo_output and the
           {separator} field of task_listing and intro_listing.
         """
-        mask = config.bitmask
         if self.settings.prompt_language == "en":
             mask &= ~_NATIVE
         separator = None
-        if config.mode == "listing":
+        if mode == "listing":
             mask &= ~_ALT_TAGGERS
-            separator = config.listing_separator
-        rest = (config.mode, separator, config.base_demo_count)
+            separator = listing_separator
+        rest = (mode, separator, base_demo_count)
         main = (mask & ~_LONG_ANSWER, *rest)
         return (mask if mask & _VERIFY else main[0], *rest), main
 
-    def _request(self, prompt: RenderedPrompt, item: _Item, memo: dict, step: _Step) -> None:
-        """Add to step the request for prompt, carrying its digest, which is
-        hashed once per memo and then found under the prompt's parts.
+    def _request(self, prompt: RenderedPrompt, item: _Item, memo: dict) -> GenerationRequest:
+        """The request for prompt, carrying its digest, which is hashed
+        once per memo and then found under the prompt's parts.
 
         The key opens with a memo entry, not a kind name, so it cannot meet
         another memo key.  Every prompt the pipeline sends is built by
         templates._assemble, which sets its parts.
         """
-        if self.observer is not None:
-            self.observer(prompt, item.held_out_id)
         content = (
             prompt.text, item.max_new_tokens, 0.0, prompt.stop_sequences, self.settings.model_name,
         )
@@ -341,8 +350,17 @@ class PromptingPipeline:
         digest = memo.get(key)
         if digest is None:
             digest = memo[key] = backend.request_digest(GenerationRequest(*content))
+        return GenerationRequest(*content, digest=digest)
+
+    def _add(
+        self, step: _Step, item: _Item, prompt: RenderedPrompt, request: GenerationRequest
+    ) -> None:
+        """Show the observer prompt with item's held-out id, then add
+        prompt and request to step."""
+        if self.observer is not None:
+            self.observer(prompt, item.held_out_id)
         step.observed.append((prompt, item.held_out_id))
-        step.requests.append(GenerationRequest(*content, digest=digest))
+        step.requests.append(request)
 
     def _again(self, step: _Step) -> _Step:
         """step's requests to send once more, with no completions yet; the
@@ -393,6 +411,8 @@ class PromptingPipeline:
                 waited = now - wall > _CLOCK_WINDOW_S and 2 * (now_cpu - cpu) < now - wall
                 self._waiting_windows = self._waiting_windows + 1 if waited else 0
                 wall, cpu = now, now_cpu
+        if len(distinct) == len(requests):  # no copies: already in request order
+            return completions
         sent = dict(zip(distinct, completions))
         return [sent[r.digest] for r in requests]
 
@@ -466,30 +486,60 @@ class PromptingPipeline:
         A span with no verification demos, or whose prompt cannot fit the
         token budget, is kept unverified, counted as an unparseable answer
         is.
+
+        Each span's fitted prompt and request, or (None, None) when none
+        is sent, are memoized under exactly what they read: the type, the
+        language, long_verification_answer and dialogue_template (the
+        answers, turns and stop sequences), the main demo ids (which with
+        the type fix the verification demos), the text, the mention and
+        max_new_tokens.  The token budget and model name are fixed for the
+        pipeline.  A hit fits, renders and hashes nothing: the observer is
+        shown the memoized prompt with this item's held-out id, and the
+        same request is added, so the requests are those a fresh memo
+        gives.
         """
         language = self._language(config)
+        shape = (language, config.long_verification_answer, config.dialogue_template)
         wave.verification = step = _Step([], [], [])
         for item, (item_demos, demo_ids), result in zip(items, wave.demos, wave.decoded):
             item_asked = []
-            if result.spans:
-                key = ("verification", demo_ids, item.entity_type.id)
-                if key not in memo:
-                    memo[key] = self._verification_demos(item_demos, item.entity_type)
-                vdemos = memo[key]
-                for span in result.spans:
-                    # vdemos open with a positive and a negative, so every
-                    # prefix of two or more shows both answers.
-                    prompt = None if vdemos is None else fit_demos(
-                        lambda keep: render_verification_prompt(
-                            config, item.entity_type, span.mention, item.text, vdemos[:keep],
-                            language, memo,
-                        ),
-                        len(vdemos), 2, self.settings.token_budget,
+            for span in result.spans:
+                key = (
+                    "verify_request", item.entity_type.id, *shape, demo_ids, item.text,
+                    span.mention, item.max_new_tokens,
+                )
+                planned = memo.get(key)
+                if planned is None:
+                    prompt = self._fit_verification(
+                        config, item, item_demos, demo_ids, span.mention, language, memo
                     )
-                    if prompt is not None:
-                        self._request(prompt, item, memo, step)
-                    item_asked.append(prompt is not None)
+                    request = None if prompt is None else self._request(prompt, item, memo)
+                    planned = memo[key] = (prompt, request)
+                if planned[0] is not None:
+                    self._add(step, item, *planned)
+                item_asked.append(planned[0] is not None)
             wave.asked.append(item_asked)
+
+    def _fit_verification(
+        self, config: PromptConfig, item: _Item, item_demos: tuple[AnnotatedSentence, ...],
+        demo_ids: tuple[str, ...], mention: str, language: str, memo: dict,
+    ) -> RenderedPrompt | None:
+        """The verification prompt for mention fitted to the token budget,
+        or None when there are no verification demos or none fits."""
+        key = ("verification", demo_ids, item.entity_type.id)
+        if key not in memo:
+            memo[key] = self._verification_demos(item_demos, item.entity_type)
+        vdemos = memo[key]
+        if vdemos is None:
+            return None
+        # vdemos open with a positive and a negative, so every prefix of
+        # two or more shows both answers.
+        return fit_demos(
+            lambda keep: render_verification_prompt(
+                config, item.entity_type, mention, item.text, vdemos[:keep], language, memo,
+            ),
+            len(vdemos), 2, self.settings.token_budget,
+        )
 
     @staticmethod
     def _verdicts(wave: _Wave) -> list[DecodeResult]:
@@ -570,7 +620,7 @@ class PromptingPipeline:
                 ranked_ids=ranked[1],
             )
             wave.demos.append(ranked)
-            self._request(prompt, item, memo, wave.main)
+            self._add(wave.main, item, prompt, self._request(prompt, item, memo))
         return wave
 
     def _decode(
@@ -764,12 +814,10 @@ def grid_search(
         masks = range(1 << len(FEATURE_NAMES))
         order = masks
         if pipeline is not None:
-            # A config lives only while its keys are taken: holding all 512
-            # added about 0.3 MB to grid-b0's peak RSS.
-            order = sorted(
-                masks,
-                key=lambda m: pipeline._canonical(PromptConfig.from_bitmask(m, **rest))[::-1],
-            )
+            # Keyed from the fields, so each config is built once, when it
+            # is scored: holding all 512 added about 0.3 MB to grid-b0's
+            # peak RSS.
+            order = sorted(masks, key=lambda m: pipeline._keys(m, **rest)[::-1])
         scores = [0.0] * len(masks)
         for mask in order:
             scores[mask] = evaluate(PromptConfig.from_bitmask(mask, **rest))

@@ -875,3 +875,112 @@ def test_every_mask_estimates_tokens_of_the_whole_prompt(grid_prompts):
 def test_every_mask_keeps_held_out_sentences_out_of_the_demos(grid_prompts):
     _, _, leaked = grid_prompts
     assert leaked == []
+
+
+# --------------------------------------------------------------------------
+# The verification request memo: one fit per distinct verification request
+
+
+def _verification_texts(seen):
+    return [prompt.text for prompt, _ in seen if prompt.kind == "self_verification"]
+
+
+@pytest.mark.parametrize("language", ["en", "fr", "es"])
+def test_the_grid_renders_each_distinct_verification_prompt_once(monkeypatch, language):
+    sentences, types = synthetic_corpus(4, seed=31, language=language)
+    oracle = make_noisy_oracle(sentences, types, seed=31, drop_prob=0.2, spurious_prob=0.3)
+    seen = []
+    pipeline = PromptingPipeline(
+        sentences, types, oracle, PipelineSettings(prompt_language=language, seed=31),
+        observer=lambda *args: seen.append(args),
+    )
+    rendered = []
+    render = fewner.search.render_verification_prompt
+
+    def counted(*args, **kwargs):
+        prompt = render(*args, **kwargs)
+        rendered.append(prompt.text)
+        return prompt
+
+    monkeypatch.setattr("fewner.search.render_verification_prompt", counted)
+    grid_search(pipeline, acknowledge_cost=True)
+    sent_texts = _verification_texts(seen)
+    assert len(rendered) == len(set(rendered)) < len(sent_texts)
+    assert set(rendered) == set(sent_texts)
+
+
+@pytest.mark.parametrize(
+    "language, feature",
+    [
+        ("en", "long_verification_answer"),
+        ("en", "dialogue_template"),
+        ("fr", "prompt_language_native"),
+        ("en", "additional_sentences"),
+    ],
+)
+def test_a_config_that_changes_one_verification_input_sends_what_a_fresh_pipeline_does(
+    language, feature
+):
+    # Eight sentences leave seven in each fold's pool, more than the five
+    # demos a config without additional_sentences shows.
+    sentences, types = synthetic_corpus(8, seed=5, language=language)
+    oracle = make_noisy_oracle(sentences, types, seed=5, drop_prob=0.2, spurious_prob=0.3)
+    settings = PipelineSettings(prompt_language=language, seed=5)
+    config = PromptConfig(self_verification=True)
+    other = config.with_features(**{feature: True})
+
+    def last_evaluation(*configs):
+        """What the last of configs, evaluated in turn on one pipeline,
+        sends and shows the observer."""
+        recorder, seen = StreamRecorder(oracle), []
+        pipeline = PromptingPipeline(
+            sentences, types, recorder, settings, observer=lambda *args: seen.append(args)
+        )
+        for c in configs:
+            start, seen_start = len(recorder.stream), len(seen)
+            pipeline.evaluate_loocv(c)
+        return recorder.stream[start:], seen[seen_start:]
+
+    sent, seen = last_evaluation(config, other)
+    assert (sent, seen) == last_evaluation(other)
+    assert set(_verification_texts(seen)) != set(_verification_texts(last_evaluation(config)[1]))
+    assert all(held_out not in prompt.demonstrations for prompt, held_out in seen)
+
+
+def _under_both_types(id_, text, *mentions):
+    """A sentence whose every mention is gold under both DISO and CHEM."""
+    spans = []
+    for mention in mentions:
+        start = text.index(mention)
+        spans += [span(start, start + len(mention), t, mention) for t in ("DISO", "CHEM")]
+    return sent(id_, text, spans)
+
+
+def test_two_types_of_one_mention_get_their_own_verification_prompts(diso, chem):
+    # Both types rank the same demos and decode the same mentions, so only
+    # the type tells their verification requests apart.
+    sentences = [
+        _under_both_types("b1", "fever after aspirin", "fever", "aspirin"),
+        _under_both_types("b2", "rash from ibuprofen today", "rash", "ibuprofen"),
+        _under_both_types("b3", "cough with codeine syrup", "cough", "codeine"),
+        _under_both_types("b4", "fever and rash again", "fever", "rash"),
+    ]
+    config = PromptConfig(self_verification=True)
+
+    def verification_by_fold(types):
+        seen = []
+        backend = OracleBackend(sentences, types)
+        PromptingPipeline(
+            sentences, types, backend, observer=lambda *args: seen.append(args)
+        ).evaluate_loocv(config)
+        by_fold = defaultdict(list)
+        for prompt, held_out in seen:
+            assert held_out not in prompt.demonstrations
+            if prompt.kind == "self_verification":
+                by_fold[held_out].append(prompt)
+        return by_fold
+
+    both = verification_by_fold([diso, chem])
+    alone = [verification_by_fold([t]) for t in (diso, chem)]
+    assert both == {s.id: alone[0][s.id] + alone[1][s.id] for s in sentences}
+    assert all(alone[0][s.id] for s in sentences)
