@@ -81,7 +81,15 @@ _CANONICAL_REQUEST = (
 )
 
 
-def request_digest(request: GenerationRequest) -> str:
+def escape_json(text: str) -> str:
+    """text as the canonical JSON of a request writes it between the
+    quotes of a string.  The escape of texts joined by "\\n" is their
+    escapes joined by "\\\\n", so a prompt's escape can be joined from
+    the escapes of its parts."""
+    return _encode_string(text)[1:-1]
+
+
+def request_digest(request: GenerationRequest, escaped_prompt: str | None = None) -> str:
     """Stable cache key: sha256 over the canonical JSON of the five content
     fields; a carried digest is not read.
 
@@ -92,6 +100,9 @@ def request_digest(request: GenerationRequest) -> str:
     depend on the path.  The text is UTF-8 encoded with "surrogatepass", so
     a lone surrogate, which a server's JSON escape can produce, hashes
     instead of raising; valid text encodes as plain UTF-8.
+
+    escaped_prompt, when given, must be escape_json(request.prompt); the
+    hand-built JSON then uses it instead of escaping the prompt again.
     """
     max_new_tokens, temperature = request.max_new_tokens, request.temperature
     model_name, prompt, stops = request.model_name, request.prompt, request.stop_sequences
@@ -109,7 +120,8 @@ def request_digest(request: GenerationRequest) -> str:
             encoded.append(_encode_string(stop))
         else:
             blob = _CANONICAL_REQUEST % (
-                max_new_tokens, _encode_string(model_name), _encode_string(prompt),
+                max_new_tokens, _encode_string(model_name),
+                _encode_string(prompt) if escaped_prompt is None else f'"{escaped_prompt}"',
                 ", ".join(encoded), temperature,
             )
             return hashlib.sha256(blob.encode("utf-8", "surrogatepass")).hexdigest()
@@ -164,10 +176,11 @@ class HttpCompletionBackend:
     """Client for an OpenAI-compatible /v1/completions endpoint.
 
     Retries transport failures and 429/5xx responses with exponential
-    backoff; other non-200 responses fail immediately.  The client keeps no
-    state between requests, so callers may send from several threads.  Each
-    request names its model (request.model_name), so the model is part of
-    every cache key.  Stop sequences are sent to the server and re-applied
+    backoff, logging each retry's attempt, cause and delay; other non-200
+    responses fail immediately.  The client keeps no state between
+    requests, so callers may send from several threads.  Each request
+    names its model (request.model_name), so the model is part of every
+    cache key.  Stop sequences are sent to the server and re-applied
     client-side, since some servers ignore them.
     """
 
@@ -215,20 +228,26 @@ class HttpCompletionBackend:
             headers["Authorization"] = f"Bearer {self.api_key}"
         payload = self._payload(request)
         last_error: Exception | None = None
-        for attempt in range(self._max_retries + 1):
+        cause = ""
+        attempts = self._max_retries + 1
+        for attempt in range(attempts):
             if attempt:
                 delay = self._backoff_s * 2 ** (attempt - 1)
-                logger.warning("retrying completion request in %.1fs", delay)
+                logger.warning(
+                    "completion request attempt %d of %d failed (%s); retrying in %.1f ms",
+                    attempt, attempts, cause, delay * 1000,
+                )
                 time.sleep(delay)
             try:
                 status, body = self._transport(url, headers, payload, self._timeout_s)
             except TransportError as exc:
-                last_error = exc
+                last_error, cause = exc, f"transport error: {exc}"
                 continue
             if status == 429 or status >= 500:
                 last_error = ProtocolError(
                     "server busy or failing", status=status, body_excerpt=body[:200]
                 )
+                cause = f"HTTP {status}"
                 continue
             if status != 200:
                 raise ProtocolError(

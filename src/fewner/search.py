@@ -209,11 +209,12 @@ class PromptingPipeline:
     The LOOCV items are made once, with the pipeline.  Planning work that
     depends on the item and not on the feature flags is memoized: ranked
     demos with their ids, shuffled orders, verification demos, and the
-    prompt parts and demo blocks with their token counts; so is each
-    request's digest, keyed by the prompt's parts, each decoded
-    completion, and each fitted verification prompt with its request,
-    keyed by what it reads (see _verify).  Main prompts are not memoized
-    whole: a grid has too many distinct ones.
+    prompt parts and demo blocks with their joined texts and token
+    counts.  So are each part's JSON escape, from which request digests
+    are hashed (see _request), each request's digest, keyed by the
+    prompt's parts, each decoded completion, and each fitted verification
+    prompt with its request, keyed by what it reads (see _verify).  Main
+    prompts are not memoized whole: a grid has too many distinct ones.
     LOOCV keeps one memo for the pipeline's lifetime, since its folds are
     the same for every configuration; any other wave gets a fresh memo that
     ends with it.  So planning entries stay bounded by k x types x the few
@@ -339,18 +340,32 @@ class PromptingPipeline:
         """The request for prompt, carrying its digest, which is hashed
         once per memo and then found under the prompt's parts.
 
-        The key opens with a memo entry, not a kind name, so it cannot meet
-        another memo key.  Every prompt the pipeline sends is built by
-        templates._assemble, which sets its parts.
+        The hash reads the prompt's JSON escape joined from the escapes
+        of its parts' texts (see backend.escape_json), each memoized under
+        (part, "json").  That key, like the digest's, opens with a memo
+        entry, not a kind name, so it cannot meet another memo key.  Every
+        prompt the pipeline sends is built by templates._assemble, which
+        sets its parts.
         """
-        content = (
+        request = GenerationRequest(
             prompt.text, item.max_new_tokens, 0.0, prompt.stop_sequences, self.settings.model_name,
         )
         key = (*prompt.parts, prompt.stop_sequences, item.max_new_tokens)
         digest = memo.get(key)
         if digest is None:
-            digest = memo[key] = backend.request_digest(GenerationRequest(*content))
-        return GenerationRequest(*content, digest=digest)
+            escaped = []
+            for part in prompt.parts:
+                if part[0] is not None:
+                    escape_key = (part, "json")
+                    text = memo.get(escape_key)
+                    if text is None:
+                        text = memo[escape_key] = backend.escape_json(part[0])
+                    escaped.append(text)
+            digest = memo[key] = backend.request_digest(request, "\\n".join(escaped))
+        # Set in place rather than by building the frozen request again:
+        # it is not shared yet, and the digest is of its own fields.
+        object.__setattr__(request, "digest", digest)
+        return request
 
     def _add(
         self, step: _Step, item: _Item, prompt: RenderedPrompt, request: GenerationRequest

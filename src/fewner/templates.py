@@ -187,10 +187,11 @@ class PromptConfig:
 class RenderedPrompt:
     """A prompt and what it was built from.
 
-    parts holds the (head, demo block, tail) memo entries whose lines the
-    text joins, so equal parts mean equal text; prompts rendered from one
-    memo share the entry objects, so comparing their parts is cheap.  It
-    takes no part in equality or repr.
+    parts holds the (head, demo block, tail) memo entries whose texts the
+    text joins: each is (text, token count), its text the part's lines
+    joined by "\\n", or None when it has none.  So equal parts mean equal
+    text; prompts rendered from one memo share the entry objects, so
+    comparing their parts is cheap.  It takes no part in equality or repr.
     """
 
     text: str
@@ -277,14 +278,22 @@ def stop_sequences_for(config: PromptConfig, prompt_language: str) -> tuple[str,
     return ("\n" + fragments_for(prompt_language)["input_label"],)
 
 
-def _counted(memo: dict, scope: tuple, key: tuple, build, arg) -> tuple[tuple[str, ...], int]:
-    """The lines build(scope, arg) returns and their token count,
-    memoized under key."""
+def _counted(memo: dict, scope: tuple, key: tuple, build, arg) -> tuple[str | None, int]:
+    """The lines build(scope, arg) returns, joined by "\\n" (None when
+    there are none), and their token count, memoized under key."""
     part = memo.get(key)
     if part is None:
-        lines = tuple(build(scope, arg))
-        part = memo[key] = (lines, estimate_tokens("\n".join(lines)))
+        lines = list(build(scope, arg))
+        text = "\n".join(lines)
+        part = memo[key] = (text if lines else None, estimate_tokens(text))
     return part
+
+
+def _joined(parts) -> str | None:
+    """The texts of parts joined by "\\n", skipping those with no lines;
+    None when every part has none."""
+    texts = [text for text, _ in parts if text is not None]
+    return "\n".join(texts) if texts else None
 
 
 def _assemble(
@@ -299,13 +308,15 @@ def _assemble(
     block under its key, so a prompt costs one lookup instead of one per
     demo.
     A key names what shapes its part, so one entry serves every
-    configuration that agrees on it.  Lines are joined by "\\n" and no
-    token spans whitespace, so the prompt's count is the sum of its parts'.
-    The prompt keeps the three entries it joined as its parts.
+    configuration that agrees on it.  Each entry is (text, token count),
+    its text the part's lines joined by "\\n" (see _counted); the prompt
+    joins the texts of its three parts the same way.  No token spans
+    whitespace, so the prompt's count is the sum of its parts'.  The
+    prompt keeps the three entries it joined as its parts.
     """
     memo = {} if memo is None else memo
-    head_lines, head_tokens = head_part = _counted(memo, scope, *head)
-    tail_lines, tail_tokens = tail_part = _counted(memo, scope, *tail)
+    head_part = _counted(memo, scope, *head)
+    tail_part = _counted(memo, scope, *tail)
     block_key, turn_kind, args, build = demos
     block = memo.get(block_key)
     if block is None:
@@ -314,19 +325,17 @@ def _assemble(
             _counted(memo, scope, (turn_kind, id_, shape), build, arg)
             for id_, arg in zip(ids, args)
         ]
-        block = memo[block_key] = (
-            tuple(line for lines, _ in turns for line in lines),
-            sum(count for _, count in turns),
-        )
+        block = memo[block_key] = (_joined(turns), sum(count for _, count in turns))
     config, entity_type, language = scope
+    parts = (head_part, block, tail_part)
     return RenderedPrompt(
-        text="\n".join((*head_lines, *block[0], *tail_lines)),
+        text=_joined(parts) or "",
         entity_type=entity_type.id,
         demonstrations=demonstrations,
         stop_sequences=stop_sequences_for(config, language),
-        estimated_tokens=head_tokens + block[1] + tail_tokens,
+        estimated_tokens=head_part[1] + block[1] + tail_part[1],
         kind=kind,
-        parts=(head_part, block, tail_part),
+        parts=parts,
     )
 
 
@@ -365,7 +374,7 @@ def render_main_prompt(
     demonstrations in the order given, optional introductory sentence, then
     the test sentence with an open output slot.
 
-    memo, when given, keeps the lines and token count of each part across
+    memo, when given, keeps the text and token count of each part across
     calls (see _assemble): the header with its definition, each
     demonstration, the demonstration block and the intro with the test
     turn.  Share one only among calls whose sentences of one id are the

@@ -19,6 +19,7 @@ from fewner.backend import (
     GenerationRequest,
     HttpCompletionBackend,
     OracleBackend,
+    escape_json,
     make_noisy_oracle,
     request_digest,
     truncate_at_stop,
@@ -90,6 +91,27 @@ def test_request_digest_matches_the_json_reference(
 ):
     request = GenerationRequest(prompt, max_new_tokens, temperature, tuple(stops), model_name)
     assert request_digest(request) == json_digest(request)
+
+
+# A prompt's parts as the pipeline escapes them: each a list of lines,
+# which may be empty (a block of no demo turns) or one empty line.
+_PARTS = st.lists(
+    st.one_of(st.just([]), st.just([""]), st.lists(_TRICKY_TEXT, max_size=3)),
+    max_size=3,
+)
+
+
+@given(parts=_PARTS, model_name=_TRICKY_TEXT, stops=st.lists(_TRICKY_TEXT, max_size=2))
+def test_request_digest_of_a_prompt_escaped_by_parts_matches_the_json_reference(
+    parts, model_name, stops
+):
+    # A part's text joins its lines, and the prompt joins the texts of the
+    # parts that have lines; the escape is joined from the parts' escapes.
+    texts = ["\n".join(lines) for lines in parts if lines]
+    request = GenerationRequest("\n".join(texts), 40, 0.0, tuple(stops), model_name)
+    escaped = "\\n".join(escape_json(text) for text in texts)
+    assert escaped == escape_json(request.prompt)
+    assert request_digest(request, escaped) == json_digest(request)
 
 
 class _Text(str):
@@ -224,6 +246,20 @@ def test_http_retries_429_then_succeeds():
     backend = HttpCompletionBackend("http://srv", transport=transport, backoff_s=0.0)
     assert backend.generate(req("p")) == "fine"
     assert len(transport.calls) == 2
+
+
+@pytest.mark.parametrize("failure, cause", [
+    ((503, "unavailable"), "HTTP 503"),
+    (TransportError("conn reset"), "transport error: conn reset"),
+])
+def test_http_logs_each_retry_with_its_attempt_cause_and_delay(caplog, failure, cause):
+    transport = ScriptedTransport([failure, ok_body("fine")])
+    backend = HttpCompletionBackend("http://srv", transport=transport, backoff_s=0.001)
+    with caplog.at_level(logging.WARNING, logger="fewner.backend"):
+        assert backend.generate(req("p")) == "fine"
+    assert [r.getMessage() for r in caplog.records] == [
+        f"completion request attempt 1 of 4 failed ({cause}); retrying in 1.0 ms"
+    ]
 
 
 def test_http_retries_transport_errors():

@@ -459,9 +459,9 @@ def test_every_annotate_request_carries_its_digest(language):
 def test_loocv_hashes_each_distinct_request_once(monkeypatch):
     hashed = []
 
-    def counting_digest(request):
+    def counting_digest(request, escaped_prompt=None):
         hashed.append(request)
-        return request_digest(request)
+        return request_digest(request, escaped_prompt)
 
     monkeypatch.setattr("fewner.backend.request_digest", counting_digest)
     sentences, types = synthetic_corpus(6, seed=11)

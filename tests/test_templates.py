@@ -266,6 +266,8 @@ def test_main_prompt_requires_demos_unless_allowed(diso):
     prompt = render_main_prompt(PromptConfig(), diso, [], TEST_TEXT, "en", allow_empty_demos=True)
     assert prompt.demonstrations == ()
     assert prompt.text.endswith("Input: She reports nausea.\nOutput:")
+    # The header line, then the test turn: no demo block, not an empty line.
+    assert prompt.text.count("\n") == 2
 
 
 def test_unknown_language_rejected(diso):
