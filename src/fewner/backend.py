@@ -50,9 +50,9 @@ class GenerationRequest:
     """One completion request: the prompt and how to complete it.
 
     digest, when not empty, must equal request_digest of the other five
-    fields; only the pipeline sets one, from its memo of the requests it
-    has hashed.  CachedBackend keys by it, so a request repeated across
-    configurations is hashed once.  It takes no part in equality or repr.
+    fields; only the pipeline sets one, hashed from memoized escapes of
+    the prompt's parts.  CachedBackend keys by it instead of hashing the
+    request again.  It takes no part in equality or repr.
     """
 
     prompt: str

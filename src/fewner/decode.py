@@ -246,20 +246,28 @@ def decode_listing(
     return DecodeResult(spans=tuple(spans), diagnostics=diagnostics)
 
 
-def parse_verification(completion: str) -> str:
+def parse_verification(completion: str, mention: str = "") -> str:
     """Map a verification completion to accept/reject/unparseable.
 
     Only the first non-empty line is considered.  Affirmative and negative
     word tokens are matched case-insensitively in English, French and
     Spanish; a line containing both (or neither) is unparseable.  Long
-    answers end in ", yes."/", no." and so parse like short ones.
+    answers end in ", yes."/", no." and so parse like short ones; the
+    mention they restate, which may hold a verdict word of its own, is left
+    out where its words first run, unless they are the whole line.
     """
     first_line = ""
     for line in completion.lstrip().split("\n"):
         if line.strip():
             first_line = line
             break
-    tokens = {t.lower() for t in _WORD.findall(first_line)}
+    # Words never hold a space, so a run of the mention's words is a
+    # substring of the line's words padded and joined by spaces.
+    words = " %s " % " ".join(_WORD.findall(first_line)).lower()
+    restated = " %s " % " ".join(_WORD.findall(mention)).lower()
+    if words != restated:
+        words = words.replace(restated, " ", 1)
+    tokens = set(words.split())
     saw_yes = bool(tokens & _AFFIRMATIVE)
     saw_no = bool(tokens & _NEGATIVE)
     if saw_yes == saw_no:

@@ -11,12 +11,12 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable
 
 from .corpus import AnnotatedSentence, EntitySpan
 from .decode import PredictionSet
-from .errors import DataError
+from .errors import ConfigError, DataError
 
 
 def span_match_counts(
@@ -259,11 +259,13 @@ def estimate_carbon(
 
     energy = hours * (device W * usage + memory GB * W/GB) / 1000, scaled by
     the data-center PUE, then multiplied by the grid intensity in g/kWh.
+    Raises ConfigError for a negative or non-finite runtime or profile value.
     """
-    if runtime_h < 0:
-        raise ValueError(f"runtime must be non-negative, got {runtime_h}")
     hardware = hardware or HardwareProfile()
     grid = grid or GridProfile()
+    for name, value in {"runtime_h": runtime_h, **asdict(hardware), **asdict(grid)}.items():
+        if not 0 <= value < float("inf"):
+            raise ConfigError(f"{name} must be finite and non-negative, got {value}")
     energy_kwh = runtime_h * hardware.mean_power_w() / 1000.0
     adjusted_kwh = energy_kwh * grid.pue
     co2e_g = adjusted_kwh * grid.carbon_intensity_g_per_kwh

@@ -210,11 +210,11 @@ class PromptingPipeline:
     depends on the item and not on the feature flags is memoized: ranked
     demos with their ids, shuffled orders, verification demos, and the
     prompt parts and demo blocks with their joined texts and token
-    counts.  So are each part's JSON escape, from which request digests
-    are hashed (see _request), each request's digest, keyed by the
-    prompt's parts, each decoded completion, and each fitted verification
-    prompt with its request, keyed by what it reads (see _verify).  Main
-    prompts are not memoized whole: a grid has too many distinct ones.
+    counts.  So are each part text's JSON escape, from which every
+    request's digest is hashed as the request is built (see _request),
+    each decoded completion, and each fitted verification prompt with its
+    request, keyed by what it reads (see _verify).  Main prompts are not
+    memoized whole: a grid has too many distinct ones.
     LOOCV keeps one memo for the pipeline's lifetime, since its folds are
     the same for every configuration; any other wave gets a fresh memo that
     ends with it.  So planning entries stay bounded by k x types x the few
@@ -337,31 +337,20 @@ class PromptingPipeline:
         return (mask if mask & _VERIFY else main[0], *rest), main
 
     def _request(self, prompt: RenderedPrompt, item: _Item, memo: dict) -> GenerationRequest:
-        """The request for prompt, carrying its digest, which is hashed
-        once per memo and then found under the prompt's parts.
-
-        The hash reads the prompt's JSON escape joined from the escapes
-        of its parts' texts (see backend.escape_json), each memoized under
-        (part, "json").  That key, like the digest's, opens with a memo
-        entry, not a kind name, so it cannot meet another memo key.  Every
-        prompt the pipeline sends is built by templates._assemble, which
-        sets its parts.
-        """
+        """The request for prompt, carrying its digest, hashed from the
+        escapes of its part texts (see backend.escape_json), each memoized
+        under the text itself: the memo's only string keys."""
+        escaped = []
+        for text in prompt.parts:
+            if text is not None:
+                escape = memo.get(text)
+                if escape is None:
+                    escape = memo[text] = backend.escape_json(text)
+                escaped.append(escape)
         request = GenerationRequest(
             prompt.text, item.max_new_tokens, 0.0, prompt.stop_sequences, self.settings.model_name,
         )
-        key = (*prompt.parts, prompt.stop_sequences, item.max_new_tokens)
-        digest = memo.get(key)
-        if digest is None:
-            escaped = []
-            for part in prompt.parts:
-                if part[0] is not None:
-                    escape_key = (part, "json")
-                    text = memo.get(escape_key)
-                    if text is None:
-                        text = memo[escape_key] = backend.escape_json(part[0])
-                    escaped.append(text)
-            digest = memo[key] = backend.request_digest(request, "\\n".join(escaped))
+        digest = backend.request_digest(request, "\\n".join(escaped))
         # Set in place rather than by building the frozen request again:
         # it is not shared yet, and the digest is of its own fields.
         object.__setattr__(request, "digest", digest)
@@ -558,13 +547,15 @@ class PromptingPipeline:
 
     @staticmethod
     def _verdicts(wave: _Wave) -> list[DecodeResult]:
-        """The decoded results with the verification completions applied;
-        never changed in place, since memos share them."""
-        verdicts = iter(parse_verification(c) for c in wave.verification.completions)
+        """The decoded results with the verification completions applied,
+        each read with the mention it asked about; never changed in place,
+        since memos share them."""
+        completions = iter(wave.verification.completions)
         return [
-            apply_verification(
-                result, [next(verdicts) if ask else VERDICT_UNPARSEABLE for ask in item_asked]
-            )
+            apply_verification(result, [
+                parse_verification(next(completions), s.mention) if ask else VERDICT_UNPARSEABLE
+                for s, ask in zip(result.spans, item_asked)
+            ])
             if item_asked else result
             for result, item_asked in zip(wave.decoded, wave.asked)
         ]

@@ -187,11 +187,9 @@ class PromptConfig:
 class RenderedPrompt:
     """A prompt and what it was built from.
 
-    parts holds the (head, demo block, tail) memo entries whose texts the
-    text joins: each is (text, token count), its text the part's lines
-    joined by "\\n", or None when it has none.  So equal parts mean equal
-    text; prompts rendered from one memo share the entry objects, so
-    comparing their parts is cheap.  It takes no part in equality or repr.
+    parts holds the texts of its head, demo block and tail, each the
+    part's lines joined by "\\n", or None when it has none; text is those
+    not None joined by "\\n".  It takes no part in equality or repr.
     """
 
     text: str
@@ -312,7 +310,7 @@ def _assemble(
     its text the part's lines joined by "\\n" (see _counted); the prompt
     joins the texts of its three parts the same way.  No token spans
     whitespace, so the prompt's count is the sum of its parts'.  The
-    prompt keeps the three entries it joined as its parts.
+    prompt keeps the three texts it joined as its parts.
     """
     memo = {} if memo is None else memo
     head_part = _counted(memo, scope, *head)
@@ -335,7 +333,7 @@ def _assemble(
         stop_sequences=stop_sequences_for(config, language),
         estimated_tokens=head_part[1] + block[1] + tail_part[1],
         kind=kind,
-        parts=parts,
+        parts=(head_part[0], block[0], tail_part[0]),
     )
 
 

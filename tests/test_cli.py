@@ -870,6 +870,25 @@ def test_carbon_simple_hand_check(capsys):
     assert "30.00 gCO2e for 1.0 h (0.3000 kWh after PUE)" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--runtime-h", "-1"],
+        ["--runtime-h", "nan"],
+        ["--runtime-h", "1", "--pue", "-1"],
+        ["--runtime-h", "1", "--intensity", "nan"],
+        ["--runtime-h", "1", "--memory-gb", "inf"],
+    ],
+)
+def test_carbon_rejects_a_negative_or_non_finite_value(flags, tmp_path, capsys):
+    out = tmp_path / "carbon.json"
+    rc = main(["carbon", *flags, "--output", str(out)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "Traceback" not in captured.err
+    assert "gCO2e" not in captured.out and not out.exists()
+
+
 def test_carbon_output_file_matches_the_library(tmp_path):
     out = tmp_path / "carbon.json"
     rc = main(["carbon", "--runtime-h", "2", "--output", str(out)])

@@ -321,6 +321,30 @@ def test_parse_verification_cases(completion, verdict):
     assert parse_verification(completion) == verdict
 
 
+@pytest.mark.parametrize(
+    "completion,mention,verdict",
+    [
+        ("non-Hodgkin lymphoma is a disorder, yes.", "non-Hodgkin lymphoma", VERDICT_ACCEPT),
+        ("Yes-associated protein is not a chemical, no.", "Yes-associated protein",
+         VERDICT_REJECT),
+        ("lymphome non hodgkinien est un problème médical, oui.", "lymphome non hodgkinien",
+         VERDICT_ACCEPT),
+        ("linfoma no Hodgkin es un trastorno, sí.", "linfoma no Hodgkin", VERDICT_ACCEPT),
+        ("linfoma no Hodgkin no es un trastorno, no.", "linfoma no Hodgkin", VERDICT_REJECT),
+        # Only the first run of the mention is left out.
+        ("no is not a disorder, no.", "no", VERDICT_REJECT),
+        ("No, non-Hodgkin lymphoma is not a chemical.", "non-Hodgkin lymphoma", VERDICT_REJECT),
+        # A short answer that is the mention itself still counts.
+        ("No", "no", VERDICT_REJECT),
+        ("Yes.", "yes", VERDICT_ACCEPT),
+        ("yes and no", "fever", VERDICT_UNPARSEABLE),
+        ("non-Hodgkin lymphoma is a disorder.", "non-Hodgkin lymphoma", VERDICT_UNPARSEABLE),
+    ],
+)
+def test_parse_verification_leaves_out_the_restated_mention(completion, mention, verdict):
+    assert parse_verification(completion, mention) == verdict
+
+
 def test_parse_verification_reads_first_nonempty_line_only():
     assert parse_verification("\n\nYes\nNo") == VERDICT_ACCEPT
     assert parse_verification("  \nno\nyes") == VERDICT_REJECT

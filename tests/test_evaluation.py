@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import sent, span
 from fewner.decode import DecodeDiagnostics, DecodeResult, PredictionSet
-from fewner.errors import DataError
+from fewner.errors import ConfigError, DataError
 from fewner.evaluation import (
     CarbonEstimate,
     GridProfile,
@@ -291,8 +291,29 @@ def test_estimate_carbon_zero_runtime():
 
 
 def test_estimate_carbon_rejects_negative_runtime():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="runtime_h"):
         estimate_carbon(-0.1)
+
+
+@pytest.mark.parametrize("runtime_h", [float("nan"), float("inf")])
+def test_estimate_carbon_rejects_a_runtime_that_is_not_finite(runtime_h):
+    with pytest.raises(ConfigError, match="runtime_h"):
+        estimate_carbon(runtime_h)
+
+
+@pytest.mark.parametrize(
+    "hardware,grid,name",
+    [
+        (HardwareProfile(device_power_w=-300.0), GridProfile(), "device_power_w"),
+        (HardwareProfile(memory_gb=float("inf")), GridProfile(), "memory_gb"),
+        (HardwareProfile(), GridProfile(pue=-1.0), "pue"),
+        (HardwareProfile(), GridProfile(carbon_intensity_g_per_kwh=float("nan")),
+         "carbon_intensity_g_per_kwh"),
+    ],
+)
+def test_estimate_carbon_rejects_a_negative_or_non_finite_profile_value(hardware, grid, name):
+    with pytest.raises(ConfigError, match=name):
+        estimate_carbon(1.0, hardware, grid)
 
 
 @given(st.floats(0.001, 100.0), st.floats(1.0, 10.0))

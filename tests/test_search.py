@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from collections import Counter, defaultdict
 from dataclasses import replace
 
@@ -13,6 +14,7 @@ from fewner.backend import (
     EchoBackend,
     GenerationRequest,
     OracleBackend,
+    escape_json,
     make_noisy_oracle,
     request_digest,
 )
@@ -28,7 +30,7 @@ from fewner.search import (
     grid_search,
 )
 from fewner.synthetic import synthetic_corpus
-from fewner.templates import FEATURE_NAMES, PromptConfig, estimate_tokens
+from fewner.templates import FEATURE_NAMES, PromptConfig, estimate_tokens, fragments
 
 
 class RecordingBackend:
@@ -181,6 +183,71 @@ def test_verification_without_negative_examples_keeps_spans():
     # the spans pass through uninspected (counted, not dropped).
     assert [s.mention for s in result.spans] == ["fever"]
     assert result.diagnostics.unverified_kept == 1
+
+
+class LongAnswers:
+    """Answers every main prompt with one completion, and each verification
+    prompt as the oracle does, but in the long form that restates the
+    mention, as the demos of long_verification_answer show."""
+
+    backend_id = "long-answers"
+
+    def __init__(self, completion, oracle, language, singular):
+        self.completion, self.oracle = completion, oracle
+        self.frags, self.singular = fragments()[language], singular
+
+    def generate(self, request):
+        frags = self.frags
+        if not request.prompt.startswith(frags["verification_task"].partition("{")[0]):
+            return self.completion
+        question = request.prompt.rpartition(frags["input_label"])[2]
+        _, mention = re.findall('"([^"]*)"', question)
+        yes = self.oracle.generate(request) == frags["answer_yes"]
+        answer = frags["long_answer_yes" if yes else "long_answer_no"]
+        return answer.format(mention=mention, singular=self.singular)
+
+
+# (language, sample of (text, mention), test sentence, its gold mention):
+# each gold mention holds a verdict word of its language, and the test
+# sentence's "Yes-associated protein" is not gold.
+_LONG_ANSWER_CASES = [
+    ("en", [("fever after aspirin", "fever"), ("a rash from ibuprofen", "rash"),
+            ("cough with codeine", "cough")],
+     "non-Hodgkin lymphoma with raised Yes-associated protein", "non-Hodgkin lymphoma"),
+    ("fr", [("fièvre après aspirine", "fièvre"), ("une éruption après ibuprofène", "éruption"),
+            ("toux avec codéine", "toux")],
+     "lymphome non hodgkinien avec Yes-associated protein élevée", "lymphome non hodgkinien"),
+    ("es", [("fiebre tras aspirina", "fiebre"), ("una erupción tras ibuprofeno", "erupción"),
+            ("tos con codeína", "tos")],
+     "linfoma no Hodgkin con Yes-associated protein elevada", "linfoma no Hodgkin"),
+]
+
+
+@pytest.mark.parametrize("language, sample_spans, text, gold", _LONG_ANSWER_CASES)
+def test_verification_reads_long_answers_that_restate_the_mention(
+    registry, language, sample_spans, text, gold
+):
+    diso = registry["DISO"]
+    sample = [
+        sent(f"d{i}", demo, [span(demo.index(m), demo.index(m) + len(m), "DISO", m)], language)
+        for i, (demo, m) in enumerate(sample_spans)
+    ]
+    wrong = "Yes-associated protein"
+    target = sent("t", text, [span(0, len(gold), "DISO", gold)], language)
+    oracle = OracleBackend(sample + [target], [diso])
+    tagged = text.replace(gold, f"@@{gold}##").replace(wrong, f"@@{wrong}##")
+    backend = LongAnswers(tagged, oracle, language, diso.singular(language))
+    pipeline = PromptingPipeline(
+        sample, [diso], backend, PipelineSettings(prompt_language=language)
+    )
+    config = PromptConfig(
+        self_verification=True, long_verification_answer=True, prompt_language_native=True
+    )
+    predictions = pipeline.predict(config, [target])
+    # The gold mention is accepted, the other rejected, and neither answer
+    # reads as unparseable.
+    assert [s.mention for s in predictions.spans_for("t", "DISO")] == [gold]
+    assert predictions.diagnostics.unverified_kept == 0
 
 
 @pytest.mark.parametrize("budget", [100, 160])
@@ -456,21 +523,23 @@ def test_every_annotate_request_carries_its_digest(language):
     assert checked and any(dropped)
 
 
-def test_loocv_hashes_each_distinct_request_once(monkeypatch):
-    hashed = []
+@pytest.mark.parametrize("language", ["en", "fr", "es"])
+def test_a_grid_escapes_each_distinct_part_text_once(monkeypatch, language):
+    escaped = []
 
-    def counting_digest(request, escaped_prompt=None):
-        hashed.append(request)
-        return request_digest(request, escaped_prompt)
+    def counting_escape(text):
+        escaped.append(text)
+        return escape_json(text)
 
-    monkeypatch.setattr("fewner.backend.request_digest", counting_digest)
-    sentences, types = synthetic_corpus(6, seed=11)
+    monkeypatch.setattr("fewner.backend.escape_json", counting_escape)
+    sentences, types = synthetic_corpus(4, seed=11, language=language)
     oracle = make_noisy_oracle(sentences, types, seed=11, drop_prob=0.2, spurious_prob=0.3)
     recorder = StreamRecorder(oracle)
-    pipeline = PromptingPipeline(sentences, types, recorder)
-    for mask in range(1 << len(FEATURE_NAMES)):
-        pipeline.evaluate_loocv(PromptConfig.from_bitmask(mask))
-    assert len(hashed) == len(set(recorder.stream)) < len(recorder.stream)
+    settings = PipelineSettings(prompt_language=language, seed=11, token_budget=190)
+    pipeline = PromptingPipeline(sentences, types, recorder, settings)
+    grid_search(pipeline, acknowledge_cost=True)
+    # LOOCV keeps one memo for the pipeline's lifetime.
+    assert len(escaped) == len(set(escaped)) < len(set(recorder.stream))
 
 
 # Every sentence has one mention of each type, so both types rank the same
