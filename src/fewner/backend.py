@@ -33,7 +33,7 @@ from pathlib import Path
 from typing import Callable, Protocol
 
 from . import rng
-from .corpus import AnnotatedSentence, EntitySpan, EntityType, outermost_spans
+from .corpus import WORD, AnnotatedSentence, EntitySpan, EntityType, outermost_spans
 from .errors import ConfigError, ProtocolError, TransportError
 from .templates import ALT_TAGS, DEFAULT_TAGS, TagPair, fragments, tag_sentence
 
@@ -41,8 +41,6 @@ logger = logging.getLogger(__name__)
 
 ENV_API_BASE = "FEWNER_API_BASE"
 ENV_API_KEY = "FEWNER_API_KEY"
-
-_WORD = re.compile(r"[^\W_]+", re.UNICODE)
 
 
 @dataclass(frozen=True)
@@ -396,7 +394,7 @@ class OracleBackend:
         ):
             candidates = [
                 (m.start(), m.end(), m.group())
-                for m in _WORD.finditer(sentence.text)
+                for m in WORD.finditer(sentence.text)
                 if not any(sp.start < m.end() and m.start() < sp.end for sp in gold)
             ]
             if candidates:

@@ -30,6 +30,10 @@ logger = logging.getLogger(__name__)
 
 CORPUS_FORMATS = ("conll", "brat", "jsonl")
 
+# A word: a run of letters or digits.  TF-IDF selection, the verification
+# demos and verdicts, and the oracle's spurious picks all read words so.
+WORD = re.compile(r"[^\W_]+")
+
 
 @dataclass(frozen=True)
 class EntityType:

@@ -39,7 +39,7 @@ import json
 import re
 from dataclasses import dataclass, field, replace
 
-from .corpus import EntitySpan
+from .corpus import WORD, EntitySpan
 from .errors import DataError
 from .templates import TagPair, fragments
 
@@ -50,7 +50,6 @@ VERDICT_UNPARSEABLE = "unparseable"
 _AFFIRMATIVE = {"yes", "oui", "sí"}
 _NEGATIVE = {"no", "non"}
 
-_WORD = re.compile(r"[^\W_]+", re.UNICODE)
 
 # Stripped from both ends of listed mentions, after whitespace.
 _EDGE_PUNCT = ".,;:!?\"'()[]{}«»¡¿…·-"
@@ -263,8 +262,8 @@ def parse_verification(completion: str, mention: str = "") -> str:
             break
     # Words never hold a space, so a run of the mention's words is a
     # substring of the line's words padded and joined by spaces.
-    words = " %s " % " ".join(_WORD.findall(first_line)).lower()
-    restated = " %s " % " ".join(_WORD.findall(mention)).lower()
+    words = " %s " % " ".join(WORD.findall(first_line)).lower()
+    restated = " %s " % " ".join(WORD.findall(mention)).lower()
     if words != restated:
         words = words.replace(restated, " ", 1)
     tokens = set(words.split())

@@ -16,7 +16,6 @@ acknowledgement flag.
 from __future__ import annotations
 
 import json
-import re
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -24,7 +23,7 @@ from typing import NamedTuple
 
 from . import backend, rng, selection
 from .backend import CompletionBackend, GenerationRequest
-from .corpus import AnnotatedSentence, EntityType
+from .corpus import WORD, AnnotatedSentence, EntityType
 from .decode import (
     VERDICT_UNPARSEABLE,
     DecodeResult,
@@ -40,6 +39,7 @@ from .selection import TfidfIndex
 from .templates import (
     FEATURE_NAMES,
     PromptConfig,
+    PromptParts,
     RenderedPrompt,
     VerificationDemo,
     estimate_tokens,
@@ -49,7 +49,6 @@ from .templates import (
 )
 
 _WORD_LIMIT_PAD = 32
-_WORD = re.compile(r"[^\W_]+", re.UNICODE)
 
 # Most requests one pipeline has in flight once its backend is seen waiting.
 MAX_IN_FLIGHT = 8
@@ -158,6 +157,23 @@ class _Item(NamedTuple):
 _Ranked = tuple[tuple[AnnotatedSentence, ...], tuple[str, ...]]
 
 
+@dataclass
+class _Memos:
+    """The planning work one scope keeps: prompt parts and shuffled orders
+    in parts, and one dict per kind of the pipeline's own, each keyed by
+    what its values are built from: ranked demos (see _demos),
+    verification demos, fitted verification prompts with their requests
+    (see _verify), decoded results (see _decode) and part-text escapes
+    (see _request)."""
+
+    parts: PromptParts = field(default_factory=PromptParts)
+    ranked: dict = field(default_factory=dict)
+    verification_demos: dict = field(default_factory=dict)
+    verification: dict = field(default_factory=dict)
+    decoded: dict = field(default_factory=dict)
+    escapes: dict = field(default_factory=dict)
+
+
 class _Step(NamedTuple):
     """One send: its requests in order, each with the prompt and held-out
     id the observer was shown, and the completions they received."""
@@ -206,32 +222,20 @@ class PromptingPipeline:
     for every prompt before it is sent; tests use it to check that held-out
     text never appears among demonstrations.
 
-    The LOOCV items are made once, with the pipeline.  Planning work that
-    depends on the item and not on the feature flags is memoized: ranked
-    demos with their ids, shuffled orders, verification demos, and the
-    prompt parts and demo blocks with their joined texts and token
-    counts.  So are each part text's JSON escape, from which every
-    request's digest is hashed as the request is built (see _request),
-    each decoded completion, and each fitted verification prompt with its
-    request, keyed by what it reads (see _verify).  Main prompts are not
-    memoized whole: a grid has too many distinct ones.
-    LOOCV keeps one memo for the pipeline's lifetime, since its folds are
-    the same for every configuration; any other wave gets a fresh memo that
-    ends with it.  So planning entries stay bounded by k x types x the few
-    selection and render variants, decoded ones by the distinct main
-    completions of the folds, and verification ones by the distinct
-    verification requests of the folds.
+    The LOOCV items are made once, with the pipeline.  Work that depends
+    on the item and not on the feature flags is memoized in a _Memos:
+    templates.PromptParts owns the prompt parts and shuffled orders, and
+    this module the rest.  Main prompts are not memoized whole: a grid has
+    too many distinct ones.  LOOCV keeps one _Memos for the pipeline's
+    lifetime, since its folds are the same for every configuration; any
+    other wave gets a fresh one that ends with it.  So planning entries
+    stay bounded by k x types x the few selection and render variants, and
+    the others by the distinct requests and completions of the folds.
 
-    LOOCV also keeps its last evaluation: its two keys (see _canonical),
-    prompts, requests, completions, results and score.  A config of the
-    same main key sends those main requests again instead of planning
-    them, and keeps the decoded results when every completion comes back
-    the same; otherwise it goes on from what it received.  A config of the
-    same canonical key does the same with the verification requests and
-    the score; one of the same main key only plans its verification.  The
-    requests, their order and backend_calls are the same either way.
-    grid_search orders its masks so that configs of one key run back to
-    back.
+    LOOCV also keeps its last evaluation, which a config of the same main
+    key replays instead of planning (see evaluate_loocv); the requests,
+    their order and backend_calls are the same either way.  grid_search
+    orders its masks so that configs of one key run back to back.
     """
 
     def __init__(
@@ -256,11 +260,11 @@ class PromptingPipeline:
         # One TF-IDF index per held-out id (None: the full corpus), built on
         # first use; fold pools never change within a pipeline's lifetime.
         self._indexes: dict[str | None, TfidfIndex] = {}
-        # The LOOCV items and the memo of their folds; see the class docstring.
+        # The LOOCV items and the memos of their folds; see the class docstring.
         self._loocv: list[_Item] = []
         for s in self.corpus:
             self._loocv += self._items(s.text, s.id, s.id, self.entity_types)
-        self._folds: dict = {}
+        self._folds = _Memos()
         # The last LOOCV evaluation: (its two _canonical keys, wave, score).
         self._last: tuple[tuple, _Wave | None, float] = ((None, None), None, 0.0)
         # Wall and CPU seconds of the backend calls made inline so far, and
@@ -336,16 +340,15 @@ class PromptingPipeline:
         main = (mask & ~_LONG_ANSWER, *rest)
         return (mask if mask & _VERIFY else main[0], *rest), main
 
-    def _request(self, prompt: RenderedPrompt, item: _Item, memo: dict) -> GenerationRequest:
+    def _request(self, prompt: RenderedPrompt, item: _Item, memos: _Memos) -> GenerationRequest:
         """The request for prompt, carrying its digest, hashed from the
-        escapes of its part texts (see backend.escape_json), each memoized
-        under the text itself: the memo's only string keys."""
-        escaped = []
+        escapes of its part texts (see backend.escape_json)."""
+        escapes, escaped = memos.escapes, []
         for text in prompt.parts:
             if text is not None:
-                escape = memo.get(text)
+                escape = escapes.get(text)
                 if escape is None:
-                    escape = memo[text] = backend.escape_json(text)
+                    escape = escapes[text] = backend.escape_json(text)
                 escaped.append(escape)
         request = GenerationRequest(
             prompt.text, item.max_new_tokens, 0.0, prompt.stop_sequences, self.settings.model_name,
@@ -420,17 +423,15 @@ class PromptingPipeline:
         sent = dict(zip(distinct, completions))
         return [sent[r.digest] for r in requests]
 
-    def _demos(
-        self, config: PromptConfig, item: _Item, memo: dict
-    ) -> _Ranked:
+    def _demos(self, config: PromptConfig, item: _Item, memos: _Memos) -> _Ranked:
         """Ranked demos and their ids: entity-rich for the type under
         self_verification, else TF-IDF nearest to the text."""
         rich = config.self_verification
         key = (
-            "demos", item.held_out_id, None if rich else item.text,
+            item.held_out_id, None if rich else item.text,
             item.entity_type.id if rich else None, config.effective_demo_count,
         )
-        demos = memo.get(key)
+        demos = memos.ranked.get(key)
         if demos is None:
             pool = self._pool(item.held_out_id)
             n = min(config.effective_demo_count, len(pool))
@@ -438,7 +439,7 @@ class PromptingPipeline:
                 demo_ids = selection.select_entity_rich(pool, item.entity_type.id, n)
             else:
                 demo_ids = selection.select_nearest(self._index(item.held_out_id), item.text, n)
-            demos = memo[key] = (
+            demos = memos.ranked[key] = (
                 tuple(self.corpus_by_id[sid] for sid in demo_ids), tuple(demo_ids)
             )
         return demos
@@ -465,7 +466,7 @@ class PromptingPipeline:
             gold_surfaces = {sp.mention for sp in golds}
             tokens = [
                 (m.start(), m.group())
-                for m in _WORD.finditer(s.text)
+                for m in WORD.finditer(s.text)
                 if not any(sp.start <= m.start() < sp.end for sp in golds)
                 and m.group() not in gold_surfaces
             ]
@@ -483,7 +484,9 @@ class PromptingPipeline:
         out.extend(longer)
         return out[: max(2, len(demos))]
 
-    def _verify(self, config: PromptConfig, items: list[_Item], wave: _Wave, memo: dict) -> None:
+    def _verify(
+        self, config: PromptConfig, items: list[_Item], wave: _Wave, memos: _Memos
+    ) -> None:
         """Plan the dependent wave into wave: one yes/no request per
         decoded span.
 
@@ -496,51 +499,46 @@ class PromptingPipeline:
         language, long_verification_answer and dialogue_template (the
         answers, turns and stop sequences), the main demo ids (which with
         the type fix the verification demos), the text, the mention and
-        max_new_tokens.  The token budget and model name are fixed for the
-        pipeline.  A hit fits, renders and hashes nothing: the observer is
-        shown the memoized prompt with this item's held-out id, and the
-        same request is added, so the requests are those a fresh memo
-        gives.
+        max_new_tokens; the token budget and model name are the
+        pipeline's.  A hit fits, renders and hashes nothing: the observer
+        is shown the memoized prompt with this item's held-out id.
         """
-        language = self._language(config)
-        shape = (language, config.long_verification_answer, config.dialogue_template)
+        shape = (self._language(config), config.long_verification_answer, config.dialogue_template)
         wave.verification = step = _Step([], [], [])
-        for item, (item_demos, demo_ids), result in zip(items, wave.demos, wave.decoded):
+        for item, demos, result in zip(items, wave.demos, wave.decoded):
             item_asked = []
             for span in result.spans:
                 key = (
-                    "verify_request", item.entity_type.id, *shape, demo_ids, item.text,
-                    span.mention, item.max_new_tokens,
+                    item.entity_type.id, *shape, demos[1], item.text, span.mention,
+                    item.max_new_tokens,
                 )
-                planned = memo.get(key)
+                planned = memos.verification.get(key)
                 if planned is None:
-                    prompt = self._fit_verification(
-                        config, item, item_demos, demo_ids, span.mention, language, memo
-                    )
-                    request = None if prompt is None else self._request(prompt, item, memo)
-                    planned = memo[key] = (prompt, request)
+                    prompt = self._fit_verification(config, item, span.mention, demos, memos)
+                    request = None if prompt is None else self._request(prompt, item, memos)
+                    planned = memos.verification[key] = (prompt, request)
                 if planned[0] is not None:
                     self._add(step, item, *planned)
                 item_asked.append(planned[0] is not None)
             wave.asked.append(item_asked)
 
     def _fit_verification(
-        self, config: PromptConfig, item: _Item, item_demos: tuple[AnnotatedSentence, ...],
-        demo_ids: tuple[str, ...], mention: str, language: str, memo: dict,
+        self, config: PromptConfig, item: _Item, mention: str, demos: _Ranked, memos: _Memos
     ) -> RenderedPrompt | None:
         """The verification prompt for mention fitted to the token budget,
         or None when there are no verification demos or none fits."""
-        key = ("verification", demo_ids, item.entity_type.id)
-        if key not in memo:
-            memo[key] = self._verification_demos(item_demos, item.entity_type)
-        vdemos = memo[key]
+        key = (demos[1], item.entity_type.id)
+        if key not in memos.verification_demos:
+            memos.verification_demos[key] = self._verification_demos(demos[0], item.entity_type)
+        vdemos = memos.verification_demos[key]
         if vdemos is None:
             return None
         # vdemos open with a positive and a negative, so every prefix of
         # two or more shows both answers.
         return fit_demos(
             lambda keep: render_verification_prompt(
-                config, item.entity_type, mention, item.text, vdemos[:keep], language, memo,
+                config, item.entity_type, mention, item.text, vdemos[:keep],
+                self._language(config), memos.parts,
             ),
             len(vdemos), 2, self.settings.token_budget,
         )
@@ -564,14 +562,12 @@ class PromptingPipeline:
         self,
         config: PromptConfig,
         items: list[_Item],
-        memo: dict | None = None,
+        memos: _Memos,
         last: _Wave | None = None,
         whole: bool = False,
     ) -> _Wave:
         """Spans for each item: plan every main prompt in item order, send
-        them, decode in item order, then verify as a second wave.  memo
-        defaults to a fresh one for this wave; it also keeps each decoded
-        result, keyed by all the decoder reads.
+        them, decode in item order, then verify as a second wave.
 
         last, when given, is a wave of the same items under a config of the
         same main key (see _canonical); whole says the canonical keys are
@@ -583,15 +579,14 @@ class PromptingPipeline:
         whole, the wave goes on as a planned one does, so either way the
         same requests go out once each, in the same order.
         """
-        memo = {} if memo is None else memo
         if last is None:
-            wave = self._plan(config, items, memo)
+            wave = self._plan(config, items, memos)
         else:
             wave = _Wave(last.demos, self._again(last.main))
         wave.main.completions.extend(self._send(wave.main.requests))
         same = last is not None and wave.main.completions == last.main.completions
         wave.decoded = (
-            last.decoded if same else self._decode(config, items, wave.main.completions, memo)
+            last.decoded if same else self._decode(config, items, wave.main.completions, memos)
         )
         wave.results = wave.decoded
         if config.self_verification:
@@ -600,7 +595,7 @@ class PromptingPipeline:
             if same:
                 wave.verification, wave.asked = self._again(last.verification), last.asked
             else:
-                self._verify(config, items, wave, memo)
+                self._verify(config, items, wave, memos)
             wave.verification.completions.extend(self._send(wave.verification.requests))
             if same and wave.verification.completions == last.verification.completions:
                 wave.results = last.results
@@ -608,29 +603,22 @@ class PromptingPipeline:
                 wave.results = self._verdicts(wave)
         return wave
 
-    def _plan(self, config: PromptConfig, items: list[_Item], memo: dict) -> _Wave:
+    def _plan(self, config: PromptConfig, items: list[_Item], memos: _Memos) -> _Wave:
         """A wave with the demos and main requests of items, in item order."""
         language = self._language(config)
         wave = _Wave([], _Step([], [], []))
         for item in items:
-            ranked = self._demos(config, item, memo)
+            ranked = self._demos(config, item, memos)
             prompt = fit_to_budget(
-                config,
-                item.entity_type,
-                ranked[0],
-                item.text,
-                language,
-                self.settings.token_budget,
-                shuffle_seed=item.shuffle_seed,
-                memo=memo,
-                ranked_ids=ranked[1],
+                config, item.entity_type, ranked[0], item.text, language,
+                self.settings.token_budget, shuffle_seed=item.shuffle_seed, parts=memos.parts,
             )
             wave.demos.append(ranked)
-            self._add(wave.main, item, prompt, self._request(prompt, item, memo))
+            self._add(wave.main, item, prompt, self._request(prompt, item, memos))
         return wave
 
     def _decode(
-        self, config: PromptConfig, items: list[_Item], completions: list[str], memo: dict
+        self, config: PromptConfig, items: list[_Item], completions: list[str], memos: _Memos
     ) -> list[DecodeResult]:
         """The spans each item's main completion decodes to, memoized."""
         tagging = config.mode == "tagging"
@@ -642,8 +630,8 @@ class PromptingPipeline:
         )
         results = []
         for item, completion in zip(items, completions):
-            key = ("decoded", decoder, item.entity_type.id, item.text, completion)
-            result = memo.get(key)
+            key = (decoder, item.entity_type.id, item.text, completion)
+            result = memos.decoded.get(key)
             if result is None:
                 if tagging:
                     result = decode_tagged(
@@ -655,7 +643,7 @@ class PromptingPipeline:
                         completion, item.text, config.listing_separator, item.entity_type.id,
                         config.dialogue_template,
                     )
-                memo[key] = result
+                memos.decoded[key] = result
             results.append(result)
         return results
 
@@ -673,7 +661,7 @@ class PromptingPipeline:
         LOOCV case); the returned spans refer to offsets in test_text.
         """
         items = self._items(test_text, test_id, held_out_id, [entity_type])
-        return self._annotate_wave(config, items).results[0]
+        return self._annotate_wave(config, items, _Memos()).results[0]
 
     def evaluate_loocv(self, config: PromptConfig) -> float:
         """Micro-F1 of config under leave-one-out over the annotated sample.
@@ -717,7 +705,7 @@ class PromptingPipeline:
             items += self._items(s.text, s.id, held_out, self.entity_types)
         for start in range(0, len(items), PREDICT_WAVE):
             wave = items[start : start + PREDICT_WAVE]
-            for item, result in zip(wave, self._annotate_wave(config, wave).results):
+            for item, result in zip(wave, self._annotate_wave(config, wave, _Memos()).results):
                 predictions.add(item.test_id, item.entity_type.id, result)
         return predictions
 

@@ -10,18 +10,15 @@ candidates; ties break toward the lexicographically smaller sentence id.
 from __future__ import annotations
 
 import math
-import re
 from collections import Counter
 from dataclasses import dataclass
 
-from .corpus import AnnotatedSentence
+from .corpus import WORD, AnnotatedSentence
 from .errors import ConfigError
-
-_TOKEN = re.compile(r"[^\W_]+", re.UNICODE)
 
 
 def tokenize(text: str) -> list[str]:
-    return [t.lower() for t in _TOKEN.findall(text)]
+    return [t.lower() for t in WORD.findall(text)]
 
 
 @dataclass(frozen=True)

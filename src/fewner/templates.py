@@ -25,9 +25,9 @@ tag pairs, so demonstrations show outermost spans only.
 
 Main and verification prompts are built by one assembler from a head, a
 block of demonstration turns and a tail, and fit the token budget through
-one loop, fit_demos.  Each part is memoized with its
-token count, and its template fragments are filled, from the one table of
-fields a fragment may name, only when its memo key is new.
+one loop, fit_demos.  A PromptParts store keeps each part with its token
+count, and its template fragments are filled, from the one table of
+fields a fragment may name, only when its key is new.
 """
 
 from __future__ import annotations
@@ -242,7 +242,7 @@ def _demo_output(
 
 # A prompt is rendered for one scope: (config, entity_type, language).
 # Each of its parts is built by a function build(scope, arg) that returns
-# the part's lines, and runs only when the part's memo key is new.
+# the part's lines, and runs only when the part's key is new.
 
 def _fill(scope: tuple, key: str, **values: str) -> str:
     """The scope's fragment named key with its fields filled; values are
@@ -276,15 +276,46 @@ def stop_sequences_for(config: PromptConfig, prompt_language: str) -> tuple[str,
     return ("\n" + fragments_for(prompt_language)["input_label"],)
 
 
-def _counted(memo: dict, scope: tuple, key: tuple, build, arg) -> tuple[str | None, int]:
-    """The lines build(scope, arg) returns, joined by "\\n" (None when
-    there are none), and their token count, memoized under key."""
-    part = memo.get(key)
-    if part is None:
-        lines = list(build(scope, arg))
-        text = "\n".join(lines)
-        part = memo[key] = (text if lines else None, estimate_tokens(text))
-    return part
+class PromptParts:
+    """Prompt parts kept across renders: each head, demo turn, demo block
+    and tail as its text (its lines joined by "\\n", None when it has
+    none) with its token count, and each shuffled demo order.  Each is
+    kept under a key of this module's own that names what shapes it, so
+    one entry serves every configuration that agrees on it.
+
+    Keys name demo sentences by id: share one store only among renders
+    whose sentences of one id are the same sentence.
+    """
+
+    def __init__(self):
+        self._entries: dict[tuple, tuple] = {}
+
+    def part(self, scope: tuple, key: tuple, build, arg) -> tuple[str | None, int]:
+        """The text and token count of the lines build(scope, arg) returns."""
+        part = self._entries.get(key)
+        if part is None:
+            lines = list(build(scope, arg))
+            text = "\n".join(lines)
+            part = self._entries[key] = (text if lines else None, estimate_tokens(text))
+        return part
+
+    def block(self, scope: tuple, key: tuple, turn_kind: str, args, build) -> tuple:
+        """The turns build(scope, arg) of args as one part.  key is (block
+        kind, ids, shape), and each turn is kept under (turn kind, id,
+        shape), so a prompt costs one lookup instead of one per demo."""
+        block = self._entries.get(key)
+        if block is None:
+            _, ids, shape = key
+            turns = [self.part(scope, (turn_kind, i, shape), build, a) for i, a in zip(ids, args)]
+            block = self._entries[key] = (_joined(turns), sum(count for _, count in turns))
+        return block
+
+    def order(self, demos: tuple, ids: tuple[str, ...], seed: int) -> tuple:
+        """demos, whose ids are ids, shuffled by seed."""
+        key = ("order", ids, seed)
+        if key not in self._entries:
+            self._entries[key] = tuple(rng.shuffled(demos, seed))
+        return self._entries[key]
 
 
 def _joined(parts) -> str | None:
@@ -295,39 +326,21 @@ def _joined(parts) -> str | None:
 
 
 def _assemble(
-    memo: dict | None, scope: tuple, kind: str, head: tuple, demos: tuple, tail: tuple,
+    parts: PromptParts | None, scope: tuple, kind: str, head: tuple, demos: tuple, tail: tuple,
     demonstrations: tuple[str, ...],
 ) -> RenderedPrompt:
-    """The prompt of a head part, a block of demo turns and a tail part.
-
-    head and tail are (memo key, build, arg) triples.  demos is (block key,
-    turn kind, args, build) with block key (block kind, ids, shape): one
-    turn per arg, memoized under (turn kind, id, shape), and the whole
-    block under its key, so a prompt costs one lookup instead of one per
-    demo.
-    A key names what shapes its part, so one entry serves every
-    configuration that agrees on it.  Each entry is (text, token count),
-    its text the part's lines joined by "\\n" (see _counted); the prompt
-    joins the texts of its three parts the same way.  No token spans
-    whitespace, so the prompt's count is the sum of its parts'.  The
-    prompt keeps the three texts it joined as its parts.
+    """The prompt of a head part, a block of demo turns and a tail part,
+    given as PromptParts.part and .block take them.  It joins their texts
+    by "\\n", as a part joins its lines, and keeps them as its parts.  No
+    token spans whitespace, so its count is the sum of its parts'.
     """
-    memo = {} if memo is None else memo
-    head_part = _counted(memo, scope, *head)
-    tail_part = _counted(memo, scope, *tail)
-    block_key, turn_kind, args, build = demos
-    block = memo.get(block_key)
-    if block is None:
-        _, ids, shape = block_key
-        turns = [
-            _counted(memo, scope, (turn_kind, id_, shape), build, arg)
-            for id_, arg in zip(ids, args)
-        ]
-        block = memo[block_key] = (_joined(turns), sum(count for _, count in turns))
+    parts = PromptParts() if parts is None else parts
+    head_part = parts.part(scope, *head)
+    tail_part = parts.part(scope, *tail)
+    block = parts.block(scope, *demos)
     config, entity_type, language = scope
-    parts = (head_part, block, tail_part)
     return RenderedPrompt(
-        text=_joined(parts) or "",
+        text=_joined((head_part, block, tail_part)) or "",
         entity_type=entity_type.id,
         demonstrations=demonstrations,
         stop_sequences=stop_sequences_for(config, language),
@@ -363,8 +376,7 @@ def render_main_prompt(
     test_text: str,
     prompt_language: str,
     allow_empty_demos: bool = False,
-    memo: dict | None = None,
-    demo_ids: tuple[str, ...] | None = None,
+    parts: PromptParts | None = None,
 ) -> RenderedPrompt:
     """Assemble the main prompt for one test sentence and one entity type.
 
@@ -372,11 +384,9 @@ def render_main_prompt(
     demonstrations in the order given, optional introductory sentence, then
     the test sentence with an open output slot.
 
-    memo, when given, keeps the text and token count of each part across
-    calls (see _assemble): the header with its definition, each
+    parts, when given, keeps the header with its definition, each
     demonstration, the demonstration block and the intro with the test
-    turn.  Share one only among calls whose sentences of one id are the
-    same sentence.  demo_ids, when given, are the ids of demos in order.
+    turn across calls (see PromptParts).
     """
     if not demos and not allow_empty_demos:
         raise ConfigError("cannot render a prompt with an empty demonstration set")
@@ -385,10 +395,9 @@ def render_main_prompt(
     variant = (
         entity_type.id, config.mode, config.alt_taggers, config.listing_separator, prompt_language,
     )
-    if demo_ids is None:
-        demo_ids = tuple(d.id for d in demos)
+    demo_ids = tuple(d.id for d in demos)
     return _assemble(
-        memo, (config, entity_type, prompt_language), "main",
+        parts, (config, entity_type, prompt_language), "main",
         (("head", variant, config.specialist_persona, config.label_definitions), _main_head, None),
         (("demo_block", demo_ids, (variant, config.dialogue_template)), "demo", demos, _main_demo),
         (
@@ -431,15 +440,15 @@ def render_verification_prompt(
     context_sentence: str,
     demos: Sequence[VerificationDemo],
     prompt_language: str,
-    memo: dict | None = None,
+    parts: PromptParts | None = None,
 ) -> RenderedPrompt:
     """A yes/no prompt asking whether the candidate really is of the type.
 
     demos are (sentence, mention, is_positive) triples; at least one positive
     and one negative example are required so both answers are demonstrated.
-    memo is as in render_main_prompt: it keeps the task line, each demo
-    turn, the block of demo turns (keyed by the ordered triples) and the
-    final question.
+    parts, as in render_main_prompt, keeps the task line, each demo turn,
+    the block of demo turns (keyed by the ordered triples) and the final
+    question.
     """
     if not config.self_verification:
         raise ConfigError("verification prompts require the self_verification feature")
@@ -454,7 +463,7 @@ def render_verification_prompt(
     )
     triples = tuple((s.id, m, pos) for s, m, pos in demos)
     return _assemble(
-        memo, (config, entity_type, prompt_language), "self_verification",
+        parts, (config, entity_type, prompt_language), "self_verification",
         (("verify_head", entity_type.id, prompt_language), _verification_head, None),
         (("verify_block", triples, shape), "verify", demos, _verification_demo),
         (
@@ -492,36 +501,28 @@ def fit_to_budget(
     prompt_language: str,
     budget: int,
     shuffle_seed: int | None = None,
-    memo: dict | None = None,
-    ranked_ids: tuple[str, ...] | None = None,
+    parts: PromptParts | None = None,
 ) -> RenderedPrompt:
     """Render the main prompt, dropping demos until it fits the token budget.
 
     Demonstrations are dropped from the end of the selection-ranked list; the
     kept demos are then shuffled (when a seed is given) to fix prompt order.
     Raises ConfigError when even the scaffold without demonstrations exceeds
-    the budget.  memo, as in render_main_prompt, also keeps each shuffled
-    order with its ids.  ranked_ids, when given, are the ids of
-    ranked_demos in order.
+    the budget.  parts, as in render_main_prompt, also keeps each
+    shuffled order.
     """
     if budget < 1:
         raise ConfigError(f"token budget must be positive, got {budget}")
-    memo = {} if memo is None else memo
-    if ranked_ids is None:
-        ranked_ids = tuple(d.id for d in ranked_demos)
+    parts = PromptParts() if parts is None else parts
+    ranked_ids = tuple(d.id for d in ranked_demos)
 
     def render(keep: int) -> RenderedPrompt:
-        kept, ids = tuple(ranked_demos[:keep]), ranked_ids[:keep]
+        kept = tuple(ranked_demos[:keep])
         if shuffle_seed is not None:
-            key = ("order", ids, shuffle_seed)
-            order = memo.get(key)
-            if order is None:
-                shuffled = tuple(rng.shuffled(kept, shuffle_seed))
-                order = memo[key] = (shuffled, tuple(d.id for d in shuffled))
-            kept, ids = order
+            kept = parts.order(kept, ranked_ids[:keep], shuffle_seed)
         return render_main_prompt(
             config, entity_type, kept, test_text, prompt_language,
-            allow_empty_demos=True, memo=memo, demo_ids=ids,
+            allow_empty_demos=True, parts=parts,
         )
 
     prompt = fit_demos(render, len(ranked_demos), 0, budget)

@@ -78,7 +78,8 @@ class _Render:
         if self.config.dialogue_template:
             return ["- " + question, "- " + answer if answer else "-"]
         label = self.frags["output_label"]
-        return [self.frags["input_label"] + " " + question, label + " " + answer if answer else label]
+        output = label + " " + answer if answer else label
+        return [self.frags["input_label"] + " " + question, output]
 
     def stops(self) -> tuple[str, ...]:
         return ("\n-",) if self.config.dialogue_template else ("\n" + self.frags["input_label"],)

@@ -36,6 +36,7 @@ from fewner.search import PipelineSettings, PromptingPipeline, grid_search
 from fewner.synthetic import synthetic_corpus
 from fewner.templates import (
     PromptConfig,
+    PromptParts,
     fragments_for,
     outermost_spans,
     render_main_prompt,
@@ -553,7 +554,7 @@ def test_oracle_answers_every_prompt_the_templates_write(corpora, registry):
         demos = [rich[0], poor[0]]
         vdemos = [(rich[0], rich[0].spans_of("CHEM")[0].mention, True), (poor[0], "xyz", False)]
         candidates = [(sp.mention, True) for sp in gold] + [(target.text.split()[0], False)]
-        memo = {}
+        parts = PromptParts()
         for mask in range(512):
             for mode, separator in (("tagging", "comma"), ("listing", "comma"), ("listing", "newline")):
                 config = PromptConfig.from_bitmask(mask, mode=mode, listing_separator=separator)
@@ -567,7 +568,7 @@ def test_oracle_answers_every_prompt_the_templates_write(corpora, registry):
                         continue
                     prompt = render_main_prompt(
                         config, entity_type, shown, target.text, language,
-                        allow_empty_demos=True, memo=memo,
+                        allow_empty_demos=True, parts=parts,
                     )
                     got = oracle.generate(req(prompt.text))
                     assert got == want, (lang, mask, mode, separator, len(shown))
@@ -578,7 +579,7 @@ def test_oracle_answers_every_prompt_the_templates_write(corpora, registry):
             language = lang if config.prompt_language_native else "en"
             for mention, is_gold in candidates:
                 prompt = render_verification_prompt(
-                    config, entity_type, mention, target.text, vdemos, language, memo=memo
+                    config, entity_type, mention, target.text, vdemos, language, parts=parts
                 )
                 want = fragments_for(language)["answer_yes" if is_gold else "answer_no"]
                 assert oracle.generate(req(prompt.text)) == want, (lang, mask, mention)

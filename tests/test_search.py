@@ -7,6 +7,7 @@ from dataclasses import replace
 import pytest
 
 import fewner.search
+import fewner.templates
 import test_golden_prompts as golden
 from conftest import additive_scorer, nine_weights, sent, span
 from reference_digest import json_digest
@@ -1053,3 +1054,40 @@ def test_two_types_of_one_mention_get_their_own_verification_prompts(diso, chem)
     alone = [verification_by_fold([t]) for t in (diso, chem)]
     assert both == {s.id: alone[0][s.id] + alone[1][s.id] for s in sentences}
     assert all(alone[0][s.id] for s in sentences)
+
+
+# --------------------------------------------------------------------------
+# The module globals the benchmark's tracer wraps (perfbench/tracing.py)
+
+
+def test_the_traced_prompt_functions_fire_per_fit_and_render(monkeypatch):
+    # The benchmark times templates by wrapping these names where their
+    # callers look them up; a call routed around one would hide its cost.
+    calls = Counter()
+
+    def count(owner, name):
+        real = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    count(fewner.search, "fit_to_budget")
+    count(fewner.search, "render_verification_prompt")
+    count(fewner.templates, "render_main_prompt")
+    sentences, types = synthetic_corpus(6, seed=11)
+    oracle = make_noisy_oracle(sentences, types, seed=11, drop_prob=0.2, spurious_prob=0.3)
+    seen = []
+    # Tight enough that some main prompts drop demonstrations.
+    pipeline = PromptingPipeline(
+        sentences, types, oracle, PipelineSettings(seed=11, token_budget=130),
+        observer=lambda prompt, _: seen.append(prompt),
+    )
+    pipeline.evaluate_loocv(PromptConfig(self_verification=True))
+    main = [prompt for prompt in seen if prompt.kind == "main"]
+    assert calls["fit_to_budget"] == len(main) == len(sentences) * len(types)
+    assert calls["render_main_prompt"] >= calls["fit_to_budget"]
+    assert any(prompt.dropped_demos for prompt in main)
+    assert calls["render_verification_prompt"] >= 1

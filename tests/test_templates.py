@@ -12,6 +12,7 @@ from fewner.templates import (
     DEFAULT_TAGS,
     FEATURE_NAMES,
     PromptConfig,
+    PromptParts,
     TagPair,
     estimate_tokens,
     fit_to_budget,
@@ -408,9 +409,9 @@ def test_stop_sequences_per_language_and_dialogue():
 
 
 def test_a_shared_memo_renders_what_a_fresh_memo_renders(diso, chem):
-    # One memo serves every mask, mode, separator, language, type, test
-    # sentence and verified mention; each render must equal a render that
-    # memoizes nothing across calls.
+    # One part store serves every mask, mode, separator, language, type,
+    # test sentence and verified mention; each render must equal a render
+    # that keeps nothing across calls.
     d3 = sent("d3", "Aspirin eased the fever and the rash.", [
         span(0, 7, "CHEM", "Aspirin"), span(18, 23, "DISO", "fever"), span(32, 36, "DISO", "rash"),
     ])
@@ -418,7 +419,7 @@ def test_a_shared_memo_renders_what_a_fresh_memo_renders(diso, chem):
     test_texts = (TEST_TEXT, "He denies chest pain.", "Fièvre et toux.")
     # (context sentence, mention): each differs from another in one part.
     candidates = ((TEST_TEXT, "nausea"), (TEST_TEXT, "reports"), ("Nausea again.", "nausea"))
-    memo: dict = {}
+    parts = PromptParts()
     for mask in range(1 << len(FEATURE_NAMES)):
         for mode, separator in (("tagging", "comma"), ("listing", "comma"), ("listing", "newline")):
             config = PromptConfig.from_bitmask(mask, mode=mode, listing_separator=separator)
@@ -426,12 +427,12 @@ def test_a_shared_memo_renders_what_a_fresh_memo_renders(diso, chem):
                 for entity_type in (diso, chem):
                     for test_text in test_texts:
                         args = (config, entity_type, [D1, D2, d3], test_text, language, 140, 7)
-                        assert fit_to_budget(*args, memo=memo) == fit_to_budget(*args)
+                        assert fit_to_budget(*args, parts=parts) == fit_to_budget(*args)
                     if not config.self_verification:
                         continue
                     for context, mention in candidates:
                         args = (config, entity_type, mention, context, vdemos, language)
-                        assert render_verification_prompt(*args, memo=memo) == (
+                        assert render_verification_prompt(*args, parts=parts) == (
                             render_verification_prompt(*args)
                         )
 
@@ -450,19 +451,19 @@ def test_a_shared_memo_keeps_demo_blocks_of_other_orders_and_triples_apart(diso,
         [(D1, "diabetes", True), (D2, "today", False), (D2, "fever", True)],
         [(D1, "diabetes", True), (D2, "today", False), (D2, "fever", False)],
     )
-    memo: dict = {}
+    parts = PromptParts()
     for mask in (0, 4, 8, 132, 260, 511):
         for mode in ("tagging", "listing"):
             config = PromptConfig.from_bitmask(mask, mode=mode)
             for entity_type in (diso, chem):
                 for demos in orders:
                     args = (config, entity_type, demos, TEST_TEXT, "en")
-                    assert render_main_prompt(*args, memo=memo) == render_main_prompt(*args)
+                    assert render_main_prompt(*args, parts=parts) == render_main_prompt(*args)
                 if not config.self_verification:
                     continue
                 for vdemos in triples:
                     args = (config, entity_type, "nausea", TEST_TEXT, vdemos, "en")
-                    assert render_verification_prompt(*args, memo=memo) == (
+                    assert render_verification_prompt(*args, parts=parts) == (
                         render_verification_prompt(*args)
                     )
 
