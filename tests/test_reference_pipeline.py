@@ -4,13 +4,17 @@ One long-lived pipeline scores a sequence of configurations, as a search
 does, with canonical twins back to back so that replays run.  Each
 evaluation must score, decode, send and show the observer exactly what the
 reference (tests/reference_pipeline.py) does for that configuration alone.
+A configuration that can only send the requests of the one before must
+replay them rather than plan them again.
 """
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import fewner.search
 from fewner import rng
 from fewner.corpus import AnnotatedSentence, EntitySpan, load_entity_types
 from fewner.errors import ConfigError
@@ -112,30 +116,51 @@ def _configs(draw):
     return [PromptConfig.from_bitmask(f.pop("mask"), **f) for f in fields]
 
 
+def _replays(previous, config, language):
+    """What config must replay of an evaluation of previous, by the
+    features that cannot change its requests: "all", "main" or None."""
+    inert = {"long_verification_answer"}  # no main prompt reads it
+    if language == "en":
+        inert.add("prompt_language_native")
+    inert.add("alt_taggers" if config.mode == "listing" else "listing_separator")
+    changed = {
+        name for name in FEATURE_NAMES + ("mode", "listing_separator", "base_demo_count")
+        if getattr(previous, name) != getattr(config, name)
+    }
+    if not changed <= inert:
+        return None
+    verification_changed = "long_verification_answer" in changed and config.self_verification
+    return "main" if verification_changed else "all"
+
+
 class DigestBackend:
-    """Answers each request as a pure function of its digest.
+    """Answers each request as a pure function of its digest and of the
+    epoch of its kind.
 
     A verification prompt gets a verdict in some language, a long answer
     or noise.  A main prompt gets some words of its test sentence, tagged
     with either tag pair, listed, or echoed with tags, so each decoder
-    finds spans, misses and unbalanced tags.  Requests that carry a digest
-    must carry their own.
+    finds spans, misses and unbalanced tags.  Bumping an epoch changes the
+    answers of that kind, as a model without a cache may.  Requests that
+    carry a digest must carry their own.
     """
 
     backend_id = "digest"
 
     def __init__(self, texts):
         self.texts = sorted(set(texts), key=len, reverse=True)
+        self.epochs = {"main": 0, "verify": 0}
 
     def generate(self, request):
         digest = json_digest(request)
         assert request.digest in ("", digest)
-        draw = rng.SplitMix64(int(digest[:16], 16))
+        kind = "verify" if request.prompt.startswith(_VERIFY_PREFIXES) else "main"
+        draw = rng.SplitMix64(int(digest[:16], 16) + self.epochs[kind])
 
         def pick(options):
             return options[draw.randrange(len(options))]
 
-        if request.prompt.startswith(_VERIFY_PREFIXES):
+        if kind == "verify":
             return pick([
                 "Yes", "No", "Oui", "non.", "Sí", "no", "yes, no", "maybe", "",
                 "\n rash is a disorder, yes.", "fever is not a chemical, no.",
@@ -168,13 +193,15 @@ class DigestBackend:
 @given(
     corpus=_corpus(),
     configs=_configs(),
+    # Per evaluation, the kind of answer that changes before it, if any.
+    changes=st.lists(st.sampled_from([None, None, "main", "verify"]), min_size=6, max_size=6),
     budget=st.sampled_from([50, 90, 140, 220, 4096]),
     seed=st.integers(0, 3),
     max_new_tokens=st.sampled_from([None, 7]),
     model_name=st.sampled_from(["", "m-é"]),
 )
 def test_the_pipeline_matches_the_reference_for_every_mask(
-    corpus, configs, budget, seed, max_new_tokens, model_name
+    corpus, configs, changes, budget, seed, max_new_tokens, model_name
 ):
     language, types, sentences = corpus
     pipeline_settings = PipelineSettings(
@@ -198,23 +225,43 @@ def test_the_pipeline_matches_the_reference_for_every_mask(
         return wave
 
     pipeline._send, pipeline._annotate_wave = logged_send, logged_wave
-    for config in configs:
-        try:
-            expected = reference_pipeline.evaluate(
-                sentences, types, DigestBackend(s.text for s in sentences), pipeline_settings,
-                config,
+    reference_backend = DigestBackend(s.text for s in sentences)
+    with pytest.MonkeyPatch.context() as patch:
+        rendered = {}
+        for name in ("fit_to_budget", "render_verification_prompt"):
+            real = getattr(fewner.search, name)
+            rendered[name] = []
+            patch.setattr(
+                fewner.search, name,
+                lambda *a, real=real, log=rendered[name], **kw: log.append(a) or real(*a, **kw),
             )
-        except ConfigError:
+        previous = None
+        for config, change in zip(configs, changes):
+            if change:
+                backend.epochs[change] += 1
+                reference_backend.epochs[change] += 1
             try:
-                pipeline.evaluate_loocv(config)
+                expected = reference_pipeline.evaluate(
+                    sentences, types, reference_backend, pipeline_settings, config
+                )
             except ConfigError:
+                with pytest.raises(ConfigError):
+                    pipeline.evaluate_loocv(config)
                 return
-            raise AssertionError(f"the reference found no fit for {config}")
-        del shown[:], issued[:], results[:]
-        calls = pipeline.backend_calls
-        assert pipeline.evaluate_loocv(config) == expected.score, config
-        assert results == expected.results, config
-        assert [r.digest for r in issued] == [json_digest(r) for r in expected.requests]
-        assert issued == expected.requests
-        assert pipeline.backend_calls - calls == len(expected.requests)
-        assert shown == expected.shown, config
+            del shown[:], issued[:], results[:]
+            for log in rendered.values():
+                del log[:]
+            calls = pipeline.backend_calls
+            assert pipeline.evaluate_loocv(config) == expected.score, config
+            assert results == expected.results, config
+            assert [r.digest for r in issued] == [json_digest(r) for r in expected.requests]
+            assert issued == expected.requests
+            assert pipeline.backend_calls - calls == len(expected.requests)
+            assert shown == expected.shown, config
+            replayed = previous and _replays(previous, config, language)
+            if replayed:
+                assert rendered["fit_to_budget"] == [], (previous, config)
+            # Verification is replayed too when the main answers came back the same.
+            if replayed == "all" and change != "main":
+                assert rendered["render_verification_prompt"] == [], (previous, config)
+            previous = config
