@@ -90,7 +90,8 @@ _NATIVE, _VERIFY, _ALT, _LONG = (
 def _configs(draw):
     """2 to 6 configs; each after the first repeats the one before, is one
     of its twins (a flip of a feature that may be inert, or of the
-    separator), or is drawn afresh."""
+    separator), flips any one feature, as a greedy step does, changes the
+    answer format, or is drawn afresh."""
     formats = st.sampled_from([("tagging", "comma"), ("listing", "comma"), ("listing", "newline")])
 
     def fresh():
@@ -102,8 +103,12 @@ def _configs(draw):
 
     fields = [fresh()]
     for _ in range(draw(st.integers(1, 5))):
-        step = draw(st.sampled_from(["same", "twin", "twin", "fresh"]))
+        step = draw(st.sampled_from(["same", "twin", "twin", "flip", "flip", "format", "fresh"]))
         last = dict(fields[-1])
+        if step == "flip":
+            last["mask"] ^= 1 << draw(st.integers(0, len(FEATURE_NAMES) - 1))
+        if step == "format":
+            last["mode"], last["listing_separator"] = draw(formats)
         if step == "twin":
             flip = draw(st.sampled_from([_NATIVE, _LONG, _ALT, _VERIFY, "separator"]))
             if flip == "separator":
@@ -140,9 +145,11 @@ class DigestBackend:
     A verification prompt gets a verdict in some language, a long answer
     or noise.  A main prompt gets some words of its test sentence, tagged
     with either tag pair, listed, or echoed with tags, so each decoder
-    finds spans, misses and unbalanced tags.  Bumping an epoch changes the
-    answers of that kind, as a model without a cache may.  Requests that
-    carry a digest must carry their own.
+    finds spans, misses and unbalanced tags; half of the digests answer
+    as their test sentence alone does, so that prompts of other configs get
+    the same answer.  Bumping an epoch changes the answers of that kind, as
+    a model without a cache may.  Requests that carry a digest must carry
+    their own.
     """
 
     backend_id = "digest"
@@ -155,7 +162,13 @@ class DigestBackend:
         digest = json_digest(request)
         assert request.digest in ("", digest)
         kind = "verify" if request.prompt.startswith(_VERIFY_PREFIXES) else "main"
-        draw = rng.SplitMix64(int(digest[:16], 16) + self.epochs[kind])
+        seed = int(digest[:16], 16)
+        if kind == "main":
+            test_line = request.prompt.split("\n")[-2]
+            text = next(t for t in self.texts if test_line.endswith(" " + t))
+            if seed % 2 == 0:
+                seed = rng.stable_seed(text)
+        draw = rng.SplitMix64(seed + self.epochs[kind])
 
         def pick(options):
             return options[draw.randrange(len(options))]
@@ -165,8 +178,6 @@ class DigestBackend:
                 "Yes", "No", "Oui", "non.", "Sí", "no", "yes, no", "maybe", "",
                 "\n rash is a disorder, yes.", "fever is not a chemical, no.",
             ])
-        test_line = request.prompt.split("\n")[-2]
-        text = next(t for t in self.texts if test_line.endswith(" " + t))
         words = list(reference_pipeline._WORD.finditer(text))
         chosen = sorted(
             {pick(words) for _ in range(draw.randrange(4))} if words else (),
