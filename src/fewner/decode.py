@@ -50,7 +50,6 @@ VERDICT_UNPARSEABLE = "unparseable"
 _AFFIRMATIVE = {"yes", "oui", "sí"}
 _NEGATIVE = {"no", "non"}
 
-
 # Stripped from both ends of listed mentions, after whitespace.
 _EDGE_PUNCT = ".,;:!?\"'()[]{}«»¡¿…·-"
 

@@ -313,9 +313,10 @@ class PromptParts:
     def order(self, demos: tuple, ids: tuple[str, ...], seed: int) -> tuple:
         """demos, whose ids are ids, shuffled by seed."""
         key = ("order", ids, seed)
-        if key not in self._entries:
-            self._entries[key] = tuple(rng.shuffled(demos, seed))
-        return self._entries[key]
+        order = self._entries.get(key)
+        if order is None:
+            order = self._entries[key] = tuple(rng.shuffled(demos, seed))
+        return order
 
 
 def _joined(parts) -> str | None:
