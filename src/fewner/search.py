@@ -45,6 +45,7 @@ from .templates import (
     estimate_tokens,
     fit_demos,
     fit_to_budget,
+    fragments_for,
     render_verification_prompt,
 )
 
@@ -58,12 +59,10 @@ PREDICT_WAVE = 64
 # least a reading must cover to find the backend waiting.
 _CLOCK_WINDOW_S = 0.005
 
-# The feature bits _canonical clears or reads.
-_NATIVE, _VERIFY, _ALT_TAGGERS, _LONG_ANSWER = (
+# The feature bits _main_key clears.
+_NATIVE, _ALT_TAGGERS, _LONG_ANSWER = (
     1 << FEATURE_NAMES.index(name)
-    for name in (
-        "prompt_language_native", "self_verification", "alt_taggers", "long_verification_answer",
-    )
+    for name in ("prompt_language_native", "alt_taggers", "long_verification_answer")
 )
 
 
@@ -163,14 +162,15 @@ class _Memos:
     in parts, and one dict per kind of the pipeline's own, each keyed by
     what its values are built from: ranked demos (see _demos),
     verification demos, fitted verification prompts with their requests
-    (see _verify), decoded results (see _decode) and part-text escapes
-    (see _request)."""
+    (see _verify), decoded results (see _decode), parsed verdicts (see
+    _verdicts) and part-text escapes (see _request)."""
 
     parts: PromptParts = field(default_factory=PromptParts)
     ranked: dict = field(default_factory=dict)
     verification_demos: dict = field(default_factory=dict)
     verification: dict = field(default_factory=dict)
     decoded: dict = field(default_factory=dict)
+    verdicts: dict = field(default_factory=dict)
     escapes: dict = field(default_factory=dict)
 
 
@@ -232,10 +232,11 @@ class PromptingPipeline:
     stay bounded by k x types x the few selection and render variants, and
     the others by the distinct requests and completions of the folds.
 
-    LOOCV also keeps its last evaluation, which a config of the same main
-    key replays instead of planning (see evaluate_loocv); the requests,
-    their order and backend_calls are the same either way.  grid_search
-    orders its masks so that configs of one key run back to back.
+    LOOCV also keeps its last wave, whose main requests a config of the
+    same main key sends again instead of planning (see evaluate_loocv);
+    the requests, their order and backend_calls are the same either way.
+    grid_search orders its masks so that configs of one main key run back
+    to back.
     """
 
     def __init__(
@@ -248,6 +249,8 @@ class PromptingPipeline:
     ):
         if not corpus:
             raise ConfigError("the pipeline needs at least one annotated sentence")
+        if not entity_types:
+            raise ConfigError("the pipeline needs at least one entity type")
         self.corpus = sorted(corpus, key=lambda s: s.id)
         self.corpus_by_id = {s.id: s for s in self.corpus}
         if len(self.corpus_by_id) != len(corpus):
@@ -264,9 +267,11 @@ class PromptingPipeline:
         self._loocv: list[_Item] = []
         for s in self.corpus:
             self._loocv += self._items(s.text, s.id, s.id, self.entity_types)
+        # The gold spans of each LOOCV item, in item order.
+        self._gold = [self.corpus_by_id[i.test_id].spans_of(i.entity_type.id) for i in self._loocv]
         self._folds = _Memos()
-        # The last LOOCV evaluation: (its two _canonical keys, wave, score).
-        self._last: tuple[tuple, _Wave | None, float] = ((None, None), None, 0.0)
+        # The last LOOCV evaluation: (its _main_key, wave).
+        self._last: tuple[tuple | None, _Wave | None] = (None, None)
         # Wall and CPU seconds of the backend calls made inline so far, and
         # the thread-clock readings in a row that found the backend waiting.
         self._inline_wall_s = 0.0
@@ -298,30 +303,20 @@ class PromptingPipeline:
             for t in entity_types
         ]
 
-    def _canonical(self, config: PromptConfig) -> tuple[tuple, tuple]:
-        """The two keys of config (see _keys)."""
-        return self._keys(
-            config.bitmask, config.mode, config.listing_separator, config.base_demo_count
-        )
-
-    def _keys(
+    def _main_key(
         self, mask: int, mode: str, listing_separator: str, base_demo_count: int
-    ) -> tuple[tuple, tuple]:
-        """Two keys of the config of these fields: the canonical key, equal
-        for configs that send the same requests, and the main key, equal
-        for configs that send the same main requests.  Each holds the
-        feature mask with every feature cleared that this pipeline never
-        reads under the config, then the mode, the separator (listing mode
-        only) and base_demo_count.  Taking fields, not a config, lets
-        grid_search order its masks without building their configs.
+    ) -> tuple:
+        """The main key of the config of these fields, equal for configs
+        that send the same main requests: the feature mask with every
+        feature cleared that no main prompt reads under the config, then
+        the mode, the separator (listing mode only) and base_demo_count.
+        Taking fields, not a config, lets grid_search order its masks
+        without building their configs.
 
+        - long_verification_answer: only templates._verification_demo
+          reads it, for verification prompts.
         - prompt_language_native, when settings.prompt_language is "en":
           _language returns "en" either way.
-        - long_verification_answer without self_verification: only
-          templates._verification_demo reads it, and only _verify renders
-          verification prompts, under `if config.self_verification:` in
-          _annotate_wave.  The main key clears it always: no main
-          prompt reads it.
         - alt_taggers in listing mode: it only picks config.tag_pair, which
           is read by decode_tagged, by the tagging branch of
           templates._demo_output and by the {open} and {close} fields that
@@ -330,15 +325,14 @@ class PromptingPipeline:
           decode_listing, the listing branch of _demo_output and the
           {separator} field of task_listing and intro_listing.
         """
+        mask &= ~_LONG_ANSWER
         if self.settings.prompt_language == "en":
             mask &= ~_NATIVE
         separator = None
         if mode == "listing":
             mask &= ~_ALT_TAGGERS
             separator = listing_separator
-        rest = (mode, separator, base_demo_count)
-        main = (mask & ~_LONG_ANSWER, *rest)
-        return (mask if mask & _VERIFY else main[0], *rest), main
+        return mask, mode, separator, base_demo_count
 
     def _request(self, prompt: RenderedPrompt, item: _Item, memos: _Memos) -> GenerationRequest:
         """The request for prompt, carrying its digest, hashed from the
@@ -368,14 +362,6 @@ class PromptingPipeline:
             self.observer(prompt, item.held_out_id)
         step.observed.append((prompt, item.held_out_id))
         step.requests.append(request)
-
-    def _again(self, step: _Step) -> _Step:
-        """step's requests to send once more, with no completions yet; the
-        observer is shown their prompts again, in order."""
-        if self.observer is not None:
-            for prompt, held_out_id in step.observed:
-                self.observer(prompt, held_out_id)
-        return _Step(step.observed, step.requests, [])
 
     def _send(self, requests: list[GenerationRequest]) -> list[str]:
         """Completions in request order.  Each distinct request, by digest,
@@ -544,14 +530,22 @@ class PromptingPipeline:
         )
 
     @staticmethod
-    def _verdicts(wave: _Wave) -> list[DecodeResult]:
+    def _verdicts(wave: _Wave, memos: _Memos) -> list[DecodeResult]:
         """The decoded results with the verification completions applied,
-        each read with the mention it asked about; never changed in place,
-        since memos share them."""
-        completions = iter(wave.verification.completions)
+        each read with the mention it asked about and memoized under both;
+        never changed in place, since memos share them."""
+        completions, parsed = iter(wave.verification.completions), memos.verdicts
+
+        def verdict(mention: str) -> str:
+            key = (next(completions), mention)
+            found = parsed.get(key)
+            if found is None:
+                found = parsed[key] = parse_verification(*key)
+            return found
+
         return [
             apply_verification(result, [
-                parse_verification(next(completions), s.mention) if ask else VERDICT_UNPARSEABLE
+                verdict(s.mention) if ask else VERDICT_UNPARSEABLE
                 for s, ask in zip(result.spans, item_asked)
             ])
             if item_asked else result
@@ -559,48 +553,30 @@ class PromptingPipeline:
         ]
 
     def _annotate_wave(
-        self,
-        config: PromptConfig,
-        items: list[_Item],
-        memos: _Memos,
-        last: _Wave | None = None,
-        whole: bool = False,
+        self, config: PromptConfig, items: list[_Item], memos: _Memos, last: _Wave | None = None
     ) -> _Wave:
         """Spans for each item: plan every main prompt in item order, send
         them, decode in item order, then verify as a second wave.
 
         last, when given, is a wave of the same items under a config of the
-        same main key (see _canonical); whole says the canonical keys are
-        equal too.  last's main requests are sent again instead of
-        planned, after the observer is shown their prompts, and its decoded
-        results stand if the completions equal the ones it received.  So,
-        with whole, do its verification requests and results.  From the
-        first send whose completions differ, and for verification without
-        whole, the wave goes on as a planned one does, so either way the
-        same requests go out once each, in the same order.
+        same main key (see _main_key): its main requests are sent again
+        instead of planned, after the observer is shown their prompts
+        again.  Decoding, verification and verdicts go through memos
+        either way, so the same requests go out, in the same order.
         """
         if last is None:
             wave = self._plan(config, items, memos)
         else:
-            wave = _Wave(last.demos, self._again(last.main))
+            if self.observer is not None:
+                for prompt, held_out_id in last.main.observed:
+                    self.observer(prompt, held_out_id)
+            wave = _Wave(last.demos, _Step(last.main.observed, last.main.requests, []))
         wave.main.completions.extend(self._send(wave.main.requests))
-        same = last is not None and wave.main.completions == last.main.completions
-        wave.decoded = (
-            last.decoded if same else self._decode(config, items, wave.main.completions, memos)
-        )
-        wave.results = wave.decoded
+        wave.decoded = wave.results = self._decode(config, items, wave.main.completions, memos)
         if config.self_verification:
-            # last's verification serves only a config of its canonical key.
-            same = same and whole
-            if same:
-                wave.verification, wave.asked = self._again(last.verification), last.asked
-            else:
-                self._verify(config, items, wave, memos)
+            self._verify(config, items, wave, memos)
             wave.verification.completions.extend(self._send(wave.verification.requests))
-            if same and wave.verification.completions == last.verification.completions:
-                wave.results = last.results
-            else:
-                wave.results = self._verdicts(wave)
+            wave.results = self._verdicts(wave, memos)
         return wave
 
     def _plan(self, config: PromptConfig, items: list[_Item], memos: _Memos) -> _Wave:
@@ -666,31 +642,27 @@ class PromptingPipeline:
     def evaluate_loocv(self, config: PromptConfig) -> float:
         """Micro-F1 of config under leave-one-out over the annotated sample.
 
-        The last evaluation's wave is kept with its two keys (see
-        _canonical) and score.  When config has the same main key, that
-        wave is replayed (see _annotate_wave): in whole if the canonical
-        key is the same too, and then its score stands if every completion
-        came back the same.
+        The last evaluation's wave is kept with its main key (see
+        _main_key).  When config has the same main key, that wave's main
+        requests are sent again rather than planned (see _annotate_wave).
         """
         if len(self.corpus) < 2:
             raise ConfigError("leave-one-out needs at least two annotated sentences")
-        keys = self._canonical(config)
-        last_keys, last, score = self._last
+        key = self._main_key(
+            config.bitmask, config.mode, config.listing_separator, config.base_demo_count
+        )
+        last_key, last = self._last
         # Dropped first, so that two planned waves are never held at once.
-        self._last = ((None, None), None, 0.0)
-        if last_keys[1] != keys[1]:
-            last = None
-        wave = self._annotate_wave(config, self._loocv, self._folds, last, last_keys == keys)
-        # A replay keeps last's results only if every completion matched.
-        if last is None or wave.results is not last.results:
-            tp = fp = fn = 0
-            for item, result in zip(self._loocv, wave.results):
-                gold = self.corpus_by_id[item.test_id].spans_of(item.entity_type.id)
-                dtp, dfp, dfn = span_match_counts(result.spans, gold)
-                tp, fp, fn = tp + dtp, fp + dfp, fn + dfn
-            score = f1_from_counts(tp, fp, fn)[2]
-        self._last = (keys, wave, score)
-        return score
+        self._last = (None, None)
+        wave = self._annotate_wave(
+            config, self._loocv, self._folds, last if last_key == key else None
+        )
+        tp = fp = fn = 0
+        for result, gold in zip(wave.results, self._gold):
+            dtp, dfp, dfn = span_match_counts(result.spans, gold)
+            tp, fp, fn = tp + dtp, fp + dfp, fn + dfn
+        self._last = (key, wave)
+        return f1_from_counts(tp, fp, fn)[2]
 
     def predict(
         self, config: PromptConfig, test_sentences: list[AnnotatedSentence]
@@ -717,9 +689,18 @@ def _run_search(kind: str, pipeline, score_fn, search) -> tuple[PromptConfig, Se
     which also records it in the trace, and returns the winning config and
     its accepted features.  The trace gets the wall time and, with a
     pipeline, the backend requests the search issued.
+
+    With a pipeline, a prompt language that has no template fragments, or
+    in which an entity type has no names, raises ConfigError before the
+    first request: a search toggles prompt_language_native.
     """
     if pipeline is None and score_fn is None:
         raise ConfigError(f"{kind} search needs a pipeline or an explicit scorer")
+    if pipeline is not None:
+        language = pipeline.settings.prompt_language
+        fragments_for(language)
+        for entity_type in pipeline.entity_types:
+            entity_type.singular(language)
     score_fn = score_fn or pipeline.evaluate_loocv
     calls_before = pipeline.backend_calls if pipeline is not None else 0
     started = time.monotonic()
@@ -785,12 +766,12 @@ def grid_search(
     acknowledge_cost=True to confirm that is intended.
 
     Without a pipeline the masks are scored in ascending order.  With one
-    they are scored sorted by main key, then by canonical key (see
-    PromptingPipeline._canonical), so that twins run back to back and
-    replay one another's requests (see evaluate_loocv).  Each key's mask
-    is its group's lowest, so groups come in the order of their lowest
-    mask.  The requests sent are the same either way; only their order
-    across evaluations differs.
+    they are scored sorted by main key (see PromptingPipeline._main_key),
+    so that configs of one key run back to back and send one another's
+    main requests again (see evaluate_loocv).  Each key's mask is its
+    group's lowest, so groups come in the order of their lowest mask.  The
+    requests sent are the same either way; only their order across
+    evaluations differs.
     """
     if not acknowledge_cost:
         raise ConfigError(
@@ -811,7 +792,7 @@ def grid_search(
             # Keyed from the fields, so each config is built once, when it
             # is scored: holding all 512 added about 0.3 MB to grid-b0's
             # peak RSS.
-            order = sorted(masks, key=lambda m: pipeline._keys(m, **rest)[::-1])
+            order = sorted(masks, key=lambda m: pipeline._main_key(m, **rest))
         scores = [0.0] * len(masks)
         for mask in order:
             scores[mask] = evaluate(PromptConfig.from_bitmask(mask, **rest))

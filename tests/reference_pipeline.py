@@ -1,13 +1,15 @@
-"""Leave-one-out scoring as the specification states it: the reference
-that every change to PromptingPipeline's engine must match.
+"""Leave-one-out scoring and prediction as the specification states
+them: the reference that every change to PromptingPipeline's engine must
+match.
 
 It keeps no memo, replays nothing, merges no equal requests and uses no
-pool.  Per held-out sentence and entity type it selects the demos, fits
-and renders the prompt from the template fragments, builds the request and
-asks the backend, decodes, then verifies each decoded span and scores with
-reference_scoring.  Prompts render from scratch each time, and every
+pool.  Per sentence and entity type it selects the demos, fits and renders
+the prompt from the template fragments, builds the request and asks the
+backend, decodes, then verifies each decoded span; leave-one-out scores
+with reference_scoring.  Prompts render from scratch each time, and every
 request goes to the backend as it is built.  Main requests come first, in
-item order, then the verification requests, in item and span order.
+item order, then the verification requests, in item and span order;
+prediction does so per wave of fewner.search.PREDICT_WAVE items.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
+import fewner.search
 from fewner import rng, selection
 from fewner.backend import GenerationRequest
 from fewner.corpus import outermost_spans
@@ -39,12 +42,13 @@ _ANSWER_PAD = 32
 class Evaluation:
     """What one configuration scored, decoded, sent and showed.
 
-    results holds (spans, diagnostics dict) per item; requests every
-    request in the order it was asked; shown every (prompt, held-out id)
-    in the order the observer would see it.
+    score is None for a prediction; results holds (spans, diagnostics
+    dict) per item; requests every request in the order it was asked;
+    shown every (prompt, held-out id) in the order the observer would see
+    it.
     """
 
-    score: float
+    score: float | None
     results: list
     requests: list
     shown: list
@@ -159,14 +163,14 @@ def verification_demos(demos, type_id: str, seed: int):
     return out[: max(2, len(demos))]
 
 
-def evaluate(sample, entity_types, backend, settings, config) -> Evaluation:
-    """Leave-one-out micro-F1 of config over sample, and what it took.
+def _annotate(corpus, items, backend, settings, config, shown, requests):
+    """The verified result of each (sentence, entity type, held-out id)
+    item, demos drawn from corpus without the held-out sentence.
 
     Raises ConfigError when a main prompt does not fit the token budget
     even without demos.
     """
     language = settings.prompt_language if config.prompt_language_native else "en"
-    shown, requests = [], []
 
     def ask(prompt, held_out, room):
         shown.append((prompt, held_out))
@@ -176,11 +180,9 @@ def evaluate(sample, entity_types, backend, settings, config) -> Evaluation:
         requests.append(request)
         return backend.generate(request)
 
-    corpus = sorted(sample, key=lambda s: s.id)
-    items = [(s, t) for s in corpus for t in entity_types]
     decoded = []
-    for s, t in items:
-        pool = [d for d in corpus if d.id != s.id]
+    for s, t, held_out in items:
+        pool = [d for d in corpus if d.id != held_out]
         n = min(config.effective_demo_count, len(pool))
         if config.self_verification:
             ids = selection.select_entity_rich(pool, t.id, n)
@@ -198,7 +200,7 @@ def evaluate(sample, entity_types, backend, settings, config) -> Evaluation:
         if prompt is None:
             raise ConfigError(f"token budget {settings.token_budget} is too small")
         room = settings.max_new_tokens or 2 * _tokens(s.text) + _ANSWER_PAD
-        completion = ask(prompt, s.id, room)
+        completion = ask(prompt, held_out, room)
         if config.mode == "tagging":
             result = decode_tagged(
                 completion, s.text, config.tag_pair, t.id, config.dialogue_template
@@ -210,8 +212,7 @@ def evaluate(sample, entity_types, backend, settings, config) -> Evaluation:
         decoded.append((ranked, room, render, result))
 
     results = []
-    tp = fp = fn = 0
-    for (s, t), (ranked, room, render, result) in zip(items, decoded):
+    for (s, t, held_out), (ranked, room, render, result) in zip(items, decoded):
         if config.self_verification and result.spans:
             vdemos = verification_demos(ranked, t.id, settings.seed)
             verdicts = []
@@ -228,12 +229,55 @@ def evaluate(sample, entity_types, backend, settings, config) -> Evaluation:
                 if prompt is None:
                     verdicts.append(VERDICT_UNPARSEABLE)
                 else:
-                    verdicts.append(parse_verification(ask(prompt, s.id, room), span.mention))
+                    answer = ask(prompt, held_out, room)
+                    verdicts.append(parse_verification(answer, span.mention))
             result = apply_verification(result, verdicts)
-        results.append((result.spans, result.diagnostics.to_dict()))
+        results.append(result)
+    return results
+
+
+def _rows(results) -> list:
+    return [(r.spans, r.diagnostics.to_dict()) for r in results]
+
+
+def evaluate(sample, entity_types, backend, settings, config) -> Evaluation:
+    """Leave-one-out micro-F1 of config over sample, and what it took.
+
+    Raises ConfigError when a main prompt does not fit the token budget
+    even without demos.
+    """
+    shown, requests = [], []
+    corpus = sorted(sample, key=lambda s: s.id)
+    items = [(s, t, s.id) for s in corpus for t in entity_types]
+    results = _annotate(corpus, items, backend, settings, config, shown, requests)
+    tp = fp = fn = 0
+    for (s, t, _), result in zip(items, results):
         dtp, dfp, dfn = match_one_sentence(result.spans, s.spans_of(t.id))
         tp, fp, fn = tp + dtp, fp + dfp, fn + dfn
     precision = tp / (tp + fp) if tp + fp else 0.0
     recall = tp / (tp + fn) if tp + fn else 0.0
     f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-    return Evaluation(f1, results, requests, shown)
+    return Evaluation(f1, _rows(results), requests, shown)
+
+
+def predict(sample, entity_types, backend, settings, config, test_sentences) -> Evaluation:
+    """The spans of every entity type in each test sentence under config,
+    items in sentence then type order; a test sentence whose id is in
+    sample is held out of its own demos.
+
+    Raises ConfigError when a main prompt does not fit the token budget
+    even without demos.
+    """
+    shown, requests = [], []
+    corpus = sorted(sample, key=lambda s: s.id)
+    ids = {s.id for s in corpus}
+    items = [
+        (s, t, s.id if s.id in ids else None) for s in test_sentences for t in entity_types
+    ]
+    results = []
+    wave = fewner.search.PREDICT_WAVE
+    for start in range(0, len(items), wave):
+        results += _annotate(
+            corpus, items[start : start + wave], backend, settings, config, shown, requests
+        )
+    return Evaluation(None, _rows(results), requests, shown)

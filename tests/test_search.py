@@ -66,6 +66,12 @@ def test_pipeline_rejects_empty_or_duplicate_corpus():
         PromptingPipeline([s, s], types, EchoBackend())
 
 
+def test_pipeline_rejects_an_empty_entity_type_list():
+    sentences, _ = synthetic_corpus(4, seed=1)
+    with pytest.raises(ConfigError, match="at least one entity type"):
+        PromptingPipeline(sentences, [], EchoBackend())
+
+
 def test_loocv_needs_two_sentences():
     sentences, types = synthetic_corpus(1, seed=1)
     pipeline = PromptingPipeline(sentences, types, EchoBackend())
@@ -365,6 +371,38 @@ def test_grid_requires_cost_acknowledgement():
 def test_grid_requires_scorer_or_pipeline():
     with pytest.raises(ConfigError, match="needs a pipeline"):
         grid_search(None, acknowledge_cost=True)
+
+
+def _without_language(entity_type, language):
+    return replace(
+        entity_type,
+        names={k: v for k, v in entity_type.names.items() if k != language},
+        definitions={k: v for k, v in entity_type.definitions.items() if k != language},
+    )
+
+
+@pytest.mark.parametrize("strategy", ["greedy", "grid"])
+@pytest.mark.parametrize(
+    "language, unnamed, message",
+    [
+        ("de", None, "unsupported prompt language 'de'"),
+        ("fr", "CHEM", "entity type 'CHEM' has no names for language 'fr'"),
+    ],
+)
+def test_a_search_checks_its_prompt_language_before_any_request(
+    strategy, language, unnamed, message
+):
+    sentences, types = synthetic_corpus(8, seed=11)
+    types = [_without_language(t, language) if t.id == unnamed else t for t in types]
+    pipeline = PromptingPipeline(
+        sentences, types, EchoBackend(), PipelineSettings(prompt_language=language)
+    )
+    with pytest.raises(ConfigError, match=message):
+        if strategy == "greedy":
+            greedy_search(pipeline)
+        else:
+            grid_search(pipeline, acknowledge_cost=True)
+    assert pipeline.backend_calls == 0
 
 
 def test_grid_visits_all_masks_ascending_and_breaks_ties_low():
@@ -709,6 +747,13 @@ def test_spans_without_verification_demos_count_as_unverified_every_time(decoded
 # --------------------------------------------------------------------------
 # Canonical configurations and the replay of the last LOOCV evaluation
 
+
+def _main_key(pipeline, config):
+    return pipeline._main_key(
+        config.bitmask, config.mode, config.listing_separator, config.base_demo_count
+    )
+
+
 # Distinct canonical and main keys over the 512 masks, by English prompts
 # and mode.
 _CANONICAL_COUNTS = {
@@ -735,7 +780,10 @@ def test_masks_of_one_canonical_config_send_the_same_requests(language, mode, se
         config = PromptConfig.from_bitmask(mask, mode=mode, listing_separator=separator)
         start = len(backend.digests)
         pipeline.evaluate_loocv(config)
-        canonical, main = pipeline._canonical(config)
+        main = _main_key(pipeline, config)
+        # Configs of one main key send the same verification requests too
+        # unless long_verification_answer, read only by them, differs.
+        canonical = (main, config.self_verification and config.long_verification_answer)
         sent[canonical].add(tuple(backend.digests[start:]))
         # The main requests come first, one per fold and type.
         sent_main[main].add(tuple(backend.digests[start : start + len(sentences) * len(types)]))
@@ -867,7 +915,7 @@ def test_the_grid_plans_each_main_key_once(monkeypatch, language):
     real = PromptingPipeline._plan
 
     def plan(self, config, *args):
-        planned.append(self._canonical(config)[1])
+        planned.append(_main_key(self, config))
         return real(self, config, *args)
 
     monkeypatch.setattr(PromptingPipeline, "_plan", plan)
@@ -904,9 +952,25 @@ def test_the_grid_scores_each_mask_as_a_fresh_pipeline_does(language):
     assert Counter(shared.stream) == Counter(fresh.stream)
     assert any(dropped) and not all(dropped)
     # The pipeline scored the twins of each main key back to back.
-    mains = [pipeline._canonical(PromptConfig.from_bitmask(mask))[1] for mask in order]
+    mains = [_main_key(pipeline, PromptConfig.from_bitmask(mask)) for mask in order]
     assert sorted(order) == list(range(512))
     assert len(list(itertools.groupby(mains))) == len(set(mains)) < 512
+
+
+def test_the_grid_parses_each_distinct_verdict_once(monkeypatch):
+    sentences, types = synthetic_corpus(4, seed=31)
+    oracle = make_noisy_oracle(sentences, types, seed=31, drop_prob=0.2, spurious_prob=0.3)
+    pipeline = PromptingPipeline(sentences, types, oracle, PipelineSettings(seed=31))
+    parsed = Counter()
+    real = fewner.search.parse_verification
+
+    def parse(completion, mention):
+        parsed[completion, mention] += 1
+        return real(completion, mention)
+
+    monkeypatch.setattr(fewner.search, "parse_verification", parse)
+    grid_search(pipeline, acknowledge_cost=True)
+    assert parsed and set(parsed.values()) == {1}
 
 
 @pytest.fixture(scope="module", params=["en", "fr", "es"])
