@@ -48,9 +48,10 @@ class GenerationRequest:
     """One completion request: the prompt and how to complete it.
 
     digest, when not empty, must equal request_digest of the other five
-    fields; only the pipeline sets one, hashed from memoized escapes of
-    the prompt's parts.  CachedBackend keys by it instead of hashing the
-    request again.  It takes no part in equality or repr.
+    fields; only the pipeline sets one, hashed from the escape its
+    prompt carries (RenderedPrompt.escaped).  CachedBackend keys by it
+    instead of hashing the request again.  It takes no part in equality
+    or repr.
     """
 
     prompt: str
@@ -79,14 +80,6 @@ _CANONICAL_REQUEST = (
 )
 
 
-def escape_json(text: str) -> str:
-    """text as the canonical JSON of a request writes it between the
-    quotes of a string.  The escape of texts joined by "\\n" is their
-    escapes joined by "\\\\n", so a prompt's escape can be joined from
-    the escapes of its parts."""
-    return _encode_string(text)[1:-1]
-
-
 def request_digest(request: GenerationRequest, escaped_prompt: str | None = None) -> str:
     """Stable cache key: sha256 over the canonical JSON of the five content
     fields; a carried digest is not read.
@@ -99,8 +92,9 @@ def request_digest(request: GenerationRequest, escaped_prompt: str | None = None
     a lone surrogate, which a server's JSON escape can produce, hashes
     instead of raising; valid text encodes as plain UTF-8.
 
-    escaped_prompt, when given, must be escape_json(request.prompt); the
-    hand-built JSON then uses it instead of escaping the prompt again.
+    escaped_prompt, when not None, must be templates.escape_json of
+    request.prompt, as a rendered prompt's escaped is; the hand-built JSON
+    then uses it instead of escaping the prompt again.
     """
     max_new_tokens, temperature = request.max_new_tokens, request.temperature
     model_name, prompt, stops = request.model_name, request.prompt, request.stop_sequences
@@ -504,16 +498,16 @@ class DiskCache:
     is logged and None; CachedBackend judges what a record holds, and
     overwrites an entry that does not answer.  Each put writes a temp file
     of its own and renames it into place, so threads and processes sharing
-    the directory never see or clobber a half-written entry.  Entries are
-    written as compact JSON of the three record fields; get reads any
-    layout, such as the indented, five-field one of older caches.  Entries
-    are ASCII, with every other character escaped, so any completion string
-    can be stored, a lone surrogate included.
+    the directory never see or clobber a half-written entry; a put that
+    finds no directory makes it, so a cache that stores nothing leaves
+    none.  Entries are written as compact JSON of the three record fields;
+    get reads any layout, such as the indented, five-field one of older
+    caches.  Entries are ASCII, with every other character escaped, so any
+    completion string can be stored, a lone surrogate included.
     """
 
     def __init__(self, directory: str | Path):
         self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
 
     def _path(self, key: str) -> Path:
         return self.directory / f"{key}.json"
@@ -541,7 +535,12 @@ class DiskCache:
         tmp = path.with_name(f"{key}.{secrets.token_hex(8)}.tmp")
         blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         try:
-            with open(tmp, "x", encoding="utf-8") as out:
+            out = open(tmp, "x", encoding="utf-8")
+        except FileNotFoundError:
+            self.directory.mkdir(parents=True, exist_ok=True)
+            out = open(tmp, "x", encoding="utf-8")
+        try:
+            with out:
                 out.write(blob)
             os.replace(tmp, path)
         except BaseException:

@@ -104,30 +104,26 @@ class EvalReport:
             return 0.0
         return sum(s.f1 for s in self.per_type.values()) / len(self.per_type)
 
+    def _rows(self, micro_label: str = "micro") -> list[tuple[str, TypeScore]]:
+        """(label, score) of each type in id order, labelled by its id, then
+        of the micro row, whose counts are the per-type counts summed."""
+        micro = TypeScore("micro", *self.micro_counts)
+        return [*sorted(self.per_type.items()), (micro_label, micro)]
+
     def to_json(self) -> str:
+        def row(s: TypeScore) -> dict:
+            return {
+                "tp": s.tp, "fp": s.fp, "fn": s.fn,
+                "precision": s.precision, "recall": s.recall, "f1": s.f1,
+            }
+
+        *per_type, (_, micro) = self._rows()
         payload = {
             "n_sentences": self.n_sentences,
             "timestamp": self.timestamp,
-            "micro": {
-                "tp": self.micro_counts[0],
-                "fp": self.micro_counts[1],
-                "fn": self.micro_counts[2],
-                "precision": self.micro_precision,
-                "recall": self.micro_recall,
-                "f1": self.micro_f1,
-            },
+            "micro": row(micro),
             "macro_f1": self.macro_f1,
-            "per_type": {
-                tid: {
-                    "tp": s.tp,
-                    "fp": s.fp,
-                    "fn": s.fn,
-                    "precision": s.precision,
-                    "recall": s.recall,
-                    "f1": s.f1,
-                }
-                for tid, s in sorted(self.per_type.items())
-            },
+            "per_type": {tid: row(s) for tid, s in per_type},
         }
         return json.dumps(payload, sort_keys=True, ensure_ascii=False, indent=2)
 
@@ -135,22 +131,12 @@ class EvalReport:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["type", "tp", "fp", "fn", "precision", "recall", "f1", "n_sentences"])
-        for tid, s in sorted(self.per_type.items()):
-            writer.writerow(
-                [tid, s.tp, s.fp, s.fn, f"{s.precision:.6f}", f"{s.recall:.6f}", f"{s.f1:.6f}", self.n_sentences]
-            )
-        tp, fp, fn = self.micro_counts
-        writer.writerow(
+        writer.writerows(
             [
-                "micro",
-                tp,
-                fp,
-                fn,
-                f"{self.micro_precision:.6f}",
-                f"{self.micro_recall:.6f}",
-                f"{self.micro_f1:.6f}",
+                label, s.tp, s.fp, s.fn, f"{s.precision:.6f}", f"{s.recall:.6f}", f"{s.f1:.6f}",
                 self.n_sentences,
             ]
+            for label, s in self._rows()
         )
         return buf.getvalue()
 
@@ -158,19 +144,15 @@ class EvalReport:
         lines = [
             "| type | tp | fp | fn | precision | recall | f1 |",
             "| --- | ---: | ---: | ---: | ---: | ---: | ---: |",
+            *(
+                f"| {label} | {s.tp} | {s.fp} | {s.fn} | {s.precision:.4f} | {s.recall:.4f} |"
+                f" {s.f1:.4f} |"
+                for label, s in self._rows("**micro**")
+            ),
+            "",
+            f"macro F1: {self.macro_f1:.4f} over {len(self.per_type)} types,",
+            f"{self.n_sentences} sentences.",
         ]
-        for tid, s in sorted(self.per_type.items()):
-            lines.append(
-                f"| {tid} | {s.tp} | {s.fp} | {s.fn} | {s.precision:.4f} | {s.recall:.4f} | {s.f1:.4f} |"
-            )
-        tp, fp, fn = self.micro_counts
-        lines.append(
-            f"| **micro** | {tp} | {fp} | {fn} | {self.micro_precision:.4f} |"
-            f" {self.micro_recall:.4f} | {self.micro_f1:.4f} |"
-        )
-        lines.append("")
-        lines.append(f"macro F1: {self.macro_f1:.4f} over {len(self.per_type)} types,")
-        lines.append(f"{self.n_sentences} sentences.")
         return "\n".join(lines)
 
 

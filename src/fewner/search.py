@@ -163,7 +163,7 @@ class _Memos:
     what its values are built from: ranked demos (see _demos),
     verification demos, fitted verification prompts with their requests
     (see _verify), decoded results (see _decode), parsed verdicts (see
-    _verdicts) and part-text escapes (see _request)."""
+    _verdicts)."""
 
     parts: PromptParts = field(default_factory=PromptParts)
     ranked: dict = field(default_factory=dict)
@@ -171,7 +171,6 @@ class _Memos:
     verification: dict = field(default_factory=dict)
     decoded: dict = field(default_factory=dict)
     verdicts: dict = field(default_factory=dict)
-    escapes: dict = field(default_factory=dict)
 
 
 class _Step(NamedTuple):
@@ -334,20 +333,13 @@ class PromptingPipeline:
             separator = listing_separator
         return mask, mode, separator, base_demo_count
 
-    def _request(self, prompt: RenderedPrompt, item: _Item, memos: _Memos) -> GenerationRequest:
+    def _request(self, prompt: RenderedPrompt, item: _Item) -> GenerationRequest:
         """The request for prompt, carrying its digest, hashed from the
-        escapes of its part texts (see backend.escape_json)."""
-        escapes, escaped = memos.escapes, []
-        for text in prompt.parts:
-            if text is not None:
-                escape = escapes.get(text)
-                if escape is None:
-                    escape = escapes[text] = backend.escape_json(text)
-                escaped.append(escape)
+        prompt's escape, which its parts carry (see PromptParts)."""
         request = GenerationRequest(
             prompt.text, item.max_new_tokens, 0.0, prompt.stop_sequences, self.settings.model_name,
         )
-        digest = backend.request_digest(request, "\\n".join(escaped))
+        digest = backend.request_digest(request, prompt.escaped)
         # Set in place rather than by building the frozen request again:
         # it is not shared yet, and the digest is of its own fields.
         object.__setattr__(request, "digest", digest)
@@ -501,7 +493,7 @@ class PromptingPipeline:
                 planned = memos.verification.get(key)
                 if planned is None:
                     prompt = self._fit_verification(config, item, span.mention, demos, memos)
-                    request = None if prompt is None else self._request(prompt, item, memos)
+                    request = None if prompt is None else self._request(prompt, item)
                     planned = memos.verification[key] = (prompt, request)
                 if planned[0] is not None:
                     self._add(step, item, *planned)
@@ -590,7 +582,7 @@ class PromptingPipeline:
                 self.settings.token_budget, shuffle_seed=item.shuffle_seed, parts=memos.parts,
             )
             wave.demos.append(ranked)
-            self._add(wave.main, item, prompt, self._request(prompt, item, memos))
+            self._add(wave.main, item, prompt, self._request(prompt, item))
         return wave
 
     def _decode(

@@ -29,12 +29,14 @@ class TfidfIndex:
 
     def vector_for_text(self, text: str) -> dict[str, float]:
         """Embed arbitrary text with this index's idf weights."""
-        counts = Counter(t for t in tokenize(text) if t in self.idf)
-        if not counts:
-            return {}
-        vec = {term: count * self.idf[term] for term, count in counts.items()}
-        norm = math.sqrt(sum(w * w for w in vec.values()))
-        return {term: w / norm for term, w in vec.items()}
+        return _weighted(Counter(t for t in tokenize(text) if t in self.idf), self.idf)
+
+
+def _weighted(counts: Counter[str], idf: dict[str, float]) -> dict[str, float]:
+    """counts weighted by idf and L2-normalized; empty when counts are."""
+    vec = {term: count * idf[term] for term, count in counts.items()}
+    norm = math.sqrt(sum(w * w for w in vec.values()))
+    return {term: w / norm for term, w in vec.items()} if norm else {}
 
 
 def build_index(sentences: list[AnnotatedSentence]) -> TfidfIndex:
@@ -49,12 +51,7 @@ def build_index(sentences: list[AnnotatedSentence]) -> TfidfIndex:
         df.update(set(tokens))
     n = len(sentences)
     idf = {term: math.log((1 + n) / (1 + count)) + 1.0 for term, count in df.items()}
-    vectors: dict[str, dict[str, float]] = {}
-    for sid, tokens in token_lists.items():
-        counts = Counter(tokens)
-        vec = {term: count * idf[term] for term, count in counts.items()}
-        norm = math.sqrt(sum(w * w for w in vec.values()))
-        vectors[sid] = {term: w / norm for term, w in vec.items()} if norm else {}
+    vectors = {sid: _weighted(Counter(tokens), idf) for sid, tokens in token_lists.items()}
     return TfidfIndex(ids=ids, idf=idf, vectors=vectors)
 
 

@@ -26,8 +26,8 @@ tag pairs, so demonstrations show outermost spans only.
 Main and verification prompts are built by one assembler from a head, a
 block of demonstration turns and a tail, and fit the token budget through
 one loop, fit_demos.  A PromptParts store keeps each part with its token
-count, and its template fragments are filled, from the one table of
-fields a fragment may name, only when its key is new.
+count and JSON escape, and its template fragments are filled, from the
+one table of fields a fragment may name, only when its key is new.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ import re
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import lru_cache
 from importlib import resources
+from json.encoder import encode_basestring
 from typing import Iterable, Sequence
 
 from . import rng
@@ -187,9 +188,9 @@ class PromptConfig:
 class RenderedPrompt:
     """A prompt and what it was built from.
 
-    parts holds the texts of its head, demo block and tail, each the
-    part's lines joined by "\\n", or None when it has none; text is those
-    not None joined by "\\n".  It takes no part in equality or repr.
+    escaped is escape_json(text), joined from the escapes of its parts
+    (see PromptParts), or None for a prompt built without them.  It takes
+    no part in equality or repr.
     """
 
     text: str
@@ -199,11 +200,11 @@ class RenderedPrompt:
     estimated_tokens: int
     kind: str  # "main" or "self_verification"
     dropped_demos: int = 0
-    parts: tuple = field(default=(), compare=False, repr=False)
+    escaped: str | None = field(default=None, compare=False, repr=False)
 
 
 # --------------------------------------------------------------------------
-# Token estimation
+# Token estimation and JSON escapes
 
 _TOKEN_RE = re.compile(r"\w+|[^\w\s]", re.UNICODE)
 
@@ -211,6 +212,14 @@ _TOKEN_RE = re.compile(r"\w+|[^\w\s]", re.UNICODE)
 def estimate_tokens(text: str) -> int:
     """Approximate token count by whitespace-and-punctuation segmentation."""
     return len(_TOKEN_RE.findall(text))
+
+
+def escape_json(text: str) -> str:
+    """text as the canonical JSON of a request writes it between the
+    quotes of a string.  The escape of texts joined by "\\n" is their
+    escapes joined by "\\\\n", so a prompt's escape can be joined from
+    the escapes of its parts."""
+    return encode_basestring(text)[1:-1]
 
 
 # --------------------------------------------------------------------------
@@ -278,36 +287,41 @@ def stop_sequences_for(config: PromptConfig, prompt_language: str) -> tuple[str,
 
 class PromptParts:
     """Prompt parts kept across renders: each head, demo turn, demo block
-    and tail as its text (its lines joined by "\\n", None when it has
-    none) with its token count, and each shuffled demo order.  Each is
-    kept under a key of this module's own that names what shapes it, so
-    one entry serves every configuration that agrees on it.
+    and tail as its text (its lines joined by "\\n"), its token count and
+    its JSON escape (see escape_json), or None when it has no lines, and
+    each shuffled demo order.  Each is kept under a key of this module's
+    own that names what shapes it, so one entry serves every
+    configuration that agrees on it.
 
     Keys name demo sentences by id: share one store only among renders
     whose sentences of one id are the same sentence.
     """
 
     def __init__(self):
-        self._entries: dict[tuple, tuple] = {}
+        self._entries: dict[tuple, tuple | None] = {}
 
-    def part(self, scope: tuple, key: tuple, build, arg) -> tuple[str | None, int]:
-        """The text and token count of the lines build(scope, arg) returns."""
-        part = self._entries.get(key)
-        if part is None:
+    def part(self, scope: tuple, key: tuple, build, arg) -> tuple[str, int, str] | None:
+        """The text, token count and escape of the lines build(scope, arg)
+        returns, or None when it returns none."""
+        part = self._entries.get(key, _NEW)
+        if part is _NEW:
             lines = list(build(scope, arg))
             text = "\n".join(lines)
-            part = self._entries[key] = (text if lines else None, estimate_tokens(text))
+            part = self._entries[key] = (
+                (text, estimate_tokens(text), escape_json(text)) if lines else None
+            )
         return part
 
-    def block(self, scope: tuple, key: tuple, turn_kind: str, args, build) -> tuple:
+    def block(self, scope: tuple, key: tuple, turn_kind: str, args, build) -> tuple | None:
         """The turns build(scope, arg) of args as one part.  key is (block
         kind, ids, shape), and each turn is kept under (turn kind, id,
         shape), so a prompt costs one lookup instead of one per demo."""
-        block = self._entries.get(key)
-        if block is None:
+        block = self._entries.get(key, _NEW)
+        if block is _NEW:
             _, ids, shape = key
-            turns = [self.part(scope, (turn_kind, i, shape), build, a) for i, a in zip(ids, args)]
-            block = self._entries[key] = (_joined(turns), sum(count for _, count in turns))
+            block = self._entries[key] = _joined(
+                [self.part(scope, (turn_kind, i, shape), build, a) for i, a in zip(ids, args)]
+            )
         return block
 
     def order(self, demos: tuple, ids: tuple[str, ...], seed: int) -> tuple:
@@ -319,11 +333,20 @@ class PromptParts:
         return order
 
 
-def _joined(parts) -> str | None:
-    """The texts of parts joined by "\\n", skipping those with no lines;
-    None when every part has none."""
-    texts = [text for text, _ in parts if text is not None]
-    return "\n".join(texts) if texts else None
+# Marks a PromptParts key not yet built; a built part with no lines is None.
+_NEW = object()
+
+
+def _joined(parts) -> tuple[str, int, str] | None:
+    """parts, skipping those that are None, as one part: their texts
+    joined by "\\n", as a part joins its lines, their escapes by "\\\\n"
+    (see escape_json) and their token counts summed, since no token spans
+    whitespace; None when every part is."""
+    parts = [part for part in parts if part is not None]
+    if not parts:
+        return None
+    texts, counts, escapes = zip(*parts)
+    return "\n".join(texts), sum(counts), "\\n".join(escapes)
 
 
 def _assemble(
@@ -331,23 +354,20 @@ def _assemble(
     demonstrations: tuple[str, ...],
 ) -> RenderedPrompt:
     """The prompt of a head part, a block of demo turns and a tail part,
-    given as PromptParts.part and .block take them.  It joins their texts
-    by "\\n", as a part joins its lines, and keeps them as its parts.  No
-    token spans whitespace, so its count is the sum of its parts'.
-    """
+    given as PromptParts.part and .block take them, joined as one part."""
     parts = PromptParts() if parts is None else parts
-    head_part = parts.part(scope, *head)
-    tail_part = parts.part(scope, *tail)
-    block = parts.block(scope, *demos)
+    text, count, escaped = _joined(
+        (parts.part(scope, *head), parts.block(scope, *demos), parts.part(scope, *tail))
+    ) or ("", 0, "")
     config, entity_type, language = scope
     return RenderedPrompt(
-        text=_joined((head_part, block, tail_part)) or "",
+        text=text,
         entity_type=entity_type.id,
         demonstrations=demonstrations,
         stop_sequences=stop_sequences_for(config, language),
-        estimated_tokens=head_part[1] + block[1] + tail_part[1],
+        estimated_tokens=count,
         kind=kind,
-        parts=(head_part[0], block[0], tail_part[0]),
+        escaped=escaped,
     )
 
 

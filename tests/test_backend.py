@@ -3,6 +3,7 @@ import hashlib
 import json
 import logging
 import os
+import shutil
 from pathlib import Path
 
 import pytest
@@ -19,7 +20,6 @@ from fewner.backend import (
     GenerationRequest,
     HttpCompletionBackend,
     OracleBackend,
-    escape_json,
     make_noisy_oracle,
     request_digest,
     truncate_at_stop,
@@ -37,6 +37,7 @@ from fewner.synthetic import synthetic_corpus
 from fewner.templates import (
     PromptConfig,
     PromptParts,
+    escape_json,
     fragments_for,
     outermost_spans,
     render_main_prompt,
@@ -810,6 +811,21 @@ def test_disk_cache_round_trip(tmp_path):
     again = CachedBackend(counting, DiskCache(tmp_path / "gen"))
     assert again.generate(request) == "persisted."
     assert counting.calls == 0
+
+
+def test_disk_cache_get_on_a_directory_never_made_is_a_miss_and_makes_none(tmp_path):
+    cache = DiskCache(tmp_path / "a" / "gen")
+    assert cache.get("d" * 64) is None
+    assert not (tmp_path / "a").exists()
+
+
+def test_disk_cache_put_into_a_missing_nested_directory_makes_it(tmp_path):
+    cache = DiskCache(tmp_path / "a" / "b" / "gen")
+    shutil.rmtree(tmp_path / "a", ignore_errors=True)  # missing when put runs
+    record = GenerationRecord(request_hash="d" * 64, completion="x", backend_id="echo")
+    cache.put(record.request_hash, record)
+    assert cache.get(record.request_hash) == record
+    assert [p.name for p in (tmp_path / "a" / "b" / "gen").iterdir()] == ["d" * 64 + ".json"]
 
 
 @pytest.mark.parametrize("probe", ["exists", "read_text"])

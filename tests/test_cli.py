@@ -214,6 +214,20 @@ def test_optimize_no_cache_leaves_no_cache_dir(splits, tmp_path):
     assert read_json(run_dir / "run_meta.json")["backend_id"] == SAMPLE_ORACLE_ID
 
 
+def test_optimize_in_an_unsupported_language_leaves_no_run_dir(splits, tmp_path, capsys):
+    sample_path, _, _ = splits
+    run_dir = tmp_path / "run-de"
+    rc = main(
+        [
+            "optimize", "--sample", str(sample_path), "--run-dir", str(run_dir),
+            "--types", "DISO", "--language", "de",
+        ]
+    )
+    assert rc == 1
+    assert "unsupported prompt language 'de'" in capsys.readouterr().err
+    assert not run_dir.exists()
+
+
 def test_optimize_cache_dir_flag_redirects_the_cache(splits, tmp_path):
     sample_path, _, _ = splits
     run_dir = tmp_path / "run"

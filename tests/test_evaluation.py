@@ -260,6 +260,61 @@ def test_report_markdown_contains_rows_and_macro():
     assert "macro F1:" in text
 
 
+_REPORT_JSON = """{
+  "macro_f1": 0.3333333333333333,
+  "micro": {
+    "f1": 0.5,
+    "fn": 1,
+    "fp": 1,
+    "precision": 0.5,
+    "recall": 0.5,
+    "tp": 1
+  },
+  "n_sentences": 2,
+  "per_type": {
+    "CHEM": {
+      "f1": 0.0,
+      "fn": 1,
+      "fp": 0,
+      "precision": 0.0,
+      "recall": 0.0,
+      "tp": 0
+    },
+    "DISO": {
+      "f1": 0.6666666666666666,
+      "fn": 0,
+      "fp": 1,
+      "precision": 0.5,
+      "recall": 1.0,
+      "tp": 1
+    }
+  },
+  "timestamp": null
+}"""
+
+_REPORT_CSV = """type,tp,fp,fn,precision,recall,f1,n_sentences
+CHEM,0,0,1,0.000000,0.000000,0.000000,2
+DISO,1,1,0,0.500000,1.000000,0.666667,2
+micro,1,1,1,0.500000,0.500000,0.500000,2
+"""
+
+_REPORT_MARKDOWN = """| type | tp | fp | fn | precision | recall | f1 |
+| --- | ---: | ---: | ---: | ---: | ---: | ---: |
+| CHEM | 0 | 0 | 1 | 0.0000 | 0.0000 | 0.0000 |
+| DISO | 1 | 1 | 0 | 0.5000 | 1.0000 | 0.6667 |
+| **micro** | 1 | 1 | 1 | 0.5000 | 0.5000 | 0.5000 |
+
+macro F1: 0.3333 over 2 types,
+2 sentences."""
+
+
+def test_report_renderings_are_pinned_byte_for_byte():
+    report = _report()
+    assert report.to_json() == _REPORT_JSON
+    assert report.to_csv() == _REPORT_CSV
+    assert report.to_markdown() == _REPORT_MARKDOWN
+
+
 # --------------------------------------------------------------------------
 # Carbon accounting
 

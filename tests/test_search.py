@@ -15,7 +15,6 @@ from fewner.backend import (
     EchoBackend,
     GenerationRequest,
     OracleBackend,
-    escape_json,
     make_noisy_oracle,
     request_digest,
 )
@@ -31,7 +30,13 @@ from fewner.search import (
     grid_search,
 )
 from fewner.synthetic import synthetic_corpus
-from fewner.templates import FEATURE_NAMES, PromptConfig, estimate_tokens, fragments
+from fewner.templates import (
+    FEATURE_NAMES,
+    PromptConfig,
+    escape_json,
+    estimate_tokens,
+    fragments,
+)
 
 
 class RecordingBackend:
@@ -563,22 +568,69 @@ def test_every_annotate_request_carries_its_digest(language):
 
 
 @pytest.mark.parametrize("language", ["en", "fr", "es"])
-def test_a_grid_escapes_each_distinct_part_text_once(monkeypatch, language):
-    escaped = []
+def test_a_grid_escapes_only_head_turn_and_tail_texts(monkeypatch, language):
+    escaped, passed = [], []
 
     def counting_escape(text):
         escaped.append(text)
         return escape_json(text)
 
-    monkeypatch.setattr("fewner.backend.escape_json", counting_escape)
+    def recording_digest(request, escaped_prompt=None):
+        passed.append(escaped_prompt)
+        return request_digest(request, escaped_prompt)
+
+    monkeypatch.setattr("fewner.templates.escape_json", counting_escape)
+    monkeypatch.setattr("fewner.backend.request_digest", recording_digest)
     sentences, types = synthetic_corpus(4, seed=11, language=language)
     oracle = make_noisy_oracle(sentences, types, seed=11, drop_prob=0.2, spurious_prob=0.3)
     recorder = StreamRecorder(oracle)
     settings = PipelineSettings(prompt_language=language, seed=11, token_budget=190)
-    pipeline = PromptingPipeline(sentences, types, recorder, settings)
+    prompts = set()
+    pipeline = PromptingPipeline(
+        sentences, types, recorder, settings, observer=lambda prompt, _: prompts.add(prompt.text)
+    )
     grid_search(pipeline, acknowledge_cost=True)
-    # LOOCV keeps one memo for the pipeline's lifetime.
-    assert len(escaped) == len(set(escaped)) < len(set(recorder.stream))
+    # The pipeline hashes each request from the escape its prompt carries
+    # and escapes nothing itself.
+    assert not hasattr(fewner.search, "escape_json")
+    assert passed and None not in passed
+    # Each escape is of one head (at most two lines), demo turn (two) or
+    # tail (at most three): never of a block of two or more turns, nor of a
+    # whole prompt.  LOOCV keeps one part store for the pipeline's lifetime.
+    assert escaped and max(text.count("\n") for text in escaped) <= 2
+    assert prompts.isdisjoint(escaped)
+    assert len(escaped) < len(set(recorder.stream))
+
+
+@pytest.mark.parametrize("language", ["en", "fr", "es"])
+@pytest.mark.parametrize("mode, separator", golden.FORMATS)
+def test_every_prompt_shown_carries_the_escape_of_its_text(language, mode, separator):
+    # The golden run's grid and predict passes: dialogue turns, demos
+    # dropped to fit the budget, and verification prompts.
+    everything, types = synthetic_corpus(7, seed=29, language=language)
+    oracle = make_noisy_oracle(everything, types, seed=29, drop_prob=0.2, spurious_prob=0.3)
+    settings = PipelineSettings(prompt_language=language, seed=29, token_budget=190)
+    shown = {}
+    pipeline = PromptingPipeline(
+        everything[:5], types, _CheckedDigests(oracle), settings,
+        observer=lambda prompt, _: shown.setdefault(id(prompt), prompt),
+    )
+    configs = [
+        PromptConfig.from_bitmask(mask, mode=mode, listing_separator=separator)
+        for mask in range(1 << len(FEATURE_NAMES))
+    ]
+    for config in configs:
+        pipeline.evaluate_loocv(config)
+    for config in configs[::17]:
+        pipeline.predict(config, everything)
+    prompts = list(shown.values())
+    assert {p.kind for p in prompts} == {"main", "self_verification"}
+    assert any(p.dropped_demos for p in prompts)
+    assert any(p.text.startswith("- ") or "\n- " in p.text for p in prompts)
+    for prompt in prompts:
+        assert prompt.escaped == escape_json(prompt.text)
+        request = GenerationRequest(prompt.text, 40, 0.0, prompt.stop_sequences, "m")
+        assert request_digest(request, prompt.escaped) == request_digest(request)
 
 
 # Every sentence has one mention of each type, so both types rank the same
