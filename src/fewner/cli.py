@@ -188,8 +188,21 @@ def _build_backend(args, run_dir: Path, oracle_sentences, entity_types):
         raise ConfigError(f"unknown backend {name!r}")
     if args.no_cache:
         return inner
-    cache_dir = Path(args.cache_dir) if args.cache_dir else run_dir / "generations"
+    cache_dir = _directory(args.cache_dir or run_dir / "generations", "cache dir")
     return CachedBackend(inner, DiskCache(cache_dir))
+
+
+def _directory(path, what: str) -> Path:
+    """path as a directory to write into, checked before any work is done:
+    raises ConfigError when it, or the nearest of its parents that exists,
+    is not a directory."""
+    path = Path(path)
+    for existing in (path, *path.parents):
+        if existing.exists():
+            if not existing.is_dir():
+                raise ConfigError(f"{what} {path}: {existing} is not a directory")
+            break
+    return path
 
 
 def _write(path: Path, content: str) -> None:
@@ -242,7 +255,7 @@ def cmd_sample(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    run_dir = Path(args.run_dir)
+    run_dir = _directory(args.run_dir, "run dir")
     config, applied = _load_run_config(args)
     settings = _settings_from(config)
     sample = load_corpus(args.sample, args.format, language=settings.prompt_language)
@@ -283,7 +296,7 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    run_dir = Path(args.run_dir)
+    run_dir = _directory(args.run_dir, "run dir")
     config, applied = _load_run_config(args)
     settings = _settings_from(config)
     sample = load_corpus(args.sample, args.format, language=settings.prompt_language)
@@ -329,6 +342,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    out_dir = _directory(args.run_dir, "run dir")
     predictions = PredictionSet.from_dict(
         _read_json_object(args.predictions, "predictions file", DataError)
     )
@@ -337,7 +351,6 @@ def cmd_evaluate(args) -> int:
     if args.types:
         type_ids = [t.id for t in _resolve_types(args.types, args.registry)]
     report = score(predictions, gold, type_ids)
-    out_dir = Path(args.run_dir)
     _write(out_dir / "report.json", report.to_json() + "\n")
     _write(out_dir / "report.csv", report.to_csv())
     _write(out_dir / "report.md", report.to_markdown() + "\n")
@@ -499,12 +512,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except FewnerError as exc:
-        for cls, code in _EXIT_CODES:
-            if isinstance(exc, cls):
-                print(f"error: {exc}", file=sys.stderr)
-                return code
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return next((code for cls, code in _EXIT_CODES if isinstance(exc, cls)), 1)
 
 
 if __name__ == "__main__":

@@ -162,8 +162,7 @@ class _Memos:
     in parts, and one dict per kind of the pipeline's own, each keyed by
     what its values are built from: ranked demos (see _demos),
     verification demos, fitted verification prompts with their requests
-    (see _verify), decoded results (see _decode), parsed verdicts (see
-    _verdicts)."""
+    and parsed verdicts (see _verified), decoded results (see _decode)."""
 
     parts: PromptParts = field(default_factory=PromptParts)
     ranked: dict = field(default_factory=dict)
@@ -173,31 +172,20 @@ class _Memos:
     verdicts: dict = field(default_factory=dict)
 
 
-class _Step(NamedTuple):
-    """One send: its requests in order, each with the prompt and held-out
-    id the observer was shown, and the completions they received."""
+class _Wave(NamedTuple):
+    """One wave: its plan and the results computed from it.
 
-    observed: list[tuple[RenderedPrompt, str | None]]
-    requests: list[GenerationRequest]
-    completions: list[str]
-
-
-@dataclass
-class _Wave:
-    """What one wave planned, sent and decoded.
-
-    decoded holds the main results before verification, asked, per item,
-    whether each decoded span was sent a verification request, and
-    results the wave's answer; verification is None without
-    self_verification.
+    demos, observed and requests are the plan, in item order: each item's
+    ranked demos, the main prompt the observer was shown and its request.
+    results is the wave's answer, verified under self_verification.  A
+    wave is never changed once built, so a replay sends its requests as
+    they are.
     """
 
     demos: list[_Ranked]
-    main: _Step
-    decoded: list[DecodeResult] = field(default_factory=list)
-    verification: _Step | None = None
-    asked: list[list[bool]] = field(default_factory=list)
-    results: list[DecodeResult] = field(default_factory=list)
+    observed: list[RenderedPrompt]
+    requests: list[GenerationRequest]
+    results: list[DecodeResult]
 
 
 class PromptingPipeline:
@@ -231,9 +219,9 @@ class PromptingPipeline:
     stay bounded by k x types x the few selection and render variants, and
     the others by the distinct requests and completions of the folds.
 
-    LOOCV also keeps its last wave, whose main requests a config of the
-    same main key sends again instead of planning (see evaluate_loocv);
-    the requests, their order and backend_calls are the same either way.
+    LOOCV also keeps its last wave, whose plan a config of the same main
+    key takes as it is and sends again (see evaluate_loocv); the requests,
+    their order and backend_calls are the same either way.
     grid_search orders its masks so that configs of one main key run back
     to back.
     """
@@ -345,15 +333,10 @@ class PromptingPipeline:
         object.__setattr__(request, "digest", digest)
         return request
 
-    def _add(
-        self, step: _Step, item: _Item, prompt: RenderedPrompt, request: GenerationRequest
-    ) -> None:
-        """Show the observer prompt with item's held-out id, then add
-        prompt and request to step."""
+    def _show(self, prompt: RenderedPrompt, item: _Item) -> None:
+        """Show the observer prompt with item's held-out id."""
         if self.observer is not None:
             self.observer(prompt, item.held_out_id)
-        step.observed.append((prompt, item.held_out_id))
-        step.requests.append(request)
 
     def _send(self, requests: list[GenerationRequest]) -> list[str]:
         """Completions in request order.  Each distinct request, by digest,
@@ -462,11 +445,12 @@ class PromptingPipeline:
         out.extend(longer)
         return out[: max(2, len(demos))]
 
-    def _verify(
-        self, config: PromptConfig, items: list[_Item], wave: _Wave, memos: _Memos
-    ) -> None:
-        """Plan the dependent wave into wave: one yes/no request per
-        decoded span.
+    def _verified(
+        self, config: PromptConfig, items: list[_Item], demos: list[_Ranked],
+        decoded: list[DecodeResult], memos: _Memos,
+    ) -> list[DecodeResult]:
+        """decoded with every span verified: one yes/no request per span,
+        planned in item and span order and sent as one dependent wave.
 
         A span with no verification demos, or whose prompt cannot fit the
         token budget, is kept unverified, counted as an unparseable answer
@@ -479,26 +463,47 @@ class PromptingPipeline:
         the type fix the verification demos), the text, the mention and
         max_new_tokens; the token budget and model name are the
         pipeline's.  A hit fits, renders and hashes nothing: the observer
-        is shown the memoized prompt with this item's held-out id.
+        is shown the memoized prompt with this item's held-out id.  Each
+        verdict is parsed from its completion and mention and memoized
+        under both.  The results are new: memos share decoded.
         """
         shape = (self._language(config), config.long_verification_answer, config.dialogue_template)
-        wave.verification = step = _Step([], [], [])
-        for item, demos, result in zip(items, wave.demos, wave.decoded):
+        asked, requests = [], []
+        for item, ranked, result in zip(items, demos, decoded):
             item_asked = []
             for span in result.spans:
                 key = (
-                    item.entity_type.id, *shape, demos[1], item.text, span.mention,
+                    item.entity_type.id, *shape, ranked[1], item.text, span.mention,
                     item.max_new_tokens,
                 )
                 planned = memos.verification.get(key)
                 if planned is None:
-                    prompt = self._fit_verification(config, item, span.mention, demos, memos)
+                    prompt = self._fit_verification(config, item, span.mention, ranked, memos)
                     request = None if prompt is None else self._request(prompt, item)
                     planned = memos.verification[key] = (prompt, request)
-                if planned[0] is not None:
-                    self._add(step, item, *planned)
-                item_asked.append(planned[0] is not None)
-            wave.asked.append(item_asked)
+                prompt, request = planned
+                if prompt is not None:
+                    self._show(prompt, item)
+                    requests.append(request)
+                item_asked.append(prompt is not None)
+            asked.append(item_asked)
+        completions, parsed = iter(self._send(requests)), memos.verdicts
+
+        def verdict(mention: str) -> str:
+            key = (next(completions), mention)
+            found = parsed.get(key)
+            if found is None:
+                found = parsed[key] = parse_verification(*key)
+            return found
+
+        return [
+            apply_verification(result, [
+                verdict(s.mention) if ask else VERDICT_UNPARSEABLE
+                for s, ask in zip(result.spans, item_asked)
+            ])
+            if item_asked else result
+            for result, item_asked in zip(decoded, asked)
+        ]
 
     def _fit_verification(
         self, config: PromptConfig, item: _Item, mention: str, demos: _Ranked, memos: _Memos
@@ -521,69 +526,48 @@ class PromptingPipeline:
             len(vdemos), 2, self.settings.token_budget,
         )
 
-    @staticmethod
-    def _verdicts(wave: _Wave, memos: _Memos) -> list[DecodeResult]:
-        """The decoded results with the verification completions applied,
-        each read with the mention it asked about and memoized under both;
-        never changed in place, since memos share them."""
-        completions, parsed = iter(wave.verification.completions), memos.verdicts
-
-        def verdict(mention: str) -> str:
-            key = (next(completions), mention)
-            found = parsed.get(key)
-            if found is None:
-                found = parsed[key] = parse_verification(*key)
-            return found
-
-        return [
-            apply_verification(result, [
-                verdict(s.mention) if ask else VERDICT_UNPARSEABLE
-                for s, ask in zip(result.spans, item_asked)
-            ])
-            if item_asked else result
-            for result, item_asked in zip(wave.decoded, wave.asked)
-        ]
-
     def _annotate_wave(
         self, config: PromptConfig, items: list[_Item], memos: _Memos, last: _Wave | None = None
     ) -> _Wave:
-        """Spans for each item: plan every main prompt in item order, send
-        them, decode in item order, then verify as a second wave.
+        """The wave of items: plan every main prompt in item order, send
+        them, decode in item order, then verify under self_verification
+        (see _verified).
 
         last, when given, is a wave of the same items under a config of the
-        same main key (see _main_key): its main requests are sent again
-        instead of planned, after the observer is shown their prompts
-        again.  Decoding, verification and verdicts go through memos
-        either way, so the same requests go out, in the same order.
+        same main key (see _main_key): its plan is taken as it is and its
+        requests sent again, after the observer is shown their prompts
+        again.  Decoding and verification go through memos either way, so
+        the same requests go out, in the same order.
         """
         if last is None:
-            wave = self._plan(config, items, memos)
+            demos, observed, requests = self._plan(config, items, memos)
         else:
-            if self.observer is not None:
-                for prompt, held_out_id in last.main.observed:
-                    self.observer(prompt, held_out_id)
-            wave = _Wave(last.demos, _Step(last.main.observed, last.main.requests, []))
-        wave.main.completions.extend(self._send(wave.main.requests))
-        wave.decoded = wave.results = self._decode(config, items, wave.main.completions, memos)
+            demos, observed, requests, _ = last
+            for prompt, item in zip(observed, items):
+                self._show(prompt, item)
+        results = self._decode(config, items, self._send(requests), memos)
         if config.self_verification:
-            self._verify(config, items, wave, memos)
-            wave.verification.completions.extend(self._send(wave.verification.requests))
-            wave.results = self._verdicts(wave, memos)
-        return wave
+            results = self._verified(config, items, demos, results, memos)
+        return _Wave(demos, observed, requests, results)
 
-    def _plan(self, config: PromptConfig, items: list[_Item], memos: _Memos) -> _Wave:
-        """A wave with the demos and main requests of items, in item order."""
+    def _plan(
+        self, config: PromptConfig, items: list[_Item], memos: _Memos
+    ) -> tuple[list[_Ranked], list[RenderedPrompt], list[GenerationRequest]]:
+        """The ranked demos, main prompts and main requests of items, in
+        item order; the observer is shown each prompt."""
         language = self._language(config)
-        wave = _Wave([], _Step([], [], []))
+        demos, observed, requests = [], [], []
         for item in items:
             ranked = self._demos(config, item, memos)
             prompt = fit_to_budget(
                 config, item.entity_type, ranked[0], item.text, language,
                 self.settings.token_budget, shuffle_seed=item.shuffle_seed, parts=memos.parts,
             )
-            wave.demos.append(ranked)
-            self._add(wave.main, item, prompt, self._request(prompt, item))
-        return wave
+            requests.append(self._request(prompt, item))
+            self._show(prompt, item)
+            demos.append(ranked)
+            observed.append(prompt)
+        return demos, observed, requests
 
     def _decode(
         self, config: PromptConfig, items: list[_Item], completions: list[str], memos: _Memos

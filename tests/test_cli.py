@@ -730,6 +730,58 @@ def test_evaluate_unknown_sentence_exits_2(splits, tmp_path, capsys):
     assert "ghost" in capsys.readouterr().err
 
 
+def _refuse(*args, **kwargs):
+    raise AssertionError("the command went on past its directory checks")
+
+
+@pytest.mark.parametrize("command", ["optimize", "predict"])
+@pytest.mark.parametrize(
+    "file, run_dir, flags",
+    [
+        pytest.param("run", "run", ["--no-cache"], id="run-dir-no-cache"),
+        pytest.param("run", "run", [], id="run-dir"),
+        pytest.param("file", "file/run", ["--no-cache"], id="run-dir-under-a-file"),
+        pytest.param("run/generations", "run", [], id="default-cache-dir"),
+        pytest.param("cache", "run", ["--cache-dir", "cache"], id="cache-dir"),
+    ],
+)
+def test_a_file_where_a_directory_goes_exits_1_before_any_request(
+    splits, tmp_path, monkeypatch, capsys, command, file, run_dir, flags
+):
+    sample_path, test_path, _ = splits
+    monkeypatch.chdir(tmp_path)
+    Path(file).parent.mkdir(parents=True, exist_ok=True)
+    Path(file).write_text("keep\n", encoding="utf-8")
+    monkeypatch.setattr("fewner.cli.greedy_search", _refuse)
+    monkeypatch.setattr(PromptingPipeline, "predict", _refuse)
+    test = ["--test", str(test_path)] if command == "predict" else []
+    rc = main(
+        [command, "--sample", str(sample_path), *test, "--run-dir", run_dir, "--types", "DISO",
+         *flags]
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"{file} is not a directory" in err
+    assert Path(file).read_text(encoding="utf-8") == "keep\n"
+
+
+def test_evaluate_into_a_run_dir_that_is_a_file_exits_1(splits, tmp_path, capsys):
+    _, test_path, _ = splits
+    predictions = tmp_path / "predictions.json"
+    predictions.write_text(PredictionSet().to_json(), encoding="utf-8")
+    run_dir = tmp_path / "run"
+    run_dir.write_text("keep\n", encoding="utf-8")
+    rc = main(
+        [
+            "evaluate", "--predictions", str(predictions), "--gold", str(test_path),
+            "--run-dir", str(run_dir),
+        ]
+    )
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: run dir {run_dir}: {run_dir} is not a directory\n"
+    assert run_dir.read_text(encoding="utf-8") == "keep\n"
+
+
 # ---------------------------------------------------------------------------
 # backends over HTTP
 
