@@ -229,18 +229,25 @@ def _run_meta(started: float, pipeline, extra: dict) -> dict:
 
 
 def cmd_convert(args) -> int:
+    output = Path(args.output)
+    _directory(output if args.to_format == "brat" else output.parent, "output directory")
     corpus = load_corpus(args.input, args.from_format, language=args.language)
-    save_corpus(corpus, args.output, args.to_format)
+    output.parent.mkdir(parents=True, exist_ok=True)
+    save_corpus(corpus, output, args.to_format)
     print(f"wrote {len(corpus)} sentences to {args.output} ({args.to_format})")
     return 0
 
 
 def cmd_sample(args) -> int:
+    output = Path(args.output)
+    manifest = Path(args.manifest) if args.manifest else output.with_suffix(".meta.json")
+    for path in (output, manifest):
+        _directory(path.parent, "output directory")
     corpus = load_corpus(args.corpus, args.format, language=args.language)
     sample = sample_fewshot(corpus, args.k, args.seed, source_corpus=str(args.corpus))
     by_id = {s.id: s for s in corpus}
-    save_corpus([by_id[sid] for sid in sample.sentence_ids], args.output, "jsonl")
-    manifest = Path(args.manifest) if args.manifest else Path(args.output).with_suffix(".meta.json")
+    output.parent.mkdir(parents=True, exist_ok=True)
+    save_corpus([by_id[sid] for sid in sample.sentence_ids], output, "jsonl")
     _write_json(
         manifest,
         {
@@ -363,6 +370,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_carbon(args) -> int:
+    if args.output:
+        _directory(Path(args.output).parent, "output directory")
     hardware = HardwareProfile(
         device_power_w=args.device_w,
         usage_factor=args.usage_factor,

@@ -43,6 +43,7 @@ class EntityType:
     The singular form carries its indefinite article ("a disorder",
     "un trastorno") so templates can splice it into a sentence; the plural
     form composes with the language's "mentions of ..." phrasing.
+    It compares by value and hashes by id, so it can key a memo.
     """
 
     id: str
@@ -58,6 +59,9 @@ class EntityType:
                 f"entity type {self.id!r}: languages of names {sorted(self.names)} "
                 f"and definitions {sorted(self.definitions)} differ"
             )
+
+    def __hash__(self) -> int:
+        return hash(self.id)
 
     def singular(self, language: str) -> str:
         return self._name(language)["singular"]
@@ -107,10 +111,15 @@ class EntitySpan:
 
 @dataclass(frozen=True)
 class AnnotatedSentence:
+    """A sentence and its gold spans; it compares by value and hashes by id."""
+
     id: str
     text: str
     spans: tuple[EntitySpan, ...] = ()
     language: str = "en"
+
+    def __hash__(self) -> int:
+        return hash(self.id)
 
     def spans_of(self, type_id: str) -> tuple[EntitySpan, ...]:
         return tuple(s for s in self.spans if s.type == type_id)

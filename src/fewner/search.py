@@ -19,6 +19,7 @@ import json
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 from . import backend, rng, selection
@@ -141,51 +142,145 @@ class SearchTrace:
         return json.dumps(payload, sort_keys=True, ensure_ascii=False, indent=2)
 
 
+@dataclass(eq=False)
+class _Fold:
+    """The demonstrations of one held-out id: pool, the annotated sample
+    without that sentence, by id in id order; index, its TF-IDF index,
+    built on first use; and the pipeline's settings.
+
+    A pipeline makes one fold per held-out id and never changes it, so a
+    fold is a memo argument that hashes by identity.  It holds no store.
+    """
+
+    held_out_id: str | None
+    pool: dict[str, AnnotatedSentence]
+    settings: PipelineSettings
+
+    @cached_property
+    def index(self) -> TfidfIndex:
+        return selection.build_index(list(self.pool.values()))
+
+
 class _Item(NamedTuple):
     """One sentence and entity type to annotate: the unit a wave plans."""
 
     entity_type: EntityType
     text: str
     test_id: str
-    held_out_id: str | None  # removed from the demonstration pool
+    fold: _Fold  # the demonstrations, without the held-out sentence
     shuffle_seed: int  # orders the kept demonstrations
     max_new_tokens: int  # room for the answer
-
-
-# Ranked demonstrations and the tuple of their ids, built together once.
-_Ranked = tuple[tuple[AnnotatedSentence, ...], tuple[str, ...]]
-
-
-@dataclass
-class _Memos:
-    """The planning work one scope keeps: prompt parts and shuffled orders
-    in parts, and one dict per kind of the pipeline's own, each keyed by
-    what its values are built from: ranked demos (see _demos),
-    verification demos, fitted verification prompts with their requests
-    and parsed verdicts (see _verified), decoded results (see _decode)."""
-
-    parts: PromptParts = field(default_factory=PromptParts)
-    ranked: dict = field(default_factory=dict)
-    verification_demos: dict = field(default_factory=dict)
-    verification: dict = field(default_factory=dict)
-    decoded: dict = field(default_factory=dict)
-    verdicts: dict = field(default_factory=dict)
 
 
 class _Wave(NamedTuple):
     """One wave: its plan and the results computed from it.
 
-    demos, observed and requests are the plan, in item order: each item's
-    ranked demos, the main prompt the observer was shown and its request.
-    results is the wave's answer, verified under self_verification.  A
-    wave is never changed once built, so a replay sends its requests as
-    they are.
+    observed and requests are the plan, in item order: the main prompt
+    the observer was shown and its request.  results is the wave's
+    answer, verified under self_verification.  A wave is never changed
+    once built, so a replay sends its requests as they are.
     """
 
-    demos: list[_Ranked]
     observed: list[RenderedPrompt]
     requests: list[GenerationRequest]
     results: list[DecodeResult]
+
+
+# The builders of the pipeline's memo values (see PromptParts.get): each
+# reads nothing but its arguments.  n is a demo count already clamped to
+# the pool, so counts that select the same demos share one entry.
+
+def _rich(_, fold: _Fold, type_id: str, n: int) -> tuple[AnnotatedSentence, ...]:
+    """The n sentences of the pool with the most gold spans of the type."""
+    ids = selection.select_entity_rich(list(fold.pool.values()), type_id, n)
+    return tuple(fold.pool[i] for i in ids)
+
+
+def _nearest(_, fold: _Fold, text: str, n: int) -> tuple[AnnotatedSentence, ...]:
+    """The n sentences of the pool nearest to text by TF-IDF."""
+    return tuple(fold.pool[i] for i in selection.select_nearest(fold.index, text, n))
+
+
+def _verification_demos(
+    store: PromptParts, fold: _Fold, type_id: str, n: int
+) -> list[VerificationDemo] | None:
+    """Alternating yes/no examples drawn from the n entity-rich demos.
+
+    Positives quote a gold mention, negatives a word of the sentence
+    outside any gold span of the type; both picks are seeded.  Returns
+    None when either side has no example to offer.
+    """
+    demos = store.get(_rich, fold, type_id, n)
+    p = fold.settings.seed
+    positives: list[VerificationDemo] = []
+    negatives: list[VerificationDemo] = []
+    for s in demos:
+        golds = s.spans_of(type_id)
+        if golds:
+            pick = rng.SplitMix64(rng.stable_seed(p, "vpos", s.id, type_id)).randrange(len(golds))
+            positives.append((s, golds[pick].mention, True))
+        gold_surfaces = {sp.mention for sp in golds}
+        tokens = [
+            (m.start(), m.group())
+            for m in WORD.finditer(s.text)
+            if not any(sp.start <= m.start() < sp.end for sp in golds)
+            and m.group() not in gold_surfaces
+        ]
+        if tokens:
+            pick = rng.SplitMix64(rng.stable_seed(p, "vneg", s.id, type_id)).randrange(len(tokens))
+            negatives.append((s, tokens[pick][1], False))
+    if not positives or not negatives:
+        return None
+    out: list[VerificationDemo] = []
+    for pos, neg in zip(positives, negatives):
+        out.extend((pos, neg))
+    longer = positives[len(negatives):] or negatives[len(positives):]
+    out.extend(longer)
+    return out[: max(2, len(demos))]
+
+
+def _verification(
+    store: PromptParts, fold: _Fold, entity_type: EntityType, n: int, language: str,
+    long_answer: bool, dialogue: bool, text: str, mention: str, max_new_tokens: int,
+) -> tuple[RenderedPrompt, GenerationRequest] | tuple[None, None]:
+    """The verification prompt for mention in text, fitted to the token
+    budget, and its request; (None, None) when there are no verification
+    demos or none fits."""
+    vdemos = store.get(_verification_demos, fold, entity_type.id, n)
+    if vdemos is None:
+        return None, None
+    # The fields of a config that a verification prompt reads.
+    config = PromptConfig(
+        self_verification=True, long_verification_answer=long_answer, dialogue_template=dialogue
+    )
+    # vdemos open with a positive and a negative, so every prefix of two or
+    # more shows both answers.
+    prompt = fit_demos(
+        lambda keep: render_verification_prompt(
+            config, entity_type, mention, text, vdemos[:keep], language, store
+        ),
+        len(vdemos), 2, fold.settings.token_budget,
+    )
+    if prompt is None:
+        return None, None
+    return prompt, _request(prompt, max_new_tokens, fold.settings.model_name)
+
+
+def _request(prompt: RenderedPrompt, max_new_tokens: int, model_name: str) -> GenerationRequest:
+    """The request for prompt, carrying its digest, hashed from the
+    prompt's escape, which its parts carry (see PromptParts)."""
+    request = GenerationRequest(prompt.text, max_new_tokens, 0.0, prompt.stop_sequences, model_name)
+    digest = backend.request_digest(request, prompt.escaped)
+    # Set in place rather than by building the frozen request again: it is
+    # not shared yet, and the digest is of its own fields.
+    object.__setattr__(request, "digest", digest)
+    return request
+
+
+def _call(_, fn, *args):
+    """fn(*args), kept under fn and args.  Callers pass fn as this module
+    names it when they call, so a function replaced there is called."""
+    return fn(*args)
 
 
 class PromptingPipeline:
@@ -209,15 +304,18 @@ class PromptingPipeline:
     for every prompt before it is sent; tests use it to check that held-out
     text never appears among demonstrations.
 
-    The LOOCV items are made once, with the pipeline.  Work that depends
-    on the item and not on the feature flags is memoized in a _Memos:
-    templates.PromptParts owns the prompt parts and shuffled orders, and
-    this module the rest.  Main prompts are not memoized whole: a grid has
-    too many distinct ones.  LOOCV keeps one _Memos for the pipeline's
-    lifetime, since its folds are the same for every configuration; any
-    other wave gets a fresh one that ends with it.  So planning entries
-    stay bounded by k x types x the few selection and render variants, and
-    the others by the distinct requests and completions of the folds.
+    The LOOCV items are made once, with the pipeline, and each fold
+    (see _Fold) once per held-out id.  Work that depends on the item and
+    not on the feature flags is memoized in a templates.PromptParts store,
+    each value under its builder and the values it reads: prompt parts and
+    shuffled orders, ranked and verification demos, fitted verification
+    prompts with their requests, decoded results and parsed verdicts.
+    Main prompts are not memoized whole: a grid has too many distinct
+    ones.  LOOCV keeps one store for the pipeline's lifetime, since its
+    folds are the same for every configuration; any other wave gets a
+    fresh one that ends with it.  So planning entries stay bounded by k x
+    types x the few selection and render variants, and the others by the
+    distinct requests and completions of the folds.
 
     LOOCV also keeps its last wave, whose plan a config of the same main
     key takes as it is and sends again (see evaluate_loocv); the requests,
@@ -247,16 +345,15 @@ class PromptingPipeline:
         self.backend_calls = 0
         self.settings = settings or PipelineSettings()
         self.observer = observer
-        # One TF-IDF index per held-out id (None: the full corpus), built on
-        # first use; fold pools never change within a pipeline's lifetime.
-        self._indexes: dict[str | None, TfidfIndex] = {}
-        # The LOOCV items and the memos of their folds; see the class docstring.
+        # One fold per held-out id (None: the full corpus), made on first use.
+        self._folds: dict[str | None, _Fold] = {}
+        # The LOOCV items and their store; see the class docstring.
         self._loocv: list[_Item] = []
         for s in self.corpus:
             self._loocv += self._items(s.text, s.id, s.id, self.entity_types)
         # The gold spans of each LOOCV item, in item order.
         self._gold = [self.corpus_by_id[i.test_id].spans_of(i.entity_type.id) for i in self._loocv]
-        self._folds = _Memos()
+        self._store = PromptParts()
         # The last LOOCV evaluation: (its _main_key, wave).
         self._last: tuple[tuple | None, _Wave | None] = (None, None)
         # Wall and CPU seconds of the backend calls made inline so far, and
@@ -269,24 +366,18 @@ class PromptingPipeline:
     def _language(self, config: PromptConfig) -> str:
         return self.settings.prompt_language if config.prompt_language_native else "en"
 
-    def _pool(self, held_out_id: str | None) -> list[AnnotatedSentence]:
-        return [s for s in self.corpus if s.id != held_out_id]
-
-    def _index(self, held_out_id: str | None) -> TfidfIndex:
-        index = self._indexes.get(held_out_id)
-        if index is None:
-            index = selection.build_index(self._pool(held_out_id))
-            self._indexes[held_out_id] = index
-        return index
-
     def _items(
         self, text: str, test_id: str, held_out_id: str | None, entity_types: list[EntityType]
     ) -> list[_Item]:
+        fold = self._folds.get(held_out_id)
+        if fold is None:
+            pool = {s.id: s for s in self.corpus if s.id != held_out_id}
+            fold = self._folds[held_out_id] = _Fold(held_out_id, pool, self.settings)
         # Room for the answer: a tagged copy of the test sentence plus slack.
         room = self.settings.max_new_tokens or 2 * estimate_tokens(text) + _WORD_LIMIT_PAD
         seed = self.settings.seed
         return [
-            _Item(t, text, test_id, held_out_id, rng.stable_seed(seed, test_id, t.id), room)
+            _Item(t, text, test_id, fold, rng.stable_seed(seed, test_id, t.id), room)
             for t in entity_types
         ]
 
@@ -321,22 +412,10 @@ class PromptingPipeline:
             separator = listing_separator
         return mask, mode, separator, base_demo_count
 
-    def _request(self, prompt: RenderedPrompt, item: _Item) -> GenerationRequest:
-        """The request for prompt, carrying its digest, hashed from the
-        prompt's escape, which its parts carry (see PromptParts)."""
-        request = GenerationRequest(
-            prompt.text, item.max_new_tokens, 0.0, prompt.stop_sequences, self.settings.model_name,
-        )
-        digest = backend.request_digest(request, prompt.escaped)
-        # Set in place rather than by building the frozen request again:
-        # it is not shared yet, and the digest is of its own fields.
-        object.__setattr__(request, "digest", digest)
-        return request
-
     def _show(self, prompt: RenderedPrompt, item: _Item) -> None:
         """Show the observer prompt with item's held-out id."""
         if self.observer is not None:
-            self.observer(prompt, item.held_out_id)
+            self.observer(prompt, item.fold.held_out_id)
 
     def _send(self, requests: list[GenerationRequest]) -> list[str]:
         """Completions in request order.  Each distinct request, by digest,
@@ -384,150 +463,49 @@ class PromptingPipeline:
         sent = dict(zip(distinct, completions))
         return [sent[r.digest] for r in requests]
 
-    def _demos(self, config: PromptConfig, item: _Item, memos: _Memos) -> _Ranked:
-        """Ranked demos and their ids: entity-rich for the type under
-        self_verification, else TF-IDF nearest to the text."""
-        rich = config.self_verification
-        key = (
-            item.held_out_id, None if rich else item.text,
-            item.entity_type.id if rich else None, config.effective_demo_count,
-        )
-        demos = memos.ranked.get(key)
-        if demos is None:
-            pool = self._pool(item.held_out_id)
-            n = min(config.effective_demo_count, len(pool))
-            if rich:
-                demo_ids = selection.select_entity_rich(pool, item.entity_type.id, n)
-            else:
-                demo_ids = selection.select_nearest(self._index(item.held_out_id), item.text, n)
-            demos = memos.ranked[key] = (
-                tuple(self.corpus_by_id[sid] for sid in demo_ids), tuple(demo_ids)
-            )
-        return demos
-
-    def _verification_demos(
-        self, demos: tuple[AnnotatedSentence, ...], entity_type: EntityType
-    ) -> list[VerificationDemo] | None:
-        """Alternating yes/no examples drawn from the main demonstrations.
-
-        Positives quote a gold mention, negatives a word of the sentence
-        outside any gold span of the type; both picks are seeded.  Returns
-        None when either side has no example to offer.
-        """
-        p = self.settings.seed
-        positives: list[VerificationDemo] = []
-        negatives: list[VerificationDemo] = []
-        for s in demos:
-            golds = s.spans_of(entity_type.id)
-            if golds:
-                pick = rng.SplitMix64(
-                    rng.stable_seed(p, "vpos", s.id, entity_type.id)
-                ).randrange(len(golds))
-                positives.append((s, golds[pick].mention, True))
-            gold_surfaces = {sp.mention for sp in golds}
-            tokens = [
-                (m.start(), m.group())
-                for m in WORD.finditer(s.text)
-                if not any(sp.start <= m.start() < sp.end for sp in golds)
-                and m.group() not in gold_surfaces
-            ]
-            if tokens:
-                pick = rng.SplitMix64(
-                    rng.stable_seed(p, "vneg", s.id, entity_type.id)
-                ).randrange(len(tokens))
-                negatives.append((s, tokens[pick][1], False))
-        if not positives or not negatives:
-            return None
-        out: list[VerificationDemo] = []
-        for pos, neg in zip(positives, negatives):
-            out.extend((pos, neg))
-        longer = positives[len(negatives):] or negatives[len(positives):]
-        out.extend(longer)
-        return out[: max(2, len(demos))]
-
     def _verified(
-        self, config: PromptConfig, items: list[_Item], demos: list[_Ranked],
-        decoded: list[DecodeResult], memos: _Memos,
+        self, config: PromptConfig, items: list[_Item], decoded: list[DecodeResult],
+        store: PromptParts,
     ) -> list[DecodeResult]:
         """decoded with every span verified: one yes/no request per span,
         planned in item and span order and sent as one dependent wave.
 
         A span with no verification demos, or whose prompt cannot fit the
         token budget, is kept unverified, counted as an unparseable answer
-        is.
-
-        Each span's fitted prompt and request, or (None, None) when none
-        is sent, are memoized under exactly what they read: the type, the
-        language, long_verification_answer and dialogue_template (the
-        answers, turns and stop sequences), the main demo ids (which with
-        the type fix the verification demos), the text, the mention and
-        max_new_tokens; the token budget and model name are the
-        pipeline's.  A hit fits, renders and hashes nothing: the observer
-        is shown the memoized prompt with this item's held-out id.  Each
-        verdict is parsed from its completion and mention and memoized
-        under both.  The results are new: memos share decoded.
+        is.  Each span's prompt and request come from the store (see
+        _verification); a hit fits, renders and hashes nothing, and the
+        observer is shown the stored prompt with this item's held-out id.
+        The results are new: the store shares decoded.
         """
-        shape = (self._language(config), config.long_verification_answer, config.dialogue_template)
+        language, count = self._language(config), config.effective_demo_count
         asked, requests = [], []
-        for item, ranked, result in zip(items, demos, decoded):
-            item_asked = []
+        for item, result in zip(items, decoded):
+            item_asked, n = [], min(count, len(item.fold.pool))
             for span in result.spans:
-                key = (
-                    item.entity_type.id, *shape, ranked[1], item.text, span.mention,
-                    item.max_new_tokens,
+                prompt, request = store.get(
+                    _verification, item.fold, item.entity_type, n, language,
+                    config.long_verification_answer, config.dialogue_template, item.text,
+                    span.mention, item.max_new_tokens,
                 )
-                planned = memos.verification.get(key)
-                if planned is None:
-                    prompt = self._fit_verification(config, item, span.mention, ranked, memos)
-                    request = None if prompt is None else self._request(prompt, item)
-                    planned = memos.verification[key] = (prompt, request)
-                prompt, request = planned
                 if prompt is not None:
                     self._show(prompt, item)
                     requests.append(request)
                 item_asked.append(prompt is not None)
             asked.append(item_asked)
-        completions, parsed = iter(self._send(requests)), memos.verdicts
-
-        def verdict(mention: str) -> str:
-            key = (next(completions), mention)
-            found = parsed.get(key)
-            if found is None:
-                found = parsed[key] = parse_verification(*key)
-            return found
-
+        completions = iter(self._send(requests))
         return [
             apply_verification(result, [
-                verdict(s.mention) if ask else VERDICT_UNPARSEABLE
+                store.get(_call, parse_verification, next(completions), s.mention)
+                if ask else VERDICT_UNPARSEABLE
                 for s, ask in zip(result.spans, item_asked)
             ])
             if item_asked else result
             for result, item_asked in zip(decoded, asked)
         ]
 
-    def _fit_verification(
-        self, config: PromptConfig, item: _Item, mention: str, demos: _Ranked, memos: _Memos
-    ) -> RenderedPrompt | None:
-        """The verification prompt for mention fitted to the token budget,
-        or None when there are no verification demos or none fits."""
-        key = (demos[1], item.entity_type.id)
-        if key not in memos.verification_demos:
-            memos.verification_demos[key] = self._verification_demos(demos[0], item.entity_type)
-        vdemos = memos.verification_demos[key]
-        if vdemos is None:
-            return None
-        # vdemos open with a positive and a negative, so every prefix of
-        # two or more shows both answers.
-        return fit_demos(
-            lambda keep: render_verification_prompt(
-                config, item.entity_type, mention, item.text, vdemos[:keep],
-                self._language(config), memos.parts,
-            ),
-            len(vdemos), 2, self.settings.token_budget,
-        )
-
     def _annotate_wave(
-        self, config: PromptConfig, items: list[_Item], memos: _Memos, last: _Wave | None = None
+        self, config: PromptConfig, items: list[_Item], store: PromptParts,
+        last: _Wave | None = None,
     ) -> _Wave:
         """The wave of items: plan every main prompt in item order, send
         them, decode in item order, then verify under self_verification
@@ -536,68 +514,59 @@ class PromptingPipeline:
         last, when given, is a wave of the same items under a config of the
         same main key (see _main_key): its plan is taken as it is and its
         requests sent again, after the observer is shown their prompts
-        again.  Decoding and verification go through memos either way, so
-        the same requests go out, in the same order.
+        again.  Decoding and verification go through the store either way,
+        so the same requests go out, in the same order.
         """
         if last is None:
-            demos, observed, requests = self._plan(config, items, memos)
+            observed, requests = self._plan(config, items, store)
         else:
-            demos, observed, requests, _ = last
+            observed, requests, _ = last
             for prompt, item in zip(observed, items):
                 self._show(prompt, item)
-        results = self._decode(config, items, self._send(requests), memos)
+        results = self._decode(config, items, self._send(requests), store)
         if config.self_verification:
-            results = self._verified(config, items, demos, results, memos)
-        return _Wave(demos, observed, requests, results)
+            results = self._verified(config, items, results, store)
+        return _Wave(observed, requests, results)
 
     def _plan(
-        self, config: PromptConfig, items: list[_Item], memos: _Memos
-    ) -> tuple[list[_Ranked], list[RenderedPrompt], list[GenerationRequest]]:
-        """The ranked demos, main prompts and main requests of items, in
-        item order; the observer is shown each prompt."""
-        language = self._language(config)
-        demos, observed, requests = [], [], []
+        self, config: PromptConfig, items: list[_Item], store: PromptParts
+    ) -> tuple[list[RenderedPrompt], list[GenerationRequest]]:
+        """The main prompts and requests of items, in item order; the
+        observer is shown each prompt.  Demos are entity-rich for the type
+        under self_verification, else TF-IDF nearest to the text."""
+        language, count = self._language(config), config.effective_demo_count
+        rich = config.self_verification
+        budget, model_name = self.settings.token_budget, self.settings.model_name
+        observed, requests = [], []
         for item in items:
-            ranked = self._demos(config, item, memos)
+            n = min(count, len(item.fold.pool))
+            if rich:
+                ranked = store.get(_rich, item.fold, item.entity_type.id, n)
+            else:
+                ranked = store.get(_nearest, item.fold, item.text, n)
             prompt = fit_to_budget(
-                config, item.entity_type, ranked[0], item.text, language,
-                self.settings.token_budget, shuffle_seed=item.shuffle_seed, parts=memos.parts,
+                config, item.entity_type, ranked, item.text, language, budget,
+                shuffle_seed=item.shuffle_seed, parts=store,
             )
-            requests.append(self._request(prompt, item))
+            requests.append(_request(prompt, item.max_new_tokens, model_name))
             self._show(prompt, item)
-            demos.append(ranked)
             observed.append(prompt)
-        return demos, observed, requests
+        return observed, requests
 
     def _decode(
-        self, config: PromptConfig, items: list[_Item], completions: list[str], memos: _Memos
+        self, config: PromptConfig, items: list[_Item], completions: list[str],
+        store: PromptParts,
     ) -> list[DecodeResult]:
         """The spans each item's main completion decodes to, memoized."""
-        tagging = config.mode == "tagging"
-        # What picks the decoder and shapes its output, besides the item.
-        decoder = (
-            config.mode,
-            config.alt_taggers if tagging else config.listing_separator,
-            config.dialogue_template,
-        )
-        results = []
-        for item, completion in zip(items, completions):
-            key = (decoder, item.entity_type.id, item.text, completion)
-            result = memos.decoded.get(key)
-            if result is None:
-                if tagging:
-                    result = decode_tagged(
-                        completion, item.text, config.tag_pair, item.entity_type.id,
-                        config.dialogue_template,
-                    )
-                else:
-                    result = decode_listing(
-                        completion, item.text, config.listing_separator, item.entity_type.id,
-                        config.dialogue_template,
-                    )
-                memos.decoded[key] = result
-            results.append(result)
-        return results
+        if config.mode == "tagging":
+            decode, marks = decode_tagged, config.tag_pair
+        else:
+            decode, marks = decode_listing, config.listing_separator
+        dialogue = config.dialogue_template
+        return [
+            store.get(_call, decode, completion, item.text, marks, item.entity_type.id, dialogue)
+            for item, completion in zip(items, completions)
+        ]
 
     def annotate(
         self,
@@ -613,7 +582,7 @@ class PromptingPipeline:
         LOOCV case); the returned spans refer to offsets in test_text.
         """
         items = self._items(test_text, test_id, held_out_id, [entity_type])
-        return self._annotate_wave(config, items, _Memos()).results[0]
+        return self._annotate_wave(config, items, PromptParts()).results[0]
 
     def evaluate_loocv(self, config: PromptConfig) -> float:
         """Micro-F1 of config under leave-one-out over the annotated sample.
@@ -631,7 +600,7 @@ class PromptingPipeline:
         # Dropped first, so that two planned waves are never held at once.
         self._last = (None, None)
         wave = self._annotate_wave(
-            config, self._loocv, self._folds, last if last_key == key else None
+            config, self._loocv, self._store, last if last_key == key else None
         )
         tp = fp = fn = 0
         for result, gold in zip(wave.results, self._gold):
@@ -653,7 +622,7 @@ class PromptingPipeline:
             items += self._items(s.text, s.id, held_out, self.entity_types)
         for start in range(0, len(items), PREDICT_WAVE):
             wave = items[start : start + PREDICT_WAVE]
-            for item, result in zip(wave, self._annotate_wave(config, wave, _Memos()).results):
+            for item, result in zip(wave, self._annotate_wave(config, wave, PromptParts()).results):
                 predictions.add(item.test_id, item.entity_type.id, result)
         return predictions
 

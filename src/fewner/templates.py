@@ -26,8 +26,9 @@ tag pairs, so demonstrations show outermost spans only.
 Main and verification prompts are built by one assembler from a head, a
 block of demonstration turns and a tail, and fit the token budget through
 one loop, fit_demos.  A PromptParts store keeps each part with its token
-count and JSON escape, and its template fragments are filled, from the
-one table of fields a fragment may name, only when its key is new.
+count and JSON escape under the function that builds it and exactly the
+values that function reads, so its template fragments are filled only
+when those values are new.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from __future__ import annotations
 import json
 import logging
 import re
+from collections import namedtuple
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import lru_cache
 from importlib import resources
@@ -79,16 +81,18 @@ def fragments_for(language: str) -> dict[str, str]:
     return table[language]
 
 
-@dataclass(frozen=True)
-class TagPair:
-    open: str
-    close: str
+class TagPair(namedtuple("TagPair", "open close")):
+    """The tags wrapped around a mention.  A named tuple, so that a memo
+    key holding one hashes it as fast as its two strings."""
 
-    def __post_init__(self):
-        if not self.open or not self.close:
+    __slots__ = ()
+
+    def __new__(cls, open: str, close: str):
+        if not open or not close:
             raise ConfigError("tag pair strings must be non-empty")
-        if self.open == self.close:
+        if open == close:
             raise ConfigError("open and close tags must differ")
+        return super().__new__(cls, open, close)
 
 
 DEFAULT_TAGS = TagPair("@@", "##")
@@ -181,7 +185,11 @@ class PromptConfig:
         return ALT_TAGS if self.alt_taggers else DEFAULT_TAGS
 
     def separator_string(self) -> str:
-        return ", " if self.listing_separator == "comma" else "\n"
+        return _separator_string(self.listing_separator)
+
+
+def _separator_string(name: str) -> str:
+    return ", " if name == "comma" else "\n"
 
 
 @dataclass(frozen=True)
@@ -237,42 +245,38 @@ def tag_sentence(text: str, spans: Iterable[EntitySpan], tags: TagPair) -> str:
     return "".join(pieces)
 
 
-def _demo_output(
-    sentence: AnnotatedSentence, entity_type: EntityType, config: PromptConfig
-) -> str:
-    spans = outermost_spans(sentence.spans_of(entity_type.id))
-    if config.mode == "tagging":
-        return tag_sentence(sentence.text, spans, config.tag_pair)
-    return config.separator_string().join(s.mention for s in spans)
-
-
 # --------------------------------------------------------------------------
 # Prompt assembly
 
-# A prompt is rendered for one scope: (config, entity_type, language).
-# Each of its parts is built by a function build(scope, arg) that returns
-# the part's lines, and runs only when the part's key is new.
+# A prompt is joined from parts kept in a PromptParts store, each built by
+# a function of the store and exactly what the part reads.  marks is the
+# config's tag pair in tagging mode and its listing separator in listing
+# mode: what the task and intro fragments and the demo answers read.
 
-def _fill(scope: tuple, key: str, **values: str) -> str:
-    """The scope's fragment named key with its fields filled; values are
-    what only a turn knows (its sentence and mention)."""
-    config, entity_type, language = scope
+def _fill(
+    language: str, key: str, entity_type: EntityType, marks: TagPair | str | None = None,
+    **values: str,
+) -> str:
+    """The fragment named key with its fields filled from what is given:
+    entity_type's names and specialist, marks' open and close tags or
+    separator name, and values.  A field it names that is not given
+    raises KeyError."""
     frags = fragments_for(language)
-    fields = {
-        "plural": entity_type.plural(language),
-        "singular": entity_type.singular(language),
-        "open": config.tag_pair.open,
-        "close": config.tag_pair.close,
-        "separator": frags["separator_" + config.listing_separator],
-        "specialist": frags["specialist_" + entity_type.domain],
-    }
-    return frags[key].format(**fields, **values)
+    values.update(
+        plural=entity_type.plural(language),
+        singular=entity_type.singular(language),
+        specialist=frags["specialist_" + entity_type.domain],
+    )
+    if isinstance(marks, TagPair):
+        values.update(open=marks.open, close=marks.close)
+    elif marks is not None:
+        values["separator"] = frags["separator_" + marks]
+    return frags[key].format(**values)
 
 
-def _turn(scope: tuple, input_text: str, output_text: str | None) -> list[str]:
+def _turn(language: str, dialogue: bool, input_text: str, output_text: str | None) -> list[str]:
     """One Input/Output exchange; an empty or None output leaves the slot open."""
-    config, _, language = scope
-    if config.dialogue_template:
+    if dialogue:
         return [f"- {input_text}", f"- {output_text}" if output_text else "-"]
     frags = fragments_for(language)
     output = f"{frags['output_label']} {output_text}" if output_text else frags["output_label"]
@@ -286,55 +290,44 @@ def stop_sequences_for(config: PromptConfig, prompt_language: str) -> tuple[str,
 
 
 class PromptParts:
-    """Prompt parts kept across renders: each head, demo turn, demo block
+    """A memo of values kept under their builder and its arguments.
+
+    get(build, *args) returns build(store, *args), built on the first call
+    with equal arguments and kept for the store's lifetime.  A builder is
+    a module-level function that reads nothing but its arguments and
+    constants, so its key names everything its value depends on, and no
+    more.  The store is passed, not keyed, so a builder may get other
+    values through it, and no key refers back to a store.
+
+    This module keeps prompt parts here: each head, demo turn, demo block
     and tail as its text (its lines joined by "\\n"), its token count and
     its JSON escape (see escape_json), or None when it has no lines, and
-    each shuffled demo order.  Each is kept under a key of this module's
-    own that names what shapes it, so one entry serves every
-    configuration that agrees on it.
-
-    Keys name demo sentences by id: share one store only among renders
-    whose sentences of one id are the same sentence.
+    the positions of each demo shuffle.  fewner.search keeps its own
+    values in the same store.  Sentences and entity types hash by id and
+    compare by value, so a sentence edited under its id is built anew.
     """
 
     def __init__(self):
-        self._entries: dict[tuple, tuple | None] = {}
+        self._values: dict[tuple, object] = {}
 
-    def part(self, scope: tuple, key: tuple, build, arg) -> tuple[str, int, str] | None:
-        """The text, token count and escape of the lines build(scope, arg)
-        returns, or None when it returns none."""
-        part = self._entries.get(key, _NEW)
-        if part is _NEW:
-            lines = list(build(scope, arg))
-            text = "\n".join(lines)
-            part = self._entries[key] = (
-                (text, estimate_tokens(text), escape_json(text)) if lines else None
-            )
-        return part
-
-    def block(self, scope: tuple, key: tuple, turn_kind: str, args, build) -> tuple | None:
-        """The turns build(scope, arg) of args as one part.  key is (block
-        kind, ids, shape), and each turn is kept under (turn kind, id,
-        shape), so a prompt costs one lookup instead of one per demo."""
-        block = self._entries.get(key, _NEW)
-        if block is _NEW:
-            _, ids, shape = key
-            block = self._entries[key] = _joined(
-                [self.part(scope, (turn_kind, i, shape), build, a) for i, a in zip(ids, args)]
-            )
-        return block
-
-    def order(self, demos: tuple, ids: tuple[str, ...], seed: int) -> tuple:
-        """demos, whose ids are ids, shuffled by seed."""
-        key = ("order", ids, seed)
-        order = self._entries.get(key)
-        if order is None:
-            order = self._entries[key] = tuple(rng.shuffled(demos, seed))
-        return order
+    def get(self, build, *args):
+        """build(self, *args), built once per distinct args."""
+        key = (build, args)
+        try:
+            return self._values[key]
+        except KeyError:
+            pass
+        value = self._values[key] = build(self, *args)
+        return value
 
 
-# Marks a PromptParts key not yet built; a built part with no lines is None.
-_NEW = object()
+def _part(lines: list[str]) -> tuple[str, int, str] | None:
+    """lines as one part: their text joined by "\\n", its token count and
+    its JSON escape; None when there are no lines."""
+    if not lines:
+        return None
+    text = "\n".join(lines)
+    return text, estimate_tokens(text), escape_json(text)
 
 
 def _joined(parts) -> tuple[str, int, str] | None:
@@ -350,44 +343,59 @@ def _joined(parts) -> tuple[str, int, str] | None:
 
 
 def _assemble(
-    parts: PromptParts | None, scope: tuple, kind: str, head: tuple, demos: tuple, tail: tuple,
-    demonstrations: tuple[str, ...],
+    kind: str, entity_type: EntityType, demonstrations: tuple[str, ...],
+    stop_sequences: tuple[str, ...], *parts,
 ) -> RenderedPrompt:
     """The prompt of a head part, a block of demo turns and a tail part,
-    given as PromptParts.part and .block take them, joined as one part."""
-    parts = PromptParts() if parts is None else parts
-    text, count, escaped = _joined(
-        (parts.part(scope, *head), parts.block(scope, *demos), parts.part(scope, *tail))
-    ) or ("", 0, "")
-    config, entity_type, language = scope
+    joined as one part."""
+    text, count, escaped = _joined(parts) or ("", 0, "")
     return RenderedPrompt(
         text=text,
         entity_type=entity_type.id,
         demonstrations=demonstrations,
-        stop_sequences=stop_sequences_for(config, language),
+        stop_sequences=stop_sequences,
         estimated_tokens=count,
         kind=kind,
         escaped=escaped,
     )
 
 
-def _main_head(scope: tuple, _) -> Iterable[str]:
-    config, entity_type, language = scope
-    yield _fill(scope, "persona" if config.specialist_persona else "task_" + config.mode)
-    if config.label_definitions:
-        yield entity_type.definition(language)
+def _permutation(_, count: int, seed: int):
+    """The positions that rng.shuffled(items, seed) puts count items in:
+    the shuffle depends on nothing but their number and the seed."""
+    return tuple(rng.shuffled(range(count), seed))
 
 
-def _main_demo(scope: tuple, demo: AnnotatedSentence) -> list[str]:
-    config, entity_type, _ = scope
-    return _turn(scope, demo.text, _demo_output(demo, entity_type, config))
+def _block(parts: PromptParts, turn, shape: tuple, demos: tuple) -> tuple | None:
+    """The turns parts.get(turn, *shape, demo) of demos as one part, so a
+    prompt costs one lookup instead of one per demo."""
+    return _joined([parts.get(turn, *shape, demo) for demo in demos])
 
 
-def _main_tail(scope: tuple, test_text: str) -> Iterable[str]:
-    config = scope[0]
-    if config.intro_sentence:
-        yield _fill(scope, "intro_" + config.mode)
-    yield from _turn(scope, test_text, None)
+def _head(_, language: str, key: str, entity_type: EntityType, marks, definition: bool):
+    """The fragment named key, then the type's definition if asked for."""
+    lines = [_fill(language, key, entity_type, marks)]
+    if definition:
+        lines.append(entity_type.definition(language))
+    return _part(lines)
+
+
+def _main_demo(_, language: str, type_id: str, marks, dialogue: bool, demo: AnnotatedSentence):
+    """demo's turn: its text, answered with its outermost spans of the
+    type wrapped in marks, a tag pair, or their mentions joined by the
+    listing separator that marks names."""
+    spans = outermost_spans(demo.spans_of(type_id))
+    if isinstance(marks, TagPair):
+        answer = tag_sentence(demo.text, spans, marks)
+    else:
+        answer = _separator_string(marks).join(s.mention for s in spans)
+    return _part(_turn(language, dialogue, demo.text, answer))
+
+
+def _main_tail(_, language: str, intro: str | None, entity_type, marks, dialogue: bool, text: str):
+    """The intro fragment, if any, then text's turn with an open answer."""
+    lines = [] if intro is None else [_fill(language, intro, entity_type, marks)]
+    return _part(lines + _turn(language, dialogue, text, None))
 
 
 def render_main_prompt(
@@ -411,47 +419,49 @@ def render_main_prompt(
     """
     if not demos and not allow_empty_demos:
         raise ConfigError("cannot render a prompt with an empty demonstration set")
-    # What shapes every part but the demo sentence and the test turn;
-    # alt_taggers stands for the tag pair, which it decides.
-    variant = (
-        entity_type.id, config.mode, config.alt_taggers, config.listing_separator, prompt_language,
-    )
-    demo_ids = tuple(d.id for d in demos)
+    parts = PromptParts() if parts is None else parts
+    mode, persona, dialogue = config.mode, config.specialist_persona, config.dialogue_template
+    marks = config.tag_pair if mode == "tagging" else config.listing_separator
+    # A tail without an intro reads neither the type nor the marks.
+    intro = ("intro_" + mode, entity_type, marks) if config.intro_sentence else (None, None, None)
+    demos = tuple(demos)
     return _assemble(
-        parts, (config, entity_type, prompt_language), "main",
-        (("head", variant, config.specialist_persona, config.label_definitions), _main_head, None),
-        (("demo_block", demo_ids, (variant, config.dialogue_template)), "demo", demos, _main_demo),
-        (
-            ("tail", variant, test_text, config.intro_sentence, config.dialogue_template),
-            _main_tail, test_text,
+        "main", entity_type, tuple(d.id for d in demos),
+        stop_sequences_for(config, prompt_language),
+        parts.get(
+            _head, prompt_language, "persona" if persona else "task_" + mode, entity_type,
+            None if persona else marks, config.label_definitions,
         ),
-        demo_ids,
+        parts.get(_block, _main_demo, (prompt_language, entity_type.id, marks, dialogue), demos),
+        parts.get(_main_tail, prompt_language, *intro, dialogue, test_text),
     )
 
 
 VerificationDemo = tuple[AnnotatedSentence, str, bool]
 
 
-def _verification_head(scope: tuple, _) -> list[str]:
-    return [_fill(scope, "verification_task")]
-
-
-def _verification_demo(scope: tuple, demo: VerificationDemo) -> list[str]:
+def _verification_demo(
+    _, language: str, entity_type: EntityType, long_answer: bool, dialogue: bool,
+    demo: VerificationDemo,
+):
+    """demo's question, answered yes or no, at length if long_answer."""
     sentence, mention, is_positive = demo
-    answer = "long_answer_" if scope[0].long_verification_answer else "answer_"
-    answer += "yes" if is_positive else "no"
-    return _turn(
-        scope,
-        _fill(scope, "verification_question", sentence=sentence.text, mention=mention),
-        _fill(scope, answer, mention=mention),
+    key = ("long_answer_" if long_answer else "answer_") + ("yes" if is_positive else "no")
+    question = _fill(
+        language, "verification_question", entity_type, sentence=sentence.text, mention=mention
     )
+    answer = _fill(language, key, entity_type, mention=mention)
+    return _part(_turn(language, dialogue, question, answer))
 
 
-def _verification_tail(scope: tuple, candidate: tuple[str, str]) -> list[str]:
-    sentence, mention = candidate
-    return _turn(
-        scope, _fill(scope, "verification_question", sentence=sentence, mention=mention), None
+def _verification_tail(
+    _, language: str, entity_type: EntityType, dialogue: bool, sentence: str, mention: str
+):
+    """The question whether mention in sentence is of the type, open."""
+    question = _fill(
+        language, "verification_question", entity_type, sentence=sentence, mention=mention
     )
+    return _part(_turn(language, dialogue, question, None))
 
 
 def render_verification_prompt(
@@ -468,8 +478,7 @@ def render_verification_prompt(
     demos are (sentence, mention, is_positive) triples; at least one positive
     and one negative example are required so both answers are demonstrated.
     parts, as in render_main_prompt, keeps the task line, each demo turn,
-    the block of demo turns (keyed by the ordered triples) and the final
-    question.
+    the block of demo turns and the final question.
     """
     if not config.self_verification:
         raise ConfigError("verification prompts require the self_verification feature")
@@ -478,23 +487,18 @@ def render_verification_prompt(
         raise ConfigError(
             "verification demos must include at least one positive and one negative"
         )
-    shape = (
-        entity_type.id, config.long_verification_answer, config.dialogue_template,
-        prompt_language,
-    )
-    triples = tuple((s.id, m, pos) for s, m, pos in demos)
+    parts = PromptParts() if parts is None else parts
+    dialogue = config.dialogue_template
+    shape = (prompt_language, entity_type, config.long_verification_answer, dialogue)
     return _assemble(
-        parts, (config, entity_type, prompt_language), "self_verification",
-        (("verify_head", entity_type.id, prompt_language), _verification_head, None),
-        (("verify_block", triples, shape), "verify", demos, _verification_demo),
-        (
-            (
-                "verify_tail", entity_type.id, prompt_language, context_sentence,
-                candidate_mention, config.dialogue_template,
-            ),
-            _verification_tail, (context_sentence, candidate_mention),
+        "self_verification", entity_type, tuple(s.id for s, _, _ in demos),
+        stop_sequences_for(config, prompt_language),
+        parts.get(_head, prompt_language, "verification_task", entity_type, None, False),
+        parts.get(_block, _verification_demo, shape, tuple(demos)),
+        parts.get(
+            _verification_tail, prompt_language, entity_type, dialogue, context_sentence,
+            candidate_mention,
         ),
-        tuple(s.id for s, _, _ in demos),
     )
 
 
@@ -535,12 +539,11 @@ def fit_to_budget(
     if budget < 1:
         raise ConfigError(f"token budget must be positive, got {budget}")
     parts = PromptParts() if parts is None else parts
-    ranked_ids = tuple(d.id for d in ranked_demos)
 
     def render(keep: int) -> RenderedPrompt:
         kept = tuple(ranked_demos[:keep])
         if shuffle_seed is not None:
-            kept = parts.order(kept, ranked_ids[:keep], shuffle_seed)
+            kept = tuple(map(kept.__getitem__, parts.get(_permutation, keep, shuffle_seed)))
         return render_main_prompt(
             config, entity_type, kept, test_text, prompt_language,
             allow_empty_demos=True, parts=parts,

@@ -782,6 +782,45 @@ def test_evaluate_into_a_run_dir_that_is_a_file_exits_1(splits, tmp_path, capsys
     assert run_dir.read_text(encoding="utf-8") == "keep\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["sample", "--output", "file/s.jsonl"], id="sample"),
+        pytest.param(["sample", "--output", "s.jsonl", "--manifest", "file/m.json"], id="manifest"),
+        pytest.param(["convert", "--to", "conll", "--output", "file/x.conll"], id="convert"),
+        pytest.param(["convert", "--to", "brat", "--output", "file/brat"], id="convert-brat"),
+        pytest.param(["carbon", "--runtime-h", "1", "--output", "file/c.json"], id="carbon"),
+    ],
+)
+def test_an_output_under_a_file_exits_1_and_writes_nothing(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    write_corpus(Path("c.jsonl"), 12, seed=5)
+    Path("file").write_text("keep\n", encoding="utf-8")
+    inputs = {
+        "sample": ["--corpus", "c.jsonl", "--k", "3", "--seed", "1"],
+        "convert": ["--input", "c.jsonl", "--from", "jsonl"],
+        "carbon": [],
+    }[argv[0]]
+    assert main([*argv, *inputs]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: output directory file") and err.endswith(
+        ": file is not a directory\n"
+    )
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.jsonl", "file"]
+    assert Path("file").read_text(encoding="utf-8") == "keep\n"
+
+
+def test_sample_and_convert_make_the_directory_of_their_output(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    sentences = write_corpus(Path("c.jsonl"), 12, seed=5)
+    assert main(["sample", "--corpus", "c.jsonl", "--k", "3", "--seed", "1",
+                 "--output", "new/s.jsonl"]) == 0
+    assert len(load_corpus("new/s.jsonl", "jsonl")) == 3 and Path("new/s.meta.json").is_file()
+    assert main(["convert", "--input", "c.jsonl", "--from", "jsonl", "--to", "jsonl",
+                 "--output", "other/c.jsonl"]) == 0
+    assert load_corpus("other/c.jsonl", "jsonl") == sentences
+
+
 # ---------------------------------------------------------------------------
 # backends over HTTP
 

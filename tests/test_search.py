@@ -1,6 +1,8 @@
+import gc
 import itertools
 import random
 import re
+import weakref
 from collections import Counter, defaultdict
 from dataclasses import replace
 
@@ -1023,6 +1025,25 @@ def test_the_grid_parses_each_distinct_verdict_once(monkeypatch):
     monkeypatch.setattr(fewner.search, "parse_verification", parse)
     grid_search(pipeline, acknowledge_cost=True)
     assert parsed and set(parsed.values()) == {1}
+
+
+def test_a_dropped_pipeline_needs_no_cycle_collector():
+    # Memo keys hold builders and their arguments, never a store or a
+    # pipeline, so reference counting alone frees a dropped pipeline and
+    # its LOOCV store: a cycle would keep every memoized part alive until
+    # the collector runs.
+    sentences, types = synthetic_corpus(6, seed=11)
+    oracle = make_noisy_oracle(sentences, types, seed=11, drop_prob=0.2, spurious_prob=0.3)
+    gc.disable()
+    try:
+        pipeline = PromptingPipeline(sentences, types, oracle)
+        greedy_search(pipeline)
+        pipeline.predict(PromptConfig(self_verification=True), sentences)
+        dropped = [weakref.ref(pipeline), weakref.ref(pipeline._store)]
+        del pipeline
+        assert [ref() for ref in dropped] == [None, None]
+    finally:
+        gc.enable()
 
 
 @pytest.fixture(scope="module", params=["en", "fr", "es"])

@@ -14,6 +14,7 @@ from fewner.templates import (
     PromptConfig,
     PromptParts,
     TagPair,
+    _fill,
     estimate_tokens,
     fit_to_budget,
     outermost_spans,
@@ -466,6 +467,35 @@ def test_a_shared_memo_keeps_demo_blocks_of_other_orders_and_triples_apart(diso,
                     assert render_verification_prompt(*args, parts=parts) == (
                         render_verification_prompt(*args)
                     )
+
+
+def test_a_shared_memo_renders_a_sentence_edited_under_its_id_anew(diso):
+    # Sentences hash by id but compare by value, so a memo keyed by a
+    # sentence never serves the parts of an older text of the same id.
+    edited = sent("d1", "Her diabetes is worse.", [span(4, 12, "DISO", "diabetes")])
+    parts = PromptParts()
+    for mask in (0, 4, 260):
+        config = PromptConfig.from_bitmask(mask)
+        for d1 in (D1, edited, D1):
+            args = (config, diso, [d1, D2], TEST_TEXT, "en")
+            assert render_main_prompt(*args, parts=parts) == render_main_prompt(*args)
+            assert fit_to_budget(*args, 500, 7, parts=parts) == fit_to_budget(*args, 500, 7)
+            if config.self_verification:
+                args = (config, diso, "nausea", TEST_TEXT, [(d1, "diabetes", True), (D2, "No", False)])
+                assert render_verification_prompt(*args, "en", parts) == (
+                    render_verification_prompt(*args, "en")
+                )
+
+
+def test_a_fragment_field_left_unfilled_raises(diso):
+    # A part is built from exactly the values it is given; a fragment that
+    # names a field its builder was not given fails instead of guessing.
+    with pytest.raises(KeyError, match="open"):
+        _fill("en", "task_tagging", diso)
+    with pytest.raises(KeyError, match="separator"):
+        _fill("en", "intro_listing", diso)
+    assert "@@" in _fill("en", "task_tagging", diso, DEFAULT_TAGS)
+    assert "commas" in _fill("en", "intro_listing", diso, "comma")
 
 
 def test_fit_to_budget_keeps_all_when_roomy(diso):
