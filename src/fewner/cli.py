@@ -205,6 +205,17 @@ def _directory(path, what: str) -> Path:
     return path
 
 
+def _file(path, what: str) -> Path:
+    """path as a file to write, checked as _directory checks a directory:
+    raises ConfigError when it is a directory, or when its parent cannot
+    be one."""
+    path = Path(path)
+    if path.is_dir():
+        raise ConfigError(f"{what} {path} is a directory")
+    _directory(path.parent, "output directory")
+    return path
+
+
 def _write(path: Path, content: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(content, encoding="utf-8")
@@ -229,8 +240,10 @@ def _run_meta(started: float, pipeline, extra: dict) -> dict:
 
 
 def cmd_convert(args) -> int:
-    output = Path(args.output)
-    _directory(output if args.to_format == "brat" else output.parent, "output directory")
+    if args.to_format == "brat":
+        output = _directory(args.output, "output directory")
+    else:
+        output = _file(args.output, "output file")
     corpus = load_corpus(args.input, args.from_format, language=args.language)
     output.parent.mkdir(parents=True, exist_ok=True)
     save_corpus(corpus, output, args.to_format)
@@ -239,10 +252,8 @@ def cmd_convert(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    output = Path(args.output)
-    manifest = Path(args.manifest) if args.manifest else output.with_suffix(".meta.json")
-    for path in (output, manifest):
-        _directory(path.parent, "output directory")
+    output = _file(args.output, "output file")
+    manifest = _file(args.manifest or output.with_suffix(".meta.json"), "manifest file")
     corpus = load_corpus(args.corpus, args.format, language=args.language)
     sample = sample_fewshot(corpus, args.k, args.seed, source_corpus=str(args.corpus))
     by_id = {s.id: s for s in corpus}
@@ -370,8 +381,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_carbon(args) -> int:
-    if args.output:
-        _directory(Path(args.output).parent, "output directory")
+    output = _file(args.output, "output file") if args.output else None
     hardware = HardwareProfile(
         device_power_w=args.device_w,
         usage_factor=args.usage_factor,
@@ -380,8 +390,8 @@ def cmd_carbon(args) -> int:
     )
     grid = GridProfile(pue=args.pue, carbon_intensity_g_per_kwh=args.intensity)
     estimate = estimate_carbon(args.runtime_h, hardware, grid)
-    if args.output:
-        _write_json(Path(args.output), estimate.to_dict())
+    if output:
+        _write_json(output, estimate.to_dict())
     print(
         f"{estimate.co2e_g:.2f} gCO2e for {args.runtime_h} h "
         f"({estimate.adjusted_energy_kwh:.4f} kWh after PUE)"

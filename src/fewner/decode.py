@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 from .corpus import WORD, EntitySpan
 from .errors import DataError
@@ -63,19 +63,11 @@ class DecodeDiagnostics:
 
     def __add__(self, other: "DecodeDiagnostics") -> "DecodeDiagnostics":
         return DecodeDiagnostics(
-            unbalanced_tags=self.unbalanced_tags + other.unbalanced_tags,
-            unmatched_mentions=self.unmatched_mentions + other.unmatched_mentions,
-            duplicate_mentions=self.duplicate_mentions + other.duplicate_mentions,
-            unverified_kept=self.unverified_kept + other.unverified_kept,
+            *(getattr(self, f.name) + getattr(other, f.name) for f in fields(self))
         )
 
     def to_dict(self) -> dict[str, int]:
-        return {
-            "unbalanced_tags": self.unbalanced_tags,
-            "unmatched_mentions": self.unmatched_mentions,
-            "duplicate_mentions": self.duplicate_mentions,
-            "unverified_kept": self.unverified_kept,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

@@ -47,6 +47,7 @@ from .templates import (
     fit_demos,
     fit_to_budget,
     fragments_for,
+    main_shape,
     render_verification_prompt,
 )
 
@@ -59,12 +60,6 @@ PREDICT_WAVE = 64
 # Inline wall seconds between two readings of the thread clock, and the
 # least a reading must cover to find the backend waiting.
 _CLOCK_WINDOW_S = 0.005
-
-# The feature bits _main_key clears.
-_NATIVE, _ALT_TAGGERS, _LONG_ANSWER = (
-    1 << FEATURE_NAMES.index(name)
-    for name in ("prompt_language_native", "alt_taggers", "long_verification_answer")
-)
 
 
 @dataclass(frozen=True)
@@ -320,8 +315,8 @@ class PromptingPipeline:
     LOOCV also keeps its last wave, whose plan a config of the same main
     key takes as it is and sends again (see evaluate_loocv); the requests,
     their order and backend_calls are the same either way.
-    grid_search orders its masks so that configs of one main key run back
-    to back.
+    grid_search scans its configs grouped by main key, so that configs of
+    one key run back to back.
     """
 
     def __init__(
@@ -381,36 +376,12 @@ class PromptingPipeline:
             for t in entity_types
         ]
 
-    def _main_key(
-        self, mask: int, mode: str, listing_separator: str, base_demo_count: int
-    ) -> tuple:
-        """The main key of the config of these fields, equal for configs
-        that send the same main requests: the feature mask with every
-        feature cleared that no main prompt reads under the config, then
-        the mode, the separator (listing mode only) and base_demo_count.
-        Taking fields, not a config, lets grid_search order its masks
-        without building their configs.
-
-        - long_verification_answer: only templates._verification_demo
-          reads it, for verification prompts.
-        - prompt_language_native, when settings.prompt_language is "en":
-          _language returns "en" either way.
-        - alt_taggers in listing mode: it only picks config.tag_pair, which
-          is read by decode_tagged, by the tagging branch of
-          templates._demo_output and by the {open} and {close} fields that
-          only the task_tagging and intro_tagging fragments name.
-        - listing_separator in tagging mode: likewise read only by
-          decode_listing, the listing branch of _demo_output and the
-          {separator} field of task_listing and intro_listing.
-        """
-        mask &= ~_LONG_ANSWER
-        if self.settings.prompt_language == "en":
-            mask &= ~_NATIVE
-        separator = None
-        if mode == "listing":
-            mask &= ~_ALT_TAGGERS
-            separator = listing_separator
-        return mask, mode, separator, base_demo_count
+    def _main_key(self, config: PromptConfig) -> tuple:
+        """What config's main requests depend on: its main prompt's shape
+        (see templates.main_shape), demo count and demo selection.  Configs
+        of one main key plan the same main prompts and requests."""
+        language = self._language(config)
+        return main_shape(config, language), config.effective_demo_count, config.self_verification
 
     def _show(self, prompt: RenderedPrompt, item: _Item) -> None:
         """Show the observer prompt with item's held-out id."""
@@ -593,9 +564,7 @@ class PromptingPipeline:
         """
         if len(self.corpus) < 2:
             raise ConfigError("leave-one-out needs at least two annotated sentences")
-        key = self._main_key(
-            config.bitmask, config.mode, config.listing_separator, config.base_demo_count
-        )
+        key = self._main_key(config)
         last_key, last = self._last
         # Dropped first, so that two planned waves are never held at once.
         self._last = (None, None)
@@ -710,13 +679,14 @@ def grid_search(
     The cost is 512 full leave-one-out evaluations; pass
     acknowledge_cost=True to confirm that is intended.
 
-    Without a pipeline the masks are scored in ascending order.  With one
-    they are scored sorted by main key (see PromptingPipeline._main_key),
-    so that configs of one key run back to back and send one another's
-    main requests again (see evaluate_loocv).  Each key's mask is its
-    group's lowest, so groups come in the order of their lowest mask.  The
-    requests sent are the same either way; only their order across
-    evaluations differs.
+    The 512 configs are built once and held for the scan.  With a
+    pipeline they are grouped by main key (see PromptingPipeline._main_key)
+    in mask order, and the groups scored in turn, so that configs of one
+    key run back to back and send one another's main requests again (see
+    evaluate_loocv): groups come in the order of their lowest mask, each
+    ascending.  Without one each mask is its own group, so the masks are
+    scored in ascending order.  The requests sent are the same either way;
+    only their order across evaluations differs.
     """
     if not acknowledge_cost:
         raise ConfigError(
@@ -731,17 +701,13 @@ def grid_search(
     }
 
     def scan(evaluate):
-        masks = range(1 << len(FEATURE_NAMES))
-        order = masks
-        if pipeline is not None:
-            # Keyed from the fields, so each config is built once, when it
-            # is scored: holding all 512 added about 0.3 MB to grid-b0's
-            # peak RSS.
-            order = sorted(masks, key=lambda m: pipeline._main_key(m, **rest))
-        scores = [0.0] * len(masks)
-        for mask in order:
-            scores[mask] = evaluate(PromptConfig.from_bitmask(mask, **rest))
-        best = PromptConfig.from_bitmask(scores.index(max(scores)), **rest)
+        configs = [PromptConfig.from_bitmask(m, **rest) for m in range(1 << len(FEATURE_NAMES))]
+        groups: dict[object, list[PromptConfig]] = {}
+        for config in configs:
+            key = config.bitmask if pipeline is None else pipeline._main_key(config)
+            groups.setdefault(key, []).append(config)
+        scores = {config: evaluate(config) for group in groups.values() for config in group}
+        best = max(configs, key=scores.__getitem__)
         return best, best.enabled_features()
 
     best, trace = _run_search("grid", pipeline, score_fn, scan)

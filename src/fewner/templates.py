@@ -41,7 +41,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 from functools import lru_cache
 from importlib import resources
 from json.encoder import encode_basestring
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import rng
 from .corpus import AnnotatedSentence, EntitySpan, EntityType, outermost_spans
@@ -283,8 +283,8 @@ def _turn(language: str, dialogue: bool, input_text: str, output_text: str | Non
     return [f"{frags['input_label']} {input_text}", output]
 
 
-def stop_sequences_for(config: PromptConfig, prompt_language: str) -> tuple[str, ...]:
-    if config.dialogue_template:
+def stop_sequences_for(dialogue: bool, prompt_language: str) -> tuple[str, ...]:
+    if dialogue:
         return ("\n-",)
     return ("\n" + fragments_for(prompt_language)["input_label"],)
 
@@ -398,6 +398,33 @@ def _main_tail(_, language: str, intro: str | None, entity_type, marks, dialogue
     return _part(lines + _turn(language, dialogue, text, None))
 
 
+class MainShape(NamedTuple):
+    """Everything a main prompt reads of its config, with the prompt
+    language: two configs of one shape, demo set and test sentence render
+    the same prompt.  A config field left out here is one no main prompt
+    reads, such as long_verification_answer."""
+
+    language: str
+    header: str  # the head fragment: "persona" or "task_<mode>"
+    marks: TagPair | str  # the tag pair in tagging mode, else the separator name
+    definition: bool
+    intro: str | None  # the intro fragment, "intro_<mode>", or None
+    dialogue: bool
+
+
+def main_shape(config: PromptConfig, language: str) -> MainShape:
+    """What render_main_prompt reads of config, rendering in language."""
+    mode = config.mode
+    return MainShape(
+        language,
+        "persona" if config.specialist_persona else "task_" + mode,
+        config.tag_pair if mode == "tagging" else config.listing_separator,
+        config.label_definitions,
+        "intro_" + mode if config.intro_sentence else None,
+        config.dialogue_template,
+    )
+
+
 def render_main_prompt(
     config: PromptConfig,
     entity_type: EntityType,
@@ -411,7 +438,8 @@ def render_main_prompt(
 
     Layout: header (task description or persona), optional definition,
     demonstrations in the order given, optional introductory sentence, then
-    the test sentence with an open output slot.
+    the test sentence with an open output slot.  Of config it reads only
+    main_shape(config, prompt_language).
 
     parts, when given, keeps the header with its definition, each
     demonstration, the demonstration block and the intro with the test
@@ -420,20 +448,19 @@ def render_main_prompt(
     if not demos and not allow_empty_demos:
         raise ConfigError("cannot render a prompt with an empty demonstration set")
     parts = PromptParts() if parts is None else parts
-    mode, persona, dialogue = config.mode, config.specialist_persona, config.dialogue_template
-    marks = config.tag_pair if mode == "tagging" else config.listing_separator
-    # A tail without an intro reads neither the type nor the marks.
-    intro = ("intro_" + mode, entity_type, marks) if config.intro_sentence else (None, None, None)
+    language, header, marks, definition, intro, dialogue = main_shape(config, prompt_language)
+    # A persona names no marks, and a tail without an intro reads neither
+    # the type nor the marks.
+    tail = (None, None, None) if intro is None else (intro, entity_type, marks)
     demos = tuple(demos)
     return _assemble(
-        "main", entity_type, tuple(d.id for d in demos),
-        stop_sequences_for(config, prompt_language),
+        "main", entity_type, tuple(d.id for d in demos), stop_sequences_for(dialogue, language),
         parts.get(
-            _head, prompt_language, "persona" if persona else "task_" + mode, entity_type,
-            None if persona else marks, config.label_definitions,
+            _head, language, header, entity_type, None if header == "persona" else marks,
+            definition,
         ),
-        parts.get(_block, _main_demo, (prompt_language, entity_type.id, marks, dialogue), demos),
-        parts.get(_main_tail, prompt_language, *intro, dialogue, test_text),
+        parts.get(_block, _main_demo, (language, entity_type.id, marks, dialogue), demos),
+        parts.get(_main_tail, language, *tail, dialogue, test_text),
     )
 
 
@@ -492,7 +519,7 @@ def render_verification_prompt(
     shape = (prompt_language, entity_type, config.long_verification_answer, dialogue)
     return _assemble(
         "self_verification", entity_type, tuple(s.id for s, _, _ in demos),
-        stop_sequences_for(config, prompt_language),
+        stop_sequences_for(dialogue, prompt_language),
         parts.get(_head, prompt_language, "verification_task", entity_type, None, False),
         parts.get(_block, _verification_demo, shape, tuple(demos)),
         parts.get(

@@ -810,6 +810,44 @@ def test_an_output_under_a_file_exits_1_and_writes_nothing(tmp_path, monkeypatch
     assert Path("file").read_text(encoding="utf-8") == "keep\n"
 
 
+@pytest.mark.parametrize(
+    "argv, what",
+    [
+        pytest.param(["sample", "--output", "dir"], "output file", id="sample"),
+        pytest.param(
+            ["sample", "--output", "s.jsonl", "--manifest", "dir"], "manifest file", id="manifest"
+        ),
+        pytest.param(["convert", "--to", "conll", "--output", "dir"], "output file", id="conll"),
+        pytest.param(["convert", "--to", "jsonl", "--output", "dir"], "output file", id="jsonl"),
+        pytest.param(["carbon", "--runtime-h", "1", "--output", "dir"], "output file", id="carbon"),
+    ],
+)
+def test_an_output_file_that_is_a_directory_exits_1_and_writes_nothing(
+    tmp_path, monkeypatch, capsys, argv, what
+):
+    monkeypatch.chdir(tmp_path)
+    write_corpus(Path("c.jsonl"), 12, seed=5)
+    Path("dir").mkdir()
+    inputs = {
+        "sample": ["--corpus", "c.jsonl", "--k", "3", "--seed", "1"],
+        "convert": ["--input", "c.jsonl", "--from", "jsonl"],
+        "carbon": [],
+    }[argv[0]]
+    assert main([*argv, *inputs]) == 1
+    assert capsys.readouterr().err == f"error: {what} dir is a directory\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.jsonl", "dir"]
+    assert list(Path("dir").iterdir()) == []
+
+
+def test_convert_to_brat_writes_into_an_existing_directory(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write_corpus(Path("c.jsonl"), 4, seed=5)
+    Path("dir").mkdir()
+    assert main(["convert", "--input", "c.jsonl", "--from", "jsonl", "--to", "brat",
+                 "--output", "dir"]) == 0
+    assert list(Path("dir").iterdir())
+
+
 def test_sample_and_convert_make_the_directory_of_their_output(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     sentences = write_corpus(Path("c.jsonl"), 12, seed=5)

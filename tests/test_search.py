@@ -802,12 +802,6 @@ def test_spans_without_verification_demos_count_as_unverified_every_time(decoded
 # Canonical configurations and the replay of the last LOOCV evaluation
 
 
-def _main_key(pipeline, config):
-    return pipeline._main_key(
-        config.bitmask, config.mode, config.listing_separator, config.base_demo_count
-    )
-
-
 # Distinct canonical and main keys over the 512 masks, by English prompts
 # and mode.
 _CANONICAL_COUNTS = {
@@ -834,7 +828,7 @@ def test_masks_of_one_canonical_config_send_the_same_requests(language, mode, se
         config = PromptConfig.from_bitmask(mask, mode=mode, listing_separator=separator)
         start = len(backend.digests)
         pipeline.evaluate_loocv(config)
-        main = _main_key(pipeline, config)
+        main = pipeline._main_key(config)
         # Configs of one main key send the same verification requests too
         # unless long_verification_answer, read only by them, differs.
         canonical = (main, config.self_verification and config.long_verification_answer)
@@ -969,7 +963,7 @@ def test_the_grid_plans_each_main_key_once(monkeypatch, language):
     real = PromptingPipeline._plan
 
     def plan(self, config, *args):
-        planned.append(_main_key(self, config))
+        planned.append(self._main_key(config))
         return real(self, config, *args)
 
     monkeypatch.setattr(PromptingPipeline, "_plan", plan)
@@ -1006,9 +1000,15 @@ def test_the_grid_scores_each_mask_as_a_fresh_pipeline_does(language):
     assert Counter(shared.stream) == Counter(fresh.stream)
     assert any(dropped) and not all(dropped)
     # The pipeline scored the twins of each main key back to back.
-    mains = [_main_key(pipeline, PromptConfig.from_bitmask(mask)) for mask in order]
+    mains = [pipeline._main_key(PromptConfig.from_bitmask(mask)) for mask in order]
     assert sorted(order) == list(range(512))
     assert len(list(itertools.groupby(mains))) == len(set(mains)) < 512
+    # Groups in the order of their lowest mask, each ascending.
+    keys = [pipeline._main_key(PromptConfig.from_bitmask(mask)) for mask in range(512)]
+    lowest = {}
+    for mask, key in enumerate(keys):
+        lowest.setdefault(key, mask)
+    assert order == sorted(range(512), key=lambda mask: (lowest[keys[mask]], mask))
 
 
 def test_the_grid_parses_each_distinct_verdict_once(monkeypatch):

@@ -403,10 +403,10 @@ def test_verification_prompt_needs_flag_and_both_polarities(diso):
 # Stop sequences and budget fitting
 
 def test_stop_sequences_per_language_and_dialogue():
-    assert stop_sequences_for(PromptConfig(), "en") == ("\nInput:",)
-    assert stop_sequences_for(PromptConfig(), "fr") == ("\nEntrée :",)
-    assert stop_sequences_for(PromptConfig(), "es") == ("\nEntrada:",)
-    assert stop_sequences_for(PromptConfig(dialogue_template=True), "fr") == ("\n-",)
+    assert stop_sequences_for(False, "en") == ("\nInput:",)
+    assert stop_sequences_for(False, "fr") == ("\nEntrée :",)
+    assert stop_sequences_for(False, "es") == ("\nEntrada:",)
+    assert stop_sequences_for(True, "fr") == ("\n-",)
 
 
 def test_a_shared_memo_renders_what_a_fresh_memo_renders(diso, chem):
