@@ -254,6 +254,14 @@ def cmd_convert(args) -> int:
 def cmd_sample(args) -> int:
     output = _file(args.output, "output file")
     manifest = _file(args.manifest or output.with_suffix(".meta.json"), "manifest file")
+    # Resolved, so that two spellings of one file, or a link to it, are
+    # caught before the manifest overwrites the sample, or either the corpus.
+    corpus_file = Path(args.corpus).resolve()
+    if output.resolve() == manifest.resolve():
+        raise ConfigError(f"output file and manifest file are the same file: {output}")
+    for path, what in ((output, "output file"), (manifest, "manifest file")):
+        if path.resolve() == corpus_file:
+            raise ConfigError(f"{what} {path} is the corpus")
     corpus = load_corpus(args.corpus, args.format, language=args.language)
     sample = sample_fewshot(corpus, args.k, args.seed, source_corpus=str(args.corpus))
     by_id = {s.id: s for s in corpus}

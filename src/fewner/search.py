@@ -167,21 +167,32 @@ class _Item(NamedTuple):
     max_new_tokens: int  # room for the answer
 
 
+class _Fixed(tuple):
+    """A tuple made once and never changed: a wave's items, its results or
+    the LOOCV gold.  It is a memo argument that hashes and compares by
+    identity, as _Fold does, so a lookup hashes none of its elements."""
+
+    __hash__ = object.__hash__
+    __eq__ = object.__eq__
+    __ne__ = object.__ne__
+
+
 class _Wave(NamedTuple):
     """One wave: its plan and the results computed from it.
 
     observed and requests are the plan, in item order: the main prompt
     the observer was shown and its request.  results is the wave's
-    answer, verified under self_verification.  A wave is never changed
-    once built, so a replay sends its requests as they are.
+    answer, verified under self_verification, a memo value (see
+    _decoded and _verified).  A wave is never changed once built, so a
+    replay sends its requests as they are.
     """
 
     observed: list[RenderedPrompt]
     requests: list[GenerationRequest]
-    results: list[DecodeResult]
+    results: _Fixed
 
 
-# The builders of the pipeline's memo values (see PromptParts.get): each
+# The builders of the pipeline's memo values (see PromptParts): each
 # reads nothing but its arguments.  n is a demo count already clamped to
 # the pool, so counts that select the same demos share one entry.
 
@@ -205,7 +216,7 @@ def _verification_demos(
     outside any gold span of the type; both picks are seeded.  Returns
     None when either side has no example to offer.
     """
-    demos = store.get(_rich, fold, type_id, n)
+    demos = store[_rich, fold, type_id, n]
     p = fold.settings.seed
     positives: list[VerificationDemo] = []
     negatives: list[VerificationDemo] = []
@@ -241,7 +252,7 @@ def _verification(
     """The verification prompt for mention in text, fitted to the token
     budget, and its request; (None, None) when there are no verification
     demos or none fits."""
-    vdemos = store.get(_verification_demos, fold, entity_type.id, n)
+    vdemos = store[_verification_demos, fold, entity_type.id, n]
     if vdemos is None:
         return None, None
     # The fields of a config that a verification prompt reads.
@@ -278,6 +289,83 @@ def _call(_, fn, *args):
     return fn(*args)
 
 
+# The outcome of a wave, kept under what it is computed from: the items,
+# their main completions and, under self_verification, their verification
+# completions.  decode is decode_tagged or decode_listing as this module
+# names it when the wave runs, and marks the tag pair or the separator it
+# reads.  n is the demo count clamped to the largest pool of the items.
+
+def _decoded(
+    store: PromptParts, decode, items: _Fixed, completions: tuple[str, ...], marks,
+    dialogue: bool,
+) -> _Fixed:
+    """The spans each item's main completion decodes to, in item order."""
+    return _Fixed(
+        store[_call, decode, completion, item.text, marks, item.entity_type.id, dialogue]
+        for item, completion in zip(items, completions)
+    )
+
+
+def _verification_plan(
+    store: PromptParts, decode, items: _Fixed, completions: tuple[str, ...], marks,
+    dialogue: bool, n: int, language: str, long_answer: bool,
+) -> tuple[list[list[bool]], list[tuple[RenderedPrompt, _Item]], list[GenerationRequest]]:
+    """The verification of the decoded wave: for each item, whether each
+    of its spans is asked about; the prompts to show, each with its item;
+    and their requests, in item and span order.  A span with no
+    verification demos, or whose prompt cannot fit the token budget, is
+    not asked (see _verification)."""
+    asked, shown, requests = [], [], []
+    for item, result in zip(items, store[_decoded, decode, items, completions, marks, dialogue]):
+        item_asked, count = [], min(n, len(item.fold.pool))
+        for span in result.spans:
+            prompt, request = store[
+                _verification, item.fold, item.entity_type, count, language, long_answer,
+                dialogue, item.text, span.mention, item.max_new_tokens,
+            ]
+            if prompt is not None:
+                shown.append((prompt, item))
+                requests.append(request)
+            item_asked.append(prompt is not None)
+        asked.append(item_asked)
+    return asked, shown, requests
+
+
+def _verified(
+    store: PromptParts, decode, items: _Fixed, completions: tuple[str, ...], marks,
+    dialogue: bool, n: int, language: str, long_answer: bool, answers: tuple[str, ...],
+) -> _Fixed:
+    """The decoded wave with each asked span verified by its answer, in
+    the plan's order.  A span not asked is kept unverified, counted as an
+    unparseable answer is.  The results are new: the store shares the
+    decoded ones."""
+    decoded = store[_decoded, decode, items, completions, marks, dialogue]
+    asked, _, _ = store[
+        _verification_plan, decode, items, completions, marks, dialogue, n, language,
+        long_answer,
+    ]
+    replies = iter(answers)
+    return _Fixed(
+        apply_verification(result, [
+            store[_call, parse_verification, next(replies), span.mention]
+            if ask else VERDICT_UNPARSEABLE
+            for span, ask in zip(result.spans, item_asked)
+        ])
+        if item_asked else result
+        for result, item_asked in zip(decoded, asked)
+    )
+
+
+def _counts(_, results: _Fixed, gold: _Fixed) -> tuple[int, int, int]:
+    """(tp, fp, fn) of results against the gold spans of their items,
+    pooled over the items."""
+    tp = fp = fn = 0
+    for result, spans in zip(results, gold):
+        dtp, dfp, dfn = span_match_counts(result.spans, spans)
+        tp, fp, fn = tp + dtp, fp + dfp, fn + dfn
+    return tp, fp, fn
+
+
 class PromptingPipeline:
     """Select demos, render prompts, call the backend, decode spans.
 
@@ -299,12 +387,17 @@ class PromptingPipeline:
     for every prompt before it is sent; tests use it to check that held-out
     text never appears among demonstrations.
 
-    The LOOCV items are made once, with the pipeline, and each fold
-    (see _Fold) once per held-out id.  Work that depends on the item and
-    not on the feature flags is memoized in a templates.PromptParts store,
-    each value under its builder and the values it reads: prompt parts and
-    shuffled orders, ranked and verification demos, fitted verification
-    prompts with their requests, decoded results and parsed verdicts.
+    The LOOCV items and their gold spans are made once, with the
+    pipeline, and each fold (see _Fold) once per held-out id; predict and
+    annotate make the items of each wave.  Work that depends on the items
+    and not on the feature flags is memoized in a templates.PromptParts
+    store, each value under its builder and the values it reads: prompt
+    parts and shuffled orders, ranked and verification demos, fitted
+    verification prompts with their requests, decoded results and parsed
+    verdicts.  So is each wave's outcome, under its items and completions:
+    the decoded wave, its verification plan, the verified wave and, for
+    LOOCV, its span counts.  An evaluation whose completions were seen
+    before still sends every request and shows the observer every prompt.
     Main prompts are not memoized whole: a grid has too many distinct
     ones.  LOOCV keeps one store for the pipeline's lifetime, since its
     folds are the same for every configuration; any other wave gets a
@@ -343,11 +436,13 @@ class PromptingPipeline:
         # One fold per held-out id (None: the full corpus), made on first use.
         self._folds: dict[str | None, _Fold] = {}
         # The LOOCV items and their store; see the class docstring.
-        self._loocv: list[_Item] = []
-        for s in self.corpus:
-            self._loocv += self._items(s.text, s.id, s.id, self.entity_types)
+        self._loocv = _Fixed(
+            item for s in self.corpus for item in self._items(s.text, s.id, s.id, self.entity_types)
+        )
         # The gold spans of each LOOCV item, in item order.
-        self._gold = [self.corpus_by_id[i.test_id].spans_of(i.entity_type.id) for i in self._loocv]
+        self._gold = _Fixed(
+            self.corpus_by_id[i.test_id].spans_of(i.entity_type.id) for i in self._loocv
+        )
         self._store = PromptParts()
         # The last LOOCV evaluation: (its _main_key, wave).
         self._last: tuple[tuple | None, _Wave | None] = (None, None)
@@ -434,59 +529,27 @@ class PromptingPipeline:
         sent = dict(zip(distinct, completions))
         return [sent[r.digest] for r in requests]
 
-    def _verified(
-        self, config: PromptConfig, items: list[_Item], decoded: list[DecodeResult],
-        store: PromptParts,
-    ) -> list[DecodeResult]:
-        """decoded with every span verified: one yes/no request per span,
-        planned in item and span order and sent as one dependent wave.
-
-        A span with no verification demos, or whose prompt cannot fit the
-        token budget, is kept unverified, counted as an unparseable answer
-        is.  Each span's prompt and request come from the store (see
-        _verification); a hit fits, renders and hashes nothing, and the
-        observer is shown the stored prompt with this item's held-out id.
-        The results are new: the store shares decoded.
-        """
-        language, count = self._language(config), config.effective_demo_count
-        asked, requests = [], []
-        for item, result in zip(items, decoded):
-            item_asked, n = [], min(count, len(item.fold.pool))
-            for span in result.spans:
-                prompt, request = store.get(
-                    _verification, item.fold, item.entity_type, n, language,
-                    config.long_verification_answer, config.dialogue_template, item.text,
-                    span.mention, item.max_new_tokens,
-                )
-                if prompt is not None:
-                    self._show(prompt, item)
-                    requests.append(request)
-                item_asked.append(prompt is not None)
-            asked.append(item_asked)
-        completions = iter(self._send(requests))
-        return [
-            apply_verification(result, [
-                store.get(_call, parse_verification, next(completions), s.mention)
-                if ask else VERDICT_UNPARSEABLE
-                for s, ask in zip(result.spans, item_asked)
-            ])
-            if item_asked else result
-            for result, item_asked in zip(decoded, asked)
-        ]
-
     def _annotate_wave(
-        self, config: PromptConfig, items: list[_Item], store: PromptParts,
+        self, config: PromptConfig, items: _Fixed, store: PromptParts,
         last: _Wave | None = None,
     ) -> _Wave:
-        """The wave of items: plan every main prompt in item order, send
-        them, decode in item order, then verify under self_verification
-        (see _verified).
+        """The wave of items: plan every main prompt in item order and send
+        them; under self_verification, show the observer every planned
+        verification prompt and send their requests as a second, dependent
+        send.
+
+        The decoded results, the verification plan and the verified results
+        are memo values keyed by the items and their completions (see
+        _decoded, _verification_plan and _verified).  So a wave whose
+        completions equal an earlier wave's of the same items, under the
+        same marks, dialogue_template and verification settings, decodes,
+        plans and verifies nothing; it still sends every request, in the
+        same order, and shows the observer every prompt.
 
         last, when given, is a wave of the same items under a config of the
         same main key (see _main_key): its plan is taken as it is and its
         requests sent again, after the observer is shown their prompts
-        again.  Decoding and verification go through the store either way,
-        so the same requests go out, in the same order.
+        again.
         """
         if last is None:
             observed, requests = self._plan(config, items, store)
@@ -494,13 +557,22 @@ class PromptingPipeline:
             observed, requests, _ = last
             for prompt, item in zip(observed, items):
                 self._show(prompt, item)
-        results = self._decode(config, items, self._send(requests), store)
-        if config.self_verification:
-            results = self._verified(config, items, results, store)
-        return _Wave(observed, requests, results)
+        if config.mode == "tagging":
+            decode, marks = decode_tagged, config.tag_pair
+        else:
+            decode, marks = decode_listing, config.listing_separator
+        key = (decode, items, tuple(self._send(requests)), marks, config.dialogue_template)
+        if not config.self_verification:
+            return _Wave(observed, requests, store[(_decoded, *key)])
+        n = min(config.effective_demo_count, max(len(item.fold.pool) for item in items))
+        key += (n, self._language(config), config.long_verification_answer)
+        _, shown, verify = store[(_verification_plan, *key)]
+        for prompt, item in shown:
+            self._show(prompt, item)
+        return _Wave(observed, requests, store[(_verified, *key, tuple(self._send(verify)))])
 
     def _plan(
-        self, config: PromptConfig, items: list[_Item], store: PromptParts
+        self, config: PromptConfig, items: _Fixed, store: PromptParts
     ) -> tuple[list[RenderedPrompt], list[GenerationRequest]]:
         """The main prompts and requests of items, in item order; the
         observer is shown each prompt.  Demos are entity-rich for the type
@@ -512,9 +584,9 @@ class PromptingPipeline:
         for item in items:
             n = min(count, len(item.fold.pool))
             if rich:
-                ranked = store.get(_rich, item.fold, item.entity_type.id, n)
+                ranked = store[_rich, item.fold, item.entity_type.id, n]
             else:
-                ranked = store.get(_nearest, item.fold, item.text, n)
+                ranked = store[_nearest, item.fold, item.text, n]
             prompt = fit_to_budget(
                 config, item.entity_type, ranked, item.text, language, budget,
                 shuffle_seed=item.shuffle_seed, parts=store,
@@ -523,21 +595,6 @@ class PromptingPipeline:
             self._show(prompt, item)
             observed.append(prompt)
         return observed, requests
-
-    def _decode(
-        self, config: PromptConfig, items: list[_Item], completions: list[str],
-        store: PromptParts,
-    ) -> list[DecodeResult]:
-        """The spans each item's main completion decodes to, memoized."""
-        if config.mode == "tagging":
-            decode, marks = decode_tagged, config.tag_pair
-        else:
-            decode, marks = decode_listing, config.listing_separator
-        dialogue = config.dialogue_template
-        return [
-            store.get(_call, decode, completion, item.text, marks, item.entity_type.id, dialogue)
-            for item, completion in zip(items, completions)
-        ]
 
     def annotate(
         self,
@@ -552,7 +609,7 @@ class PromptingPipeline:
         held_out_id removes that sentence from the demonstration pool (the
         LOOCV case); the returned spans refer to offsets in test_text.
         """
-        items = self._items(test_text, test_id, held_out_id, [entity_type])
+        items = _Fixed(self._items(test_text, test_id, held_out_id, [entity_type]))
         return self._annotate_wave(config, items, PromptParts()).results[0]
 
     def evaluate_loocv(self, config: PromptConfig) -> float:
@@ -561,6 +618,8 @@ class PromptingPipeline:
         The last evaluation's wave is kept with its main key (see
         _main_key).  When config has the same main key, that wave's main
         requests are sent again rather than planned (see _annotate_wave).
+        The counts are a memo value under the wave's results, so results
+        seen before are not scored again.
         """
         if len(self.corpus) < 2:
             raise ConfigError("leave-one-out needs at least two annotated sentences")
@@ -571,12 +630,8 @@ class PromptingPipeline:
         wave = self._annotate_wave(
             config, self._loocv, self._store, last if last_key == key else None
         )
-        tp = fp = fn = 0
-        for result, gold in zip(wave.results, self._gold):
-            dtp, dfp, dfn = span_match_counts(result.spans, gold)
-            tp, fp, fn = tp + dtp, fp + dfp, fn + dfn
         self._last = (key, wave)
-        return f1_from_counts(tp, fp, fn)[2]
+        return f1_from_counts(*self._store[_counts, wave.results, self._gold])[2]
 
     def predict(
         self, config: PromptConfig, test_sentences: list[AnnotatedSentence]
@@ -590,7 +645,7 @@ class PromptingPipeline:
             held_out = s.id if s.id in self.corpus_by_id else None
             items += self._items(s.text, s.id, held_out, self.entity_types)
         for start in range(0, len(items), PREDICT_WAVE):
-            wave = items[start : start + PREDICT_WAVE]
+            wave = _Fixed(items[start : start + PREDICT_WAVE])
             for item, result in zip(wave, self._annotate_wave(config, wave, PromptParts()).results):
                 predictions.add(item.test_id, item.entity_type.id, result)
         return predictions

@@ -289,12 +289,13 @@ def stop_sequences_for(dialogue: bool, prompt_language: str) -> tuple[str, ...]:
     return ("\n" + fragments_for(prompt_language)["input_label"],)
 
 
-class PromptParts:
+class PromptParts(dict):
     """A memo of values kept under their builder and its arguments.
 
-    get(build, *args) returns build(store, *args), built on the first call
-    with equal arguments and kept for the store's lifetime.  A builder is
-    a module-level function that reads nothing but its arguments and
+    store[build, *args] returns build(store, *args), built by __missing__
+    on the first lookup with equal arguments and kept for the store's
+    lifetime, so a hit is a plain dict subscript.  A builder is a
+    module-level function that reads nothing but its arguments and
     constants, so its key names everything its value depends on, and no
     more.  The store is passed, not keyed, so a builder may get other
     values through it, and no key refers back to a store.
@@ -307,17 +308,8 @@ class PromptParts:
     compare by value, so a sentence edited under its id is built anew.
     """
 
-    def __init__(self):
-        self._values: dict[tuple, object] = {}
-
-    def get(self, build, *args):
-        """build(self, *args), built once per distinct args."""
-        key = (build, args)
-        try:
-            return self._values[key]
-        except KeyError:
-            pass
-        value = self._values[key] = build(self, *args)
+    def __missing__(self, key: tuple):
+        value = self[key] = key[0](self, *key[1:])
         return value
 
 
@@ -367,9 +359,9 @@ def _permutation(_, count: int, seed: int):
 
 
 def _block(parts: PromptParts, turn, shape: tuple, demos: tuple) -> tuple | None:
-    """The turns parts.get(turn, *shape, demo) of demos as one part, so a
+    """The turns parts[turn, *shape, demo] of demos as one part, so a
     prompt costs one lookup instead of one per demo."""
-    return _joined([parts.get(turn, *shape, demo) for demo in demos])
+    return _joined([parts[(turn, *shape, demo)] for demo in demos])
 
 
 def _head(_, language: str, key: str, entity_type: EntityType, marks, definition: bool):
@@ -455,12 +447,12 @@ def render_main_prompt(
     demos = tuple(demos)
     return _assemble(
         "main", entity_type, tuple(d.id for d in demos), stop_sequences_for(dialogue, language),
-        parts.get(
+        parts[
             _head, language, header, entity_type, None if header == "persona" else marks,
             definition,
-        ),
-        parts.get(_block, _main_demo, (language, entity_type.id, marks, dialogue), demos),
-        parts.get(_main_tail, language, *tail, dialogue, test_text),
+        ],
+        parts[_block, _main_demo, (language, entity_type.id, marks, dialogue), demos],
+        parts[(_main_tail, language, *tail, dialogue, test_text)],
     )
 
 
@@ -520,12 +512,12 @@ def render_verification_prompt(
     return _assemble(
         "self_verification", entity_type, tuple(s.id for s, _, _ in demos),
         stop_sequences_for(dialogue, prompt_language),
-        parts.get(_head, prompt_language, "verification_task", entity_type, None, False),
-        parts.get(_block, _verification_demo, shape, tuple(demos)),
-        parts.get(
+        parts[_head, prompt_language, "verification_task", entity_type, None, False],
+        parts[_block, _verification_demo, shape, tuple(demos)],
+        parts[
             _verification_tail, prompt_language, entity_type, dialogue, context_sentence,
             candidate_mention,
-        ),
+        ],
     )
 
 
@@ -570,7 +562,7 @@ def fit_to_budget(
     def render(keep: int) -> RenderedPrompt:
         kept = tuple(ranked_demos[:keep])
         if shuffle_seed is not None:
-            kept = tuple(map(kept.__getitem__, parts.get(_permutation, keep, shuffle_seed)))
+            kept = tuple(map(kept.__getitem__, parts[_permutation, keep, shuffle_seed]))
         return render_main_prompt(
             config, entity_type, kept, test_text, prompt_language,
             allow_empty_demos=True, parts=parts,

@@ -839,6 +839,53 @@ def test_an_output_file_that_is_a_directory_exits_1_and_writes_nothing(
     assert list(Path("dir").iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "outputs, message",
+    [
+        pytest.param(
+            ["--output", "s.jsonl", "--manifest", "s.jsonl"],
+            "output file and manifest file are the same file: s.jsonl", id="same",
+        ),
+        pytest.param(
+            ["--output", "s.jsonl", "--manifest", "sub/../s.jsonl"],
+            "output file and manifest file are the same file: s.jsonl", id="same-resolved",
+        ),
+        pytest.param(
+            ["--output", "c.jsonl"], "output file c.jsonl is the corpus", id="output-corpus",
+        ),
+        pytest.param(
+            ["--output", "s.jsonl", "--manifest", "./c.jsonl"],
+            "manifest file c.jsonl is the corpus", id="manifest-corpus",
+        ),
+    ],
+)
+def test_sample_to_one_file_twice_or_to_its_corpus_exits_1_and_writes_nothing(
+    tmp_path, monkeypatch, capsys, outputs, message
+):
+    monkeypatch.chdir(tmp_path)
+    write_corpus(Path("c.jsonl"), 12, seed=5)
+    Path("sub").mkdir()
+    corpus = Path("c.jsonl").read_bytes()
+    argv = ["sample", "--corpus", "c.jsonl", "--k", "3", "--seed", "1", *outputs]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.jsonl", "sub"]
+    assert Path("c.jsonl").read_bytes() == corpus
+
+
+def test_sample_through_a_link_to_its_manifest_exits_1(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    write_corpus(Path("c.jsonl"), 12, seed=5)
+    Path("m.json").write_text("keep\n", encoding="utf-8")
+    Path("link.json").symlink_to("m.json")
+    argv = ["sample", "--corpus", "c.jsonl", "--k", "3", "--seed", "1",
+            "--output", "link.json", "--manifest", "m.json"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: output file and manifest file")
+    assert Path("m.json").read_text(encoding="utf-8") == "keep\n"
+    assert not Path("s.jsonl").exists()
+
+
 def test_convert_to_brat_writes_into_an_existing_directory(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     write_corpus(Path("c.jsonl"), 4, seed=5)

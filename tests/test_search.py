@@ -971,6 +971,60 @@ def test_the_grid_plans_each_main_key_once(monkeypatch, language):
     assert len(planned) == len(set(planned)) == (128 if language == "en" else 256)
 
 
+class AnswersNo:
+    """Answers main prompts as the wrapped backend does and every
+    verification prompt "no", in whatever language it is written."""
+
+    backend_id = "answers-no"
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.tasks = tuple(f["verification_task"].split("{")[0] for f in fragments().values())
+
+    def generate(self, request):
+        return "no" if request.prompt.startswith(self.tasks) else self.inner.generate(request)
+
+
+@pytest.mark.parametrize(
+    "language, answers", [("en", "oracle"), ("fr", "oracle"), ("fr", "no")]
+)
+def test_the_grid_scores_each_distinct_wave_outcome_once(monkeypatch, language, answers):
+    # Seven sentences leave pools of six, so the demo counts 5 and 10 pick
+    # other demos; French prompts may be native or English, and answered
+    # "no" in either, two waves may differ in their prompt language alone.
+    sentences, types = synthetic_corpus(7, seed=31, language=language)
+    oracle = make_noisy_oracle(sentences, types, seed=31, drop_prob=0.2, spurious_prob=0.3)
+    backend = oracle if answers == "oracle" else AnswersNo(oracle)
+    pipeline = PromptingPipeline(
+        sentences, types, backend, PipelineSettings(prompt_language=language, seed=31)
+    )
+    answers, scored, outcomes = [], [], set()
+    send, loocv = pipeline._send, pipeline.evaluate_loocv
+    pipeline._send = lambda requests: answers.append(tuple(send(requests))) or list(answers[-1])
+
+    def evaluate(config):
+        start = len(answers)
+        micro = loocv(config)
+        # What an evaluation's outcome is computed from: its completions
+        # and the config fields that read them.
+        outcome = (config.mode, config.tag_pair, config.dialogue_template, answers[start])
+        if config.self_verification:
+            count = min(config.effective_demo_count, len(sentences) - 1)
+            language = pipeline._language(config)
+            outcome += (count, language, config.long_verification_answer, answers[start + 1])
+        outcomes.add(outcome)
+        return micro
+
+    pipeline.evaluate_loocv = evaluate
+    real = fewner.search.span_match_counts
+    monkeypatch.setattr(
+        "fewner.search.span_match_counts", lambda *args: scored.append(args) or real(*args)
+    )
+    grid_search(pipeline, acknowledge_cost=True)
+    items = len(sentences) * len(types)
+    assert len(scored) == items * len(outcomes) < items * 512 // 4
+
+
 @pytest.mark.parametrize("language", ["en", "fr", "es"])
 def test_the_grid_scores_each_mask_as_a_fresh_pipeline_does(language):
     sentences, types = synthetic_corpus(5, seed=17, language=language)
